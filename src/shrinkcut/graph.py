@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -44,7 +45,11 @@ class WeightedGraph:
 
     @classmethod
     def from_edges(cls, vertex_count: int, edges: Iterable[tuple[int, int, float]]) -> "WeightedGraph":
-        """Build a graph, canonicalizing pairs and summing duplicate entries."""
+        """Build a graph, canonicalizing pairs and summing duplicate entries.
+
+        Raises ValueError for a non-finite weight, including a sum of
+        duplicates that overflows.
+        """
         merged: dict[tuple[int, int], float] = {}
         for u, v, w in edges:
             if u == v:
@@ -54,6 +59,10 @@ class WeightedGraph:
             key = (u, v) if u < v else (v, u)
             merged[key] = merged.get(key, 0.0) + float(w)
         items = tuple((u, v, merged[(u, v)]) for u, v in sorted(merged))
+        for u, v, w in items:
+            # a non-finite input makes its pair's sum non-finite too
+            if not math.isfinite(w):
+                raise ValueError(f"edge ({u}, {v}) has non-finite weight {w}")
         return cls(vertex_count, items)
 
     @property
@@ -125,7 +134,8 @@ def parse_instance(text: str) -> WeightedGraph:
     """Parse an instance: header line "n m", then m lines "i j w" (1-based ids).
 
     Lines starting with '#' and blank lines are ignored. Duplicate pairs are
-    summed. Raises ParseError with the offending line number.
+    summed. Raises ParseError with the offending line number, also for a
+    weight that is not finite.
     """
     header: tuple[int, int] | None = None
     edges: list[tuple[int, int, float]] = []
@@ -153,6 +163,8 @@ def parse_instance(text: str) -> WeightedGraph:
             w = float(parts[2])
         except ValueError:
             raise ParseError(line_no, f"malformed edge line {line!r}") from None
+        if not math.isfinite(w):
+            raise ParseError(line_no, f"non-finite weight in {line!r}")
         n = header[0]
         if not (1 <= i <= n and 1 <= j <= n):
             raise ParseError(line_no, f"vertex id out of range [1, {n}] in {line!r}")
@@ -227,6 +239,7 @@ def brute_force(g: WeightedGraph, max_vertices: int = BRUTE_FORCE_CAP) -> ExactC
     best = -np.inf
     worst = np.inf
     arg = 0
+    count = 0
     for start in range(0, half, chunk):
         idx = np.arange(start, min(start + chunk, half), dtype=np.int64)
         vals = cut_values_for_indices(g, idx)
@@ -234,11 +247,9 @@ def brute_force(g: WeightedGraph, max_vertices: int = BRUTE_FORCE_CAP) -> ExactC
         if vals[i] > best:
             best = float(vals[i])
             arg = int(idx[i])
+            count = 0
+        count += int(np.count_nonzero(vals == best))
         worst = min(worst, float(np.min(vals)))
-    count = 0
-    for start in range(0, half, chunk):
-        idx = np.arange(start, min(start + chunk, half), dtype=np.int64)
-        count += int(np.sum(cut_values_for_indices(g, idx) == best))
     return ExactCutSummary(best, worst, index_to_assignment(arg, n), count)
 
 

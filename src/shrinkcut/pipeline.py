@@ -23,7 +23,9 @@ from .graph import (
 )
 from .qaoa import STATEVECTOR_CAP, estimate_parameters, qaoa_state, sample_cuts
 from .relaxation import solve_cycle_relaxation
-from .shrink import CorrelationSet, correlations_from_relaxation, shrink_to_target, zero_correlations
+from .shrink import (
+    CorrelationSet, ShrinkState, correlations_from_relaxation, shrink_to_target, zero_correlations
+)
 
 SUBSOLVERS = ("exact", "qaoa-sim", "coin")
 CORRELATION_MODES = ("relaxation", "zero")
@@ -110,6 +112,12 @@ def _solve_reduced(reduced: WeightedGraph, subsolver: str, n_samples: int, seed)
     raise ValueError(f"unknown subsolver {subsolver!r}")
 
 
+def _lift_and_score(state: ShrinkState, samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every reduced sample lifted to the original graph, and its cut value there."""
+    lifted = state.reconstruct(samples)
+    return lifted, cut_value_batch(state.original, lifted)
+
+
 def run_pipeline(
     g: WeightedGraph,
     target_size: int,
@@ -163,8 +171,7 @@ def run_pipeline(
 
     tic = time.perf_counter()
     try:
-        lifted = np.stack([state.reconstruct(row) for row in samples])
-        values = cut_value_batch(g, lifted)
+        lifted, values = _lift_and_score(state, samples)
         best_idx = int(np.argmax(values))
     except Exception as exc:
         raise PipelineError("reconstruct", exc) from exc
@@ -257,18 +264,10 @@ def sweep_shrink_counts(
             for subsolver in subsolvers:
                 cell_seed = int(master.integers(2**63))
                 samples = _solve_reduced(reduced, subsolver, n_samples, cell_seed)
-                lifted = np.stack([state.reconstruct(row) for row in samples])
-                values = cut_value_batch(g, lifted)
-                cells.append(
-                    SweepCell(
-                        deleted,
-                        mode,
-                        subsolver,
-                        float(values.mean()),
-                        float(values.max()),
-                        approximation_ratio(float(values.mean()), summary.min_value, summary.max_value),
-                    )
-                )
+                _, values = _lift_and_score(state, samples)
+                mean = float(values.mean())
+                ratio = approximation_ratio(mean, summary.min_value, summary.max_value)
+                cells.append(SweepCell(deleted, mode, subsolver, mean, float(values.max()), ratio))
     return cells
 
 

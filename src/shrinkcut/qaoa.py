@@ -52,6 +52,11 @@ def qaoa_state(g: WeightedGraph, params: QaoaParams, max_qubits: int = STATEVECT
     n = g.vertex_count
     _check_qubits(n, max_qubits)
     spectrum = cut_values_for_indices(g, np.arange(1 << n, dtype=np.int64))
+    return _evolve(spectrum, n, params)
+
+
+def _evolve(spectrum: np.ndarray, n: int, params: QaoaParams) -> QaoaState:
+    """The depth-1 circuit on n qubits, given the cut value of every basis state."""
     amp = np.full(1 << n, 2.0 ** (-n / 2.0), dtype=complex)
     amp *= np.exp(-1j * params.gamma * spectrum)
     c = math.cos(params.beta)
@@ -67,9 +72,10 @@ def qaoa_state(g: WeightedGraph, params: QaoaParams, max_qubits: int = STATEVECT
 
 def expectation_statevector(g: WeightedGraph, params: QaoaParams, max_qubits: int = STATEVECTOR_CAP) -> float:
     """Exact expected cut value, sum_x |amp(x)|^2 C(x)."""
-    state = qaoa_state(g, params, max_qubits)
-    spectrum = cut_values_for_indices(g, np.arange(1 << state.n, dtype=np.int64))
-    return float(state.probabilities() @ spectrum)
+    n = g.vertex_count
+    _check_qubits(n, max_qubits)
+    spectrum = cut_values_for_indices(g, np.arange(1 << n, dtype=np.int64))
+    return float(_evolve(spectrum, n, params).probabilities() @ spectrum)
 
 
 def sample_cuts(state: QaoaState, n_samples: int, seed=None) -> np.ndarray:

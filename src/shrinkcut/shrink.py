@@ -181,21 +181,21 @@ class ShrinkState:
         self.records.append(ShrinkRecord(kept, removed, sign, pair_weight, delta))
 
     def reconstruct(self, reduced_assignment: np.ndarray) -> np.ndarray:
-        """Lift a reduced-graph assignment to the original graph.
+        """Lift a reduced-graph assignment, or a (k, reduced_size) matrix of
+        them, to the original graph.
 
         Each original vertex takes the side of its super-vertex, flipped when
-        its accumulated relative sign is -1.
+        its accumulated relative sign is -1. The lift map is rebuilt on every
+        call, since contract() changes it.
         """
         a = np.asarray(reduced_assignment, dtype=bool)
-        active = self.active_vertices()
-        if a.shape != (active.size,):
-            raise ValueError(f"assignment has length {a.size}, expected {active.size}")
-        pos = {int(r): i for i, r in enumerate(active)}
-        out = np.zeros(self.original.vertex_count, dtype=bool)
-        for vertex in range(self.original.vertex_count):
-            root, sign = self._uf.find(vertex)
-            out[vertex] = bool(a[pos[root]]) ^ (sign < 0)
-        return out
+        size = self.reduced_size
+        if a.ndim not in (1, 2) or a.shape[-1] != size:
+            raise ValueError(f"assignment has shape {a.shape}, expected ({size},) or (k, {size})")
+        n = self.original.vertex_count
+        found = np.array([self._uf.find(v) for v in range(n)], dtype=np.int64).reshape(n, 2)
+        column = (np.cumsum(self._active) - 1)[found[:, 0]]
+        return a[..., column] ^ (found[:, 1] < 0)
 
 
 def shrink_to_target(g: WeightedGraph, correlations: CorrelationSet, target: int) -> ShrinkState:

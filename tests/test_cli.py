@@ -97,10 +97,11 @@ def test_missing_file_fails(tmp_path, capsys):
 
 def test_malformed_instance_fails(tmp_path, capsys):
     path = tmp_path / "bad.txt"
-    path.write_text("2 1\n1 2 zzz\n")
-    assert main(["oracle", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert "line 2" in err
+    for edge, message in (("1 2 zzz", "malformed"), ("1 2 nan", "non-finite"), ("1 2 -inf", "non-finite")):
+        path.write_text(f"2 1\n{edge}\n")
+        assert main(["oracle", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "line 2" in err and message in err
 
 
 def test_stage_error_exit_code(tmp_path, capsys):

@@ -16,7 +16,7 @@ from shrinkcut import (
     parse_instance,
     qubo_to_maxcut,
 )
-from shrinkcut.graph import index_to_assignment
+from shrinkcut.graph import cut_values_for_indices, index_to_assignment
 from shrinkcut.instances import random_weighted_graph
 
 
@@ -67,6 +67,10 @@ def test_parse_errors_carry_line_numbers():
         parse_instance("2 1\n1 1 4")
     with pytest.raises(ParseError):
         parse_instance("")
+    for weight in ("nan", "inf", "-inf"):
+        with pytest.raises(ParseError, match="non-finite") as err:
+            parse_instance(f"3 2\n1 2 1\n2 3 {weight}")
+        assert err.value.line_no == 3
 
 
 def test_format_parse_round_trip():
@@ -144,6 +148,31 @@ def test_brute_force_dominates_every_assignment():
         assert s.max_value == pytest.approx(max(oracle.values()), abs=1e-12)
         assert s.min_value == pytest.approx(min(oracle.values()), abs=1e-12)
         assert cut_value(g, s.argmax) == pytest.approx(s.max_value, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "edges, chunk_maxima",
+    [
+        # vertex 20 splits the half-space into two 2^20 chunks; the optimum
+        # is reached in both of them
+        ([(0, 1, 1.0), (1, 2, 1.0), (3, 4, -1.0), (5, 20, 1.0)], (3.0, 3.0)),
+        # chunk 1 keeps 20 and 21 together and ties many times at 1; chunk 2
+        # cuts the (20, 21) edge and reaches 4
+        ([(0, 1, 1.0), (2, 3, -2.0), (20, 21, 3.0)], (1.0, 4.0)),
+    ],
+)
+def test_brute_force_counts_across_chunks(edges, chunk_maxima):
+    n = 22
+    g = WeightedGraph.from_edges(n, edges)
+    vals = cut_values_for_indices(g, np.arange(1 << (n - 1), dtype=np.int64))
+    first, second = vals[: 1 << 20], vals[1 << 20 :]
+    assert (first.max(), second.max()) == chunk_maxima
+    assert np.count_nonzero(first == first.max()) > 1
+    s = brute_force(g)
+    assert s.max_value == vals.max()
+    assert s.min_value == vals.min()
+    assert s.optimum_count == np.count_nonzero(vals == vals.max())
+    assert np.array_equal(s.argmax, index_to_assignment(int(np.argmax(vals)), n))
 
 
 def test_brute_force_cap():
@@ -224,3 +253,9 @@ def test_from_edges_validation():
         WeightedGraph.from_edges(2, [(0, 0, 1.0)])
     with pytest.raises(ValueError):
         WeightedGraph.from_edges(2, [(0, 2, 1.0)])
+    for w in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="non-finite"):
+            WeightedGraph.from_edges(2, [(0, 1, w)])
+    # finite duplicates whose sum overflows
+    with pytest.raises(ValueError, match="non-finite"):
+        WeightedGraph.from_edges(2, [(0, 1, 1e308), (1, 0, 1e308)])

@@ -7,11 +7,18 @@ from shrinkcut import (
     PipelineError,
     approximation_ratio,
     brute_force,
+    correlations_from_relaxation,
+    cut_value_batch,
+    dense_closure,
     run_pipeline,
+    shrink_to_target,
+    solve_cycle_relaxation,
     sweep_shrink_counts,
     sweep_to_csv,
+    zero_correlations,
 )
 from shrinkcut.instances import build, grid_pairs, random_weighted_graph, sign_weights
+from shrinkcut.pipeline import SweepCell, _solve_reduced
 
 
 def grid_instance(rows, cols, seed):
@@ -161,3 +168,44 @@ def test_sweep_rejects_oversized_instances():
     g = random_weighted_graph(30, 0.1, rng)
     with pytest.raises(ValueError):
         sweep_shrink_counts(g)
+
+
+def lift_and_score_per_row(g, state, samples):
+    """Reference: lift each sample by union-find lookups, score each row alone."""
+    pos = {int(r): i for i, r in enumerate(state.active_vertices())}
+    lifted = np.zeros((len(samples), g.vertex_count), dtype=bool)
+    for k, row in enumerate(samples):
+        for vertex in range(g.vertex_count):
+            root, sign = state.find(vertex)
+            lifted[k, vertex] = bool(row[pos[root]]) ^ (sign < 0)
+    return lifted, np.array([cut_value_batch(g, row[None, :])[0] for row in lifted])
+
+
+def test_batched_lift_reproduces_per_row_reference():
+    g = random_weighted_graph(7, 0.7, np.random.default_rng(21))
+    for subsolver in ("qaoa-sim", "coin"):
+        report = run_pipeline(g, 5, subsolver=subsolver, correlation_mode="zero", n_samples=300, seed=4)
+        state = shrink_to_target(g, zero_correlations(g.vertex_count), 5)
+        lifted, values = lift_and_score_per_row(g, state, _solve_reduced(state.reduced, subsolver, 300, 4))
+        best = int(np.argmax(values))
+        assert report.mean_cut_value == float(values.mean())
+        assert report.best_cut_value == values[best]
+        assert np.array_equal(report.best_assignment, lifted[best])
+
+    summary = brute_force(g)
+    modes = {"relaxation": correlations_from_relaxation(solve_cycle_relaxation(dense_closure(g))),
+             "zero": zero_correlations(g.vertex_count)}
+    subsolvers = ("exact", "qaoa-sim", "coin")
+    cells = sweep_shrink_counts(g, [0, 1, 2], subsolvers, tuple(modes), n_samples=300, seed=4)
+    master = np.random.default_rng(4)
+    expected = []
+    for mode, correlations in modes.items():
+        for deleted in (0, 1, 2):
+            state = shrink_to_target(g, correlations, g.vertex_count - deleted)
+            for subsolver in subsolvers:
+                samples = _solve_reduced(state.reduced, subsolver, 300, int(master.integers(2**63)))
+                _, values = lift_and_score_per_row(g, state, samples)
+                mean = float(values.mean())
+                ratio = approximation_ratio(mean, summary.min_value, summary.max_value)
+                expected.append(SweepCell(deleted, mode, subsolver, mean, float(values.max()), ratio))
+    assert cells == expected

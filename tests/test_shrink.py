@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shrinkcut import (
     CorrelationSet,
@@ -8,6 +10,7 @@ from shrinkcut import (
     correlation_sign,
     correlations_from_relaxation,
     cut_value,
+    cut_value_batch,
     dense_closure,
     format_trace,
     parse_trace,
@@ -18,6 +21,7 @@ from shrinkcut import (
 )
 from shrinkcut.graph import index_to_assignment
 from shrinkcut.instances import random_weighted_graph
+from shrinkcut.relaxation import iter_pairs
 from shrinkcut.shrink import ShrinkState, SignedUnionFind
 
 
@@ -230,3 +234,57 @@ def test_removed_roots_never_reappear():
         assert rec.kept not in seen_removed
         assert rec.removed not in seen_removed
         seen_removed.add(rec.removed)
+
+
+def lift_by_find(state, samples):
+    """Reference lift: one union-find lookup per vertex and sample."""
+    pos = {int(r): i for i, r in enumerate(state.active_vertices())}
+    out = np.zeros((len(samples), state.original.vertex_count), dtype=bool)
+    for k, row in enumerate(samples):
+        for vertex in range(state.original.vertex_count):
+            root, sign = state.find(vertex)
+            out[k, vertex] = bool(row[pos[root]]) ^ (sign < 0)
+    return out
+
+
+@st.composite
+def shrunk_with_samples(draw):
+    """A graph on at most 10 vertices shrunk by random correlations to a
+    random target, and a batch of reduced assignments."""
+    n = draw(st.integers(1, 10))
+    pairs = list(iter_pairs(n))
+    weight = st.one_of(st.just(0.0), st.floats(-10, 10))
+    weights = draw(st.lists(weight, min_size=len(pairs), max_size=len(pairs)))
+    g = WeightedGraph.from_edges(n, [(u, v, w) for (u, v), w in zip(pairs, weights)])
+    corr = draw(st.lists(st.floats(-1, 1), min_size=len(pairs), max_size=len(pairs)))
+    target = draw(st.integers(1, n))
+    state = shrink_to_target(g, CorrelationSet(tuple(zip(pairs, corr))), target)
+    rows = draw(st.lists(st.lists(st.booleans(), min_size=target, max_size=target), min_size=1, max_size=6))
+    return g, state, np.array(rows, dtype=bool).reshape(-1, target)
+
+
+@settings(deadline=None)
+@given(shrunk_with_samples())
+def test_batched_lift_matches_per_row_lift(case):
+    _, state, samples = case
+    lifted = state.reconstruct(samples)
+    assert np.array_equal(lifted, np.stack([state.reconstruct(row) for row in samples]))
+    assert np.array_equal(lifted, lift_by_find(state, samples))
+
+
+@settings(deadline=None)
+@given(shrunk_with_samples())
+def test_batched_lift_conserves_cut_values(case):
+    g, state, samples = case
+    lifted_values = cut_value_batch(g, state.reconstruct(samples))
+    reduced_values = cut_value_batch(state.reduced, samples) + state.offset
+    np.testing.assert_allclose(lifted_values, reduced_values, rtol=0, atol=1e-9)
+
+
+@settings(deadline=None)
+@given(shrunk_with_samples())
+def test_batched_lift_rejects_wrong_width(case):
+    _, state, samples = case
+    for wrong in (samples[:, 1:], np.hstack([samples, samples[:, :1]])):
+        with pytest.raises(ValueError):
+            state.reconstruct(wrong)
