@@ -10,6 +10,9 @@ from typing import Iterable
 import numpy as np
 
 BRUTE_FORCE_CAP = 24
+# Index bits one enumeration block covers: brute_force visits 2^ENUM_BLOCK_BITS
+# assignments per chunk, exactly one cut_values_for_indices block.
+ENUM_BLOCK_BITS = 20
 
 
 class ParseError(ValueError):
@@ -209,12 +212,50 @@ def cut_value_batch(g: WeightedGraph, assignments: np.ndarray) -> np.ndarray:
 
 
 def cut_values_for_indices(g: WeightedGraph, indices: np.ndarray) -> np.ndarray:
-    """Cut values for assignments encoded as integers (vertex i = bit i)."""
+    """Cut values for assignments encoded as integers (vertex i = bit i).
+
+    Indices are grouped by their bits from b = min(n, ENUM_BLOCK_BITS) up.
+    Each group is read from one block of cut values over its low b bits,
+    built by per-vertex doubling in O(2^b) adds whatever the edge count.
+    """
     idx = np.asarray(indices, dtype=np.int64)
-    vals = np.zeros(idx.shape)
-    for u, v, w in g.edges:
-        vals += w * (((idx >> u) ^ (idx >> v)) & 1)
+    if idx.size == 0:
+        return np.zeros(idx.shape)
+    b = min(g.vertex_count, ENUM_BLOCK_BITS)
+    low = idx & ((1 << b) - 1)
+    top = int(low.max()).bit_length()
+    first = int(idx.min()) >> b
+    if first == int(idx.max()) >> b:
+        return _cut_block(g.weight_matrix, b, first, top)[low]
+    high = idx >> b
+    vals = np.empty(idx.shape)
+    for prefix in np.unique(high):
+        sel = high == prefix
+        vals[sel] = _cut_block(g.weight_matrix, b, int(prefix), top)[low[sel]]
     return vals
+
+
+def _cut_block(w: np.ndarray, b: int, prefix: int, top: int) -> np.ndarray:
+    """Cut values of the 2^top assignments x whose bits from b up spell prefix
+    and whose bits top..b-1 are 0, indexed by their low bits.
+
+    Setting bit k of x (bits k..b-1 clear) gains d_k[x] = sum_j w[k, j] (1 - 2 x_j),
+    so out[2^k + x] = out[x] + d_k[x] for x < 2^k, and d_k itself doubles bit by
+    bit: d_k[x + 2^j] = d_k[x] - 2 w[k, j] for x < 2^j and j < k.
+    """
+    n = w.shape[0]
+    side = np.zeros(n)
+    side[b:] = [(prefix >> k) & 1 for k in range(n - b)]
+    gain = w[:b] @ (1.0 - 2.0 * side)
+    out = np.empty(1 << top)
+    out[0] = side @ w @ (1.0 - side)
+    d = np.empty(max(1 << top >> 1, 1))
+    for k in range(top):
+        d[0] = gain[k]
+        for j in range(k):
+            np.subtract(d[: 1 << j], 2.0 * w[k, j], out=d[1 << j : 2 << j])
+        np.add(out[: 1 << k], d[: 1 << k], out=out[1 << k : 2 << k])
+    return out
 
 
 def index_to_assignment(index: int, n: int) -> np.ndarray:
@@ -235,7 +276,7 @@ def brute_force(g: WeightedGraph, max_vertices: int = BRUTE_FORCE_CAP) -> ExactC
     if n == 0:
         return ExactCutSummary(0.0, 0.0, np.zeros(0, dtype=bool), 1)
     half = 1 << (n - 1)
-    chunk = 1 << 20
+    chunk = 1 << ENUM_BLOCK_BITS
     best = -np.inf
     worst = np.inf
     arg = 0

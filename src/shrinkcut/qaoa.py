@@ -8,6 +8,7 @@ degree/weight-based parameter estimate replaces the usual optimization loop.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -17,6 +18,8 @@ import numpy as np
 from .graph import WeightedGraph, cut_values_for_indices
 
 STATEVECTOR_CAP = 24
+# qubits one X-mixer matrix product acts on: a 32x32 block
+MIXER_BLOCK_QUBITS = 5
 COMMON_NEIGHBOR_CAP = 20
 
 
@@ -49,33 +52,42 @@ def _check_qubits(n: int, cap: int) -> None:
 def qaoa_state(g: WeightedGraph, params: QaoaParams, max_qubits: int = STATEVECTOR_CAP) -> QaoaState:
     """Statevector of the depth-1 circuit: phase by cut value, then one X
     rotation of angle 2*beta on every qubit, starting from the uniform state."""
-    n = g.vertex_count
-    _check_qubits(n, max_qubits)
-    spectrum = cut_values_for_indices(g, np.arange(1 << n, dtype=np.int64))
-    return _evolve(spectrum, n, params)
+    return _evolve(_spectrum(g, max_qubits), g.vertex_count, params)
+
+
+def _spectrum(g: WeightedGraph, max_qubits: int) -> np.ndarray:
+    """Cut value of every basis state, after checking the qubit cap."""
+    _check_qubits(g.vertex_count, max_qubits)
+    return cut_values_for_indices(g, np.arange(1 << g.vertex_count, dtype=np.int64))
 
 
 def _evolve(spectrum: np.ndarray, n: int, params: QaoaParams) -> QaoaState:
-    """The depth-1 circuit on n qubits, given the cut value of every basis state."""
+    """The depth-1 circuit on n qubits, given the cut value of every basis state.
+
+    The X rotations are applied MIXER_BLOCK_QUBITS qubits at a time: for the
+    k qubits from qubit q up, the k-fold tensor power of the one-qubit
+    rotation multiplies the middle axis of the state reshaped to
+    (rest, 2^k, 2^q), one matrix product per block.
+    """
     amp = np.full(1 << n, 2.0 ** (-n / 2.0), dtype=complex)
     amp *= np.exp(-1j * params.gamma * spectrum)
     c = math.cos(params.beta)
     s = math.sin(params.beta)
-    for q in range(n):
-        view = amp.reshape(-1, 2, 1 << q)
-        lo = view[:, 0, :].copy()
-        hi = view[:, 1, :]
-        view[:, 0, :] = c * lo - 1j * s * hi
-        view[:, 1, :] = c * hi - 1j * s * lo
+    rotation = np.array([[c, -1j * s], [-1j * s, c]])
+    for q in range(0, n, MIXER_BLOCK_QUBITS):
+        k = min(MIXER_BLOCK_QUBITS, n - q)
+        block = functools.reduce(np.kron, [rotation] * k)
+        amp = np.matmul(block, amp.reshape(-1, 1 << k, 1 << q)).reshape(-1)
     return QaoaState(amp, n)
+
+
+def _expectation(spectrum: np.ndarray, n: int, params: QaoaParams) -> float:
+    return float(_evolve(spectrum, n, params).probabilities() @ spectrum)
 
 
 def expectation_statevector(g: WeightedGraph, params: QaoaParams, max_qubits: int = STATEVECTOR_CAP) -> float:
     """Exact expected cut value, sum_x |amp(x)|^2 C(x)."""
-    n = g.vertex_count
-    _check_qubits(n, max_qubits)
-    spectrum = cut_values_for_indices(g, np.arange(1 << n, dtype=np.int64))
-    return float(_evolve(spectrum, n, params).probabilities() @ spectrum)
+    return _expectation(_spectrum(g, max_qubits), g.vertex_count, params)
 
 
 def sample_cuts(state: QaoaState, n_samples: int, seed=None) -> np.ndarray:
@@ -241,10 +253,11 @@ def grid_search(
     if evaluator == "analytic":
         values = AnalyticExpectation(g, common_neighbor_cap).grid(points, points)
     elif evaluator == "statevector":
+        spectrum = _spectrum(g, max_qubits)
         values = np.empty((points.size, points.size))
         for i, gamma in enumerate(points):
             for j, beta in enumerate(points):
-                values[i, j] = expectation_statevector(g, QaoaParams(gamma, beta), max_qubits)
+                values[i, j] = _expectation(spectrum, g.vertex_count, QaoaParams(gamma, beta))
     else:
         raise ValueError(f"unknown evaluator {evaluator!r}")
     flat = int(np.argmax(values))

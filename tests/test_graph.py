@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shrinkcut import (
     ParseError,
@@ -16,6 +18,7 @@ from shrinkcut import (
     parse_instance,
     qubo_to_maxcut,
 )
+from shrinkcut import graph
 from shrinkcut.graph import cut_values_for_indices, index_to_assignment
 from shrinkcut.instances import random_weighted_graph
 
@@ -27,6 +30,57 @@ def enumerate_cuts(g):
         a = np.array(bits)
         values[bits] = sum(w for u, v, w in g.edges if a[u] != a[v])
     return values
+
+
+def per_edge_cut_values(g, indices):
+    """Independent oracle for cut_values_for_indices: one pass per edge."""
+    idx = np.asarray(indices, dtype=np.int64)
+    vals = np.zeros(idx.shape)
+    for u, v, w in g.edges:
+        vals += w * (((idx >> u) ^ (idx >> v)) & 1)
+    return vals
+
+
+@st.composite
+def graphs_with_indices(draw):
+    """A graph on 0..12 vertices, sometimes its dense closure with explicit
+    zero pairs, and an index array that may be unsorted, repeated or empty."""
+    n = draw(st.integers(0, 12))
+    pairs = list(itertools.combinations(range(n), 2))
+    weight = st.one_of(st.none(), st.just(0.0), st.floats(-10, 10))
+    weights = draw(st.lists(weight, min_size=len(pairs), max_size=len(pairs)))
+    g = WeightedGraph.from_edges(n, [(u, v, w) for (u, v), w in zip(pairs, weights) if w is not None])
+    if draw(st.booleans()):
+        g = dense_closure(g)
+    indices = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=40))
+    return g, np.array(indices, dtype=np.int64)
+
+
+def assert_matches_per_edge(g, indices):
+    tol = 1e-9 * (1.0 + sum(abs(w) for _, _, w in g.edges))
+    got = cut_values_for_indices(g, indices)
+    assert got.shape == np.shape(indices)
+    np.testing.assert_allclose(got, per_edge_cut_values(g, indices), rtol=0, atol=tol)
+
+
+@pytest.mark.parametrize("block_bits", [3, graph.ENUM_BLOCK_BITS])
+@settings(deadline=None)
+@given(graphs_with_indices())
+def test_cut_values_for_indices_match_per_edge_sum(block_bits, case):
+    # at 3 block bits, graphs above 3 vertices spread over several prefixes
+    g, indices = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "ENUM_BLOCK_BITS", block_bits)
+        assert_matches_per_edge(g, indices)
+        assert_matches_per_edge(g, np.arange(1 << g.vertex_count))
+
+
+def test_cut_values_for_indices_tiny_graphs():
+    assert cut_values_for_indices(WeightedGraph.from_edges(0, []), np.arange(1)).tolist() == [0.0]
+    assert cut_values_for_indices(WeightedGraph.from_edges(1, []), np.arange(2)).tolist() == [0.0, 0.0]
+    k2 = WeightedGraph.from_edges(2, [(0, 1, -2.5)])
+    assert cut_values_for_indices(k2, np.array([3, 1, 1, 0, 2])).tolist() == [0.0, -2.5, -2.5, 0.0, -2.5]
+    assert cut_values_for_indices(k2, np.array([], dtype=np.int64)).shape == (0,)
 
 
 def test_parse_single_edge():

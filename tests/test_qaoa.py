@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shrinkcut import (
     QaoaParams,
@@ -27,6 +29,44 @@ from shrinkcut.instances import (
 )
 
 K2 = WeightedGraph.from_edges(2, [(0, 1, 1.0)])
+
+angles = st.floats(0.0, math.pi / 2)
+
+
+@st.composite
+def random_graphs(draw, max_n):
+    n = draw(st.integers(0, max_n))
+    kind = draw(st.sampled_from(["normal", "sign"]))
+    return random_weighted_graph(n, 0.6, np.random.default_rng(draw(st.integers(0, 2**32))), kind)
+
+
+def butterfly_state(g, params):
+    """Reference depth-1 statevector: the X rotation applied one qubit at a time."""
+    n = g.vertex_count
+    spectrum = cut_values_for_indices(g, np.arange(1 << n))
+    amp = 2.0 ** (-n / 2.0) * np.exp(-1j * params.gamma * spectrum)
+    c, s = math.cos(params.beta), math.sin(params.beta)
+    for q in range(n):
+        view = amp.reshape(-1, 2, 1 << q)
+        lo, hi = view[:, 0, :].copy(), view[:, 1, :].copy()
+        view[:, 0, :] = c * lo - 1j * s * hi
+        view[:, 1, :] = c * hi - 1j * s * lo
+    return amp
+
+
+@settings(deadline=None)
+@given(random_graphs(12), angles, angles)
+def test_blocked_mixer_matches_butterfly(g, gamma, beta):
+    # n = 0..12 covers fewer qubits than one mixer block and partial last blocks
+    p = QaoaParams(gamma, beta)
+    np.testing.assert_allclose(qaoa_state(g, p).amplitudes, butterfly_state(g, p), rtol=0, atol=1e-12)
+
+
+@settings(deadline=None)
+@given(random_graphs(10), angles, angles)
+def test_analytic_equals_statevector(g, gamma, beta):
+    p = QaoaParams(gamma, beta)
+    assert expectation_analytic(g, p) == pytest.approx(expectation_statevector(g, p), abs=1e-9)
 
 
 def test_state_is_uniform_at_zero_parameters():
