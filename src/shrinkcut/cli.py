@@ -72,7 +72,7 @@ def cmd_relax(args) -> int:
         {
             "vertices": str(sol.n),
             "objective_value": f"{sol.objective_value:.12g}",
-            "iterations": str(sol.iterations),
+            "rounds": str(sol.rounds),
             "constraints_added": str(sol.constraints_added),
         },
         None,

@@ -37,6 +37,15 @@ def iter_pairs(n: int):
             yield u, v
 
 
+def pair_matrix(x: np.ndarray, n: int) -> np.ndarray:
+    """Symmetric n x n matrix holding x, indexed like iter_pairs(n), off the diagonal."""
+    m = np.zeros((n, n))
+    u, v = np.triu_indices(n, 1)
+    m[u, v] = x
+    m[v, u] = x
+    return m
+
+
 @dataclass
 class LpProblem:
     """max objective.x s.t. sparse rows (indices, coefficients) <= rhs, x in [0,1]^k."""
@@ -100,14 +109,14 @@ class FractionalSolution:
     """Optimal point of the triangle relaxation over all vertex pairs.
 
     x is indexed like iter_pairs(n); objective_value upper-bounds the maximum
-    cut; round_values records the (non-increasing) objective after each
-    separation round.
+    cut; rounds counts LP solves (separation rounds, not simplex pivots) and
+    round_values records the (non-increasing) objective after each of them.
     """
 
     n: int
     x: np.ndarray
     objective_value: float
-    iterations: int
+    rounds: int
     constraints_added: int
     round_values: tuple[float, ...]
 
@@ -117,10 +126,7 @@ class FractionalSolution:
         return float(self.x[pair_index(u, v, self.n)])
 
     def to_matrix(self) -> np.ndarray:
-        m = np.zeros((self.n, self.n))
-        for (u, v), val in zip(iter_pairs(self.n), self.x):
-            m[u, v] = m[v, u] = val
-        return m
+        return pair_matrix(self.x, self.n)
 
 
 def separate_triangles(
@@ -131,9 +137,7 @@ def separate_triangles(
     Ties are broken by (t, u, v, variant); at most cap constraints are
     returned per call to bound LP growth.
     """
-    m = np.zeros((n, n))
-    for (u, v), val in zip(iter_pairs(n), x):
-        m[u, v] = m[v, u] = val
+    m = pair_matrix(x, n)
     found: list[tuple[float, int, int, int, int]] = []
     for t in range(n):
         for u in range(t + 1, n):

@@ -12,12 +12,13 @@ edges are forcibly cut or uncut regardless of the remaining assignment).
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import WeightedGraph
-from .relaxation import FractionalSolution, iter_pairs
+from .relaxation import FractionalSolution
 
 
 def correlation_sign(b: float) -> int:
@@ -25,39 +26,68 @@ def correlation_sign(b: float) -> int:
     return -1 if b < 0 else 1
 
 
-@dataclass(frozen=True)
 class CorrelationSet:
-    """Pairwise tendencies in [-1, 1]: +1 same side, -1 opposite sides."""
+    """Pairwise tendencies in [-1, 1]: +1 same side, -1 opposite sides.
 
-    entries: tuple[tuple[tuple[int, int], float], ...]
+    Held as a read-only (k, 2) array of pairs u < v and a (k,) array of
+    values; entries lists them as ((u, v), b) tuples.
+    """
 
-    def __post_init__(self):
-        for (u, v), b in self.entries:
-            if u >= v:
-                raise ValueError(f"pair ({u}, {v}) must be ordered u < v")
-            if abs(b) > 1.0 + 1e-9:
-                raise ValueError(f"correlation {b} for ({u}, {v}) outside [-1, 1]")
+    def __init__(self, entries: Iterable[tuple[tuple[int, int], float]]):
+        entries = tuple(entries)
+        self._set([p for p, _ in entries], [b for _, b in entries])
+
+    @classmethod
+    def from_arrays(cls, pairs: np.ndarray, values: np.ndarray) -> "CorrelationSet":
+        """Build from a (k, 2) array of pairs and a (k,) array of values."""
+        correlations = cls.__new__(cls)
+        correlations._set(pairs, values)
+        return correlations
 
     @classmethod
     def from_dict(cls, entries: dict[tuple[int, int], float]) -> "CorrelationSet":
         return cls(tuple(sorted(entries.items())))
 
-    def ordered_pairs(self) -> list[tuple[tuple[int, int], float]]:
-        """Pairs by decreasing |correlation|, ties in lexicographic pair order."""
-        return sorted(self.entries, key=lambda kv: (-abs(kv[1]), kv[0]))
+    def _set(self, pairs, values) -> None:
+        self.pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        self.values = np.array(values, dtype=float)
+        if self.values.shape != (len(self.pairs),):
+            raise ValueError(f"{len(self.pairs)} pairs but {self.values.size} values")
+        u, v = self.pairs.T
+        magnitude = np.abs(self.values)
+        bad = np.flatnonzero((u >= v) | ~(magnitude <= 1.0 + 1e-9))
+        if bad.size:
+            (bu, bv), b = self.pairs[bad[0]].tolist(), self.values[bad[0]].item()
+            if bu >= bv:
+                raise ValueError(f"pair ({bu}, {bv}) must be ordered u < v")
+            raise ValueError(f"correlation {b} for ({bu}, {bv}) outside [-1, 1]")
+        self.pairs.flags.writeable = self.values.flags.writeable = False
+        self._order = np.lexsort((v, u, -magnitude))
+
+    @property
+    def entries(self) -> tuple[tuple[tuple[int, int], float], ...]:
+        return tuple(zip(map(tuple, self.pairs.tolist()), self.values.tolist()))
+
+    def ordered_pairs(self) -> Iterator[tuple[tuple[int, int], float]]:
+        """Pairs by decreasing |correlation|, ties in lexicographic pair order
+        (repeated entries keep their order), yielded lazily."""
+        u, v = self.pairs[self._order].T
+        return zip(zip(u.tolist(), v.tolist()), self.values[self._order].tolist())
+
+
+def _all_pairs(n: int, values: np.ndarray) -> CorrelationSet:
+    """One correlation per pair u < v, values in lexicographic pair order."""
+    return CorrelationSet.from_arrays(np.column_stack(np.triu_indices(n, 1)), values)
 
 
 def correlations_from_relaxation(sol: FractionalSolution) -> CorrelationSet:
     """b_uv = 1 - 2 x_uv for every pair of the relaxed instance."""
-    vals = np.clip(sol.x, 0.0, 1.0)
-    return CorrelationSet(
-        tuple(((u, v), float(1.0 - 2.0 * x)) for (u, v), x in zip(iter_pairs(sol.n), vals))
-    )
+    return _all_pairs(sol.n, 1.0 - 2.0 * np.clip(sol.x, 0.0, 1.0))
 
 
 def zero_correlations(n: int) -> CorrelationSet:
     """All-zero correlations: contracts lexicographic pairs with sign +1."""
-    return CorrelationSet(tuple(((u, v), 0.0) for u, v in iter_pairs(n)))
+    return _all_pairs(n, np.zeros(n * (n - 1) // 2))
 
 
 class SignedUnionFind:

@@ -1,15 +1,17 @@
 """Dense primal simplex for box-constrained linear programs.
 
-Solves max c.x subject to A x <= b and 0 <= x <= upper with a full-tableau
-bounded-variable simplex. Nonbasic variables sit at either bound and may move
-to the other bound without a basis change. A phase-1 pass with artificial
-variables handles negative right-hand sides; the triangle-relaxation LPs this
-package builds never need it, but the solver does not assume that.
+Solves max c.x subject to A x <= b and 0 <= x <= upper with a bounded-variable
+simplex whose dictionary-form tableau stores only the nonbasic columns; a
+pivot swaps the entering and leaving ids and updates m x (nonbasic count)
+entries. Nonbasic variables sit at either bound and may move to the other
+bound without a basis change. A phase-1 pass with artificial variables handles
+negative right-hand sides; the triangle-relaxation LPs this package builds
+never need it, but the solver does not assume that.
 
-Determinism: entering variables are picked by Dantzig's rule with
-smallest-index tie-breaking, switching to Bland's rule permanently after an
-iteration threshold as an anti-cycling fallback. The same input always yields
-the same pivots and the same basic optimal solution.
+Determinism: entering variables are picked by Dantzig's rule with ties broken
+by smallest variable id (not column position), switching to Bland's rule
+permanently after an iteration threshold as an anti-cycling fallback. The
+same input always yields the same pivots and the same basic optimal solution.
 """
 
 from __future__ import annotations
@@ -55,41 +57,35 @@ def solve_box_lp(
     if np.any(upper < 0):
         raise InfeasibleError("negative upper bound")
 
-    flipped = b_ub < 0
-    n_art = int(np.count_nonzero(flipped))
+    flip_rows = np.flatnonzero(b_ub < 0)
+    n_art = flip_rows.size
     total = n + m + n_art
 
-    # Tableau columns: structural | slacks | artificials (phase 1 only).
-    tab = np.zeros((m, total))
+    # Variable ids: structural | slacks | artificials (phase 1 only). The start
+    # basis is the slacks, with each flipped row's artificial in its place.
+    nonbasic = np.concatenate([np.arange(n), n + flip_rows])
+    tab = np.zeros((m, nonbasic.size))
     tab[:, :n] = a_ub
-    tab[:, n : n + m] = np.eye(m)
-    rhs = b_ub.copy()
-    if n_art:
-        rows = np.flatnonzero(flipped)
-        tab[rows, :] *= -1.0
-        rhs[rows] *= -1.0
-        tab[rows, n + m + np.arange(n_art)] = 1.0
+    tab[flip_rows, n + np.arange(n_art)] = 1.0
+    tab[flip_rows, :] *= -1.0
+    beta = b_ub.copy()
+    beta[flip_rows] *= -1.0
 
     bounds = np.concatenate([upper, np.full(m + n_art, np.inf)])
     basis = np.arange(n, n + m)
-    if n_art:
-        basis = basis.copy()
-        basis[np.flatnonzero(flipped)] = n + m + np.arange(n_art)
-    beta = rhs.copy()
+    basis[flip_rows] = n + m + np.arange(n_art)
     at_upper = np.zeros(total, dtype=bool)
-    is_basic = np.zeros(total, dtype=bool)
-    is_basic[basis] = True
 
     if max_iterations is None:
         max_iterations = 20000 + 40 * (m + total)
     bland_after = max(1000, 10 * (m + total))
-    state = _State(tab, beta, basis, at_upper, is_basic, bounds, bland_after, max_iterations)
+    state = _State(tab, beta, basis, nonbasic, at_upper, bounds, bland_after, max_iterations)
 
     if n_art:
         c_phase1 = np.zeros(total)
         c_phase1[n + m :] = -1.0
         _pivot_loop(state, c_phase1)
-        infeas = beta[np.isin(basis, np.arange(n + m, total))].sum() if n_art else 0.0
+        infeas = beta[basis >= n + m].sum()
         if infeas > FEAS_TOL:
             raise InfeasibleError(f"phase 1 ended with residual infeasibility {infeas:.3g}")
         bounds[n + m :] = 0.0
@@ -106,12 +102,12 @@ def solve_box_lp(
 
 
 class _State:
-    def __init__(self, tab, beta, basis, at_upper, is_basic, bounds, bland_after, max_iterations):
+    def __init__(self, tab, beta, basis, nonbasic, at_upper, bounds, bland_after, max_iterations):
         self.tab = tab
         self.beta = beta
         self.basis = basis
+        self.nonbasic = nonbasic
         self.at_upper = at_upper
-        self.is_basic = is_basic
         self.bounds = bounds
         self.bland_after = bland_after
         self.max_iterations = max_iterations
@@ -119,19 +115,20 @@ class _State:
 
 
 def _pivot_loop(s: _State, c: np.ndarray) -> None:
-    # Reduced costs from scratch for the given objective; pivots keep them
-    # updated incrementally afterwards.
-    d = c - c[s.basis] @ s.tab
+    # Reduced costs of the nonbasic columns, from scratch for the given
+    # objective; pivots keep them updated incrementally afterwards.
+    d = c[s.nonbasic] - c[s.basis] @ s.tab
     while True:
         if s.iterations > s.max_iterations:
             raise SimplexError(f"iteration cap {s.max_iterations} exceeded")
         use_bland = s.iterations > s.bland_after
-        j = _entering(s, d, use_bland)
-        if j < 0:
+        q = _entering(s, d, use_bland)
+        if q < 0:
             return
         s.iterations += 1
+        j = s.nonbasic[q]
         direction = -1.0 if s.at_upper[j] else 1.0
-        col = s.tab[:, j]
+        col = s.tab[:, q].copy()
         move = direction * col
 
         t_best = s.bounds[j] if np.isfinite(s.bounds[j]) else np.inf
@@ -165,30 +162,33 @@ def _pivot_loop(s: _State, c: np.ndarray) -> None:
         s.beta -= t_best * move
         s.beta[row] = enter_val
 
-        piv = s.tab[row, j]
-        new_row = s.tab[row] / piv
-        col_copy = s.tab[:, j].copy()
-        s.tab -= np.outer(col_copy, new_row)
+        # Rank-1 update of the stored columns, then column q turns into the
+        # leaving variable's column: the unit vector e_row after the pivot.
+        inv = 1.0 / col[row]
+        new_row = s.tab[row] / col[row]
+        s.tab -= np.outer(col, new_row)
         s.tab[row] = new_row
-        d -= d[j] * new_row
+        s.tab[:, q] = -(col * inv)
+        s.tab[row, q] = inv
+        d_q = d[q]
+        d -= d_q * new_row
+        d[q] = -(d_q * inv)
 
         s.basis[row] = j
-        s.is_basic[j] = True
-        s.is_basic[leaving] = False
+        s.nonbasic[q] = leaving
         s.at_upper[j] = False
         s.at_upper[leaving] = leave_to_upper and np.isfinite(s.bounds[leaving])
 
 
 def _entering(s: _State, d: np.ndarray, use_bland: bool) -> int:
-    eligible = ~s.is_basic & (
-        (~s.at_upper & (d > COST_TOL)) | (s.at_upper & (d < -COST_TOL))
-    )
-    if not np.any(eligible):
+    """Position in nonbasic of the entering column, or -1 at optimality."""
+    eligible = np.flatnonzero(np.where(s.at_upper[s.nonbasic], d < -COST_TOL, d > COST_TOL))
+    if eligible.size == 0:
         return -1
-    idx = np.flatnonzero(eligible)
-    if use_bland:
-        return int(idx[0])
-    return int(idx[np.argmax(np.abs(d[idx]))])
+    if not use_bland:
+        mag = np.abs(d[eligible])
+        eligible = eligible[mag == mag.max()]
+    return int(eligible[np.argmin(s.nonbasic[eligible])])
 
 
 def _best_row(rows: np.ndarray, ratios: np.ndarray, basis: np.ndarray) -> tuple[int, int]:

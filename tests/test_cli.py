@@ -109,3 +109,11 @@ def test_stage_error_exit_code(tmp_path, capsys):
     # target 2 with qaoa-sim: reduced average degree 1, estimate undefined
     assert main(["pipeline", str(path), "--target", "2", "--subsolver", "qaoa-sim"]) == 1
     assert "stage 'solve'" in capsys.readouterr().err
+
+
+def test_relax_command_reports_rounds(tmp_path, capsys):
+    path, g = write_instance(tmp_path)
+    assert main(["relax", str(path)]) == 0
+    rec = record_of(capsys.readouterr().out)
+    assert "iterations" not in rec
+    assert int(rec["rounds"]) >= 1

@@ -12,7 +12,7 @@ from shrinkcut import (
     solve_cycle_relaxation,
 )
 from shrinkcut.instances import build, grid_pairs, random_weighted_graph, sign_weights, unit, complete_pairs
-from shrinkcut.relaxation import format_solution, iter_pairs, pair_count, pair_index
+from shrinkcut.relaxation import format_solution, iter_pairs, pair_count, pair_index, pair_matrix
 
 
 def test_pair_index_orders_lexicographically():
@@ -122,3 +122,36 @@ def test_x_of_and_matrix_agree():
     m = sol.to_matrix()
     for u, v in iter_pairs(6):
         assert m[u, v] == sol.x_of(u, v) == sol.x_of(v, u)
+
+
+def test_pair_matrix_matches_pairwise_fill():
+    n = 7
+    x = np.random.default_rng(5).uniform(size=pair_count(n))
+    reference = np.zeros((n, n))
+    for (u, v), val in zip(iter_pairs(n), x):
+        reference[u, v] = reference[v, u] = val
+    assert np.array_equal(pair_matrix(x, n), reference)
+    assert pair_matrix(np.zeros(0), 1).shape == (1, 1)
+
+
+# (constraints_added, round_values) of the 4x4 +-1 grids built from seeds 1..4.
+# The simplex's pivot rules decide which optimal vertex each round returns, so
+# any change to them shows here; the values are compared exactly.
+PINNED_GRIDS = {
+    1: (584, (13.0, 13.0, 9.999999999999808, 9.99999999999992, 9.999999999999904)),
+    2: (522, (10.0, 10.0, 8.0, 7.999999999999998, 7.999999999999979)),
+    3: (442, (9.0, 9.0, 4.999999999999993, 5.0)),
+    4: (681, (15.0, 14.999999999999982, 9.999999999999993, 10.000000000000004,
+              9.999999999999986, 9.999999999999998, 9.999999999999973)),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_GRIDS))
+def test_grid_relaxation_pivots_pinned(seed):
+    pairs = grid_pairs(4, 4)
+    g = build(16, pairs, sign_weights(24, np.random.default_rng(seed)))
+    sol = solve_cycle_relaxation(dense_closure(g))
+    rows, values = PINNED_GRIDS[seed]
+    assert sol.constraints_added == rows
+    assert sol.round_values == values
+    assert sol.rounds == len(values)

@@ -288,3 +288,42 @@ def test_batched_lift_rejects_wrong_width(case):
     for wrong in (samples[:, 1:], np.hstack([samples, samples[:, :1]])):
         with pytest.raises(ValueError):
             state.reconstruct(wrong)
+
+
+@settings(deadline=None)
+@given(st.lists(
+    st.tuples(st.integers(0, 5), st.integers(1, 6), st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0])),
+    max_size=30,
+))
+def test_ordered_pairs_match_stable_sort(raw):
+    entries = tuple(((u, v), b) for u, v, b in raw if u < v)
+    corr = CorrelationSet(entries)
+    assert corr.entries == entries
+    # reference: stable sort by decreasing |b|, then the pair; repeats keep their order
+    assert list(corr.ordered_pairs()) == sorted(entries, key=lambda kv: (-abs(kv[1]), kv[0]))
+    pairs = np.array([p for p, _ in entries], dtype=np.int64).reshape(-1, 2)
+    from_arrays = CorrelationSet.from_arrays(pairs, np.array([b for _, b in entries]))
+    assert list(from_arrays.ordered_pairs()) == list(corr.ordered_pairs())
+
+
+def test_correlation_set_rejects_bad_entries():
+    cases = [
+        ((((0, 1), 0.0), ((2, 2), 0.0)), "pair (2, 2) must be ordered u < v"),
+        ((((1, 0), 2.0),), "pair (1, 0) must be ordered u < v"),
+        ((((0, 1), 0.5), ((1, 2), -1.5)), "correlation -1.5 for (1, 2) outside [-1, 1]"),
+        ((((0, 1), float("nan")),), "correlation nan for (0, 1) outside [-1, 1]"),
+    ]
+    for entries, message in cases:
+        with pytest.raises(ValueError) as err:
+            CorrelationSet(entries)
+        assert str(err.value) == message
+    with pytest.raises(ValueError, match="2 pairs but 1 values"):
+        CorrelationSet.from_arrays(np.array([[0, 1], [1, 2]]), np.array([0.0]))
+
+
+def test_zero_correlations_cover_every_pair_in_order():
+    n = 9
+    corr = zero_correlations(n)
+    assert corr.entries == tuple(((u, v), 0.0) for u, v in iter_pairs(n))
+    assert list(corr.ordered_pairs()) == list(corr.entries)
+    assert zero_correlations(1).entries == ()

@@ -1,7 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shrinkcut.simplex import InfeasibleError, SimplexError, solve_box_lp
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def test_bounds_only():
@@ -101,3 +110,45 @@ def test_feasibility_of_returned_point():
         x, _ = solve_box_lp(c, a, b, np.ones(n))
         assert np.all(a @ x <= b + 1e-6)
         assert np.all(x >= -1e-9) and np.all(x <= 1 + 1e-9)
+
+
+@st.composite
+def box_lps(draw):
+    """Small box LPs with coefficients on a half-integer grid, right-hand sides
+    of both signs (negative ones need phase 1) and some infinite upper bounds."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(0, 6))
+    coef = st.integers(-4, 4).map(lambda k: k / 2)
+    c = np.array(draw(st.lists(coef, min_size=n, max_size=n)))
+    a = np.array(draw(st.lists(coef, min_size=m * n, max_size=m * n))).reshape(m, n)
+    b = np.array(draw(st.lists(st.integers(-6, 8).map(lambda k: k / 2), min_size=m, max_size=m)))
+    upper = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0, np.inf]), min_size=n, max_size=n)))
+    return c, a, b, upper
+
+
+@settings(max_examples=300, deadline=None)
+@given(box_lps())
+def test_objective_matches_highs(lp):
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    c, a, b, upper = lp
+    ref = linprog(-c, A_ub=a if a.size else None, b_ub=b if a.size else None,
+                  bounds=list(zip(np.zeros_like(upper), upper)), method="highs")
+    assert ref.status in (0, 2, 3), ref.message
+    if ref.status == 2:
+        with pytest.raises(InfeasibleError):
+            solve_box_lp(c, a, b, upper)
+        return
+    if ref.status == 3:
+        with pytest.raises(SimplexError, match="unbounded"):
+            solve_box_lp(c, a, b, upper)
+        return
+    x, value = solve_box_lp(c, a, b, upper)
+    assert value == pytest.approx(-ref.fun, abs=1e-7)
+    assert np.all(a @ x <= b + 1e-6)
+    assert np.all((x >= 0) & (x <= upper))
+
+
+def test_package_import_leaves_scipy_unloaded():
+    # scipy is a test dependency only; importing it costs tens of MB of RSS.
+    code = "import sys, shrinkcut, shrinkcut.cli; assert 'scipy' not in sys.modules, 'scipy imported'"
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": SRC})
