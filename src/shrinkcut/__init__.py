@@ -47,7 +47,6 @@ from .qaoa import (
 from .relaxation import (
     FractionalSolution,
     LpProblem,
-    TriangleConstraint,
     format_solution,
     lp_solve,
     separate_triangles,

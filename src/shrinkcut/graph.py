@@ -197,7 +197,7 @@ def cut_value(g: WeightedGraph, assignment: np.ndarray) -> float:
     a = np.asarray(assignment, dtype=bool)
     if a.shape != (g.vertex_count,):
         raise ValueError(f"assignment has length {a.size}, expected {g.vertex_count}")
-    return float(sum(w for u, v, w in g.edges if a[u] != a[v]))
+    return float(cut_value_batch(g, a[None])[0])
 
 
 def cut_value_batch(g: WeightedGraph, assignments: np.ndarray) -> np.ndarray:

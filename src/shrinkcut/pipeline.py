@@ -139,6 +139,8 @@ def run_pipeline(
     n = g.vertex_count
     if not 1 <= target_size <= n:
         raise ValueError(f"target size {target_size} outside [1, {n}]")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
 
     timings: dict[str, float] = {}
     upper_bound = None
@@ -240,6 +242,8 @@ def sweep_shrink_counts(
     for s in subsolvers:
         if s not in SUBSOLVERS:
             raise ValueError(f"unknown subsolver {s!r}")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     summary = brute_force(g, oracle_cap)
     if not summary.max_value > summary.min_value:
         raise ValueError("degenerate instance: every bipartition has the same value")

@@ -9,7 +9,7 @@ inequalities, so the final objective upper-bounds the maximum cut.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,62 +46,41 @@ def pair_matrix(x: np.ndarray, n: int) -> np.ndarray:
     return m
 
 
+# Coefficients on pairs (t, u), (u, v), (t, v) of triangle variants 1..4; the
+# right-hand side is 0 for variants 1..3 and 2 for variant 4.
+_TRIANGLE_SIGNS = np.array([[1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0], [1.0, 1.0, 1.0]])
+
+
+def triangle_rows(cuts: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dense (k, pair_count(n)) coefficient rows and right-hand sides of triangle cuts.
+
+    cuts is a (k, 4) int array of (t, u, v, variant) rows, t < u < v: variants
+    1..3 bound each pair variable by the sum of the other two
+    (x_tu - x_uv - x_tv <= 0 and its rotations); variant 4 is
+    x_tu + x_uv + x_tv <= 2.
+    """
+    t, u, v, variant = np.asarray(cuts).T
+    k = pair_count(n)
+    flat = pair_matrix(np.arange(k), n).astype(np.int64)  # pair_index of every pair
+    rows = np.zeros((t.size, k))
+    rows[np.arange(t.size)[:, None], np.column_stack((flat[t, u], flat[u, v], flat[t, v]))] = (
+        _TRIANGLE_SIGNS[variant - 1]
+    )
+    return rows, np.where(variant == 4, 2.0, 0.0)
+
+
 @dataclass
 class LpProblem:
-    """max objective.x s.t. sparse rows (indices, coefficients) <= rhs, x in [0,1]^k."""
+    """max objective.x s.t. rows @ x <= rhs, x in [0,1]^k; rows is a dense (r, k) block."""
 
     objective: np.ndarray
-    rows: list[tuple[np.ndarray, np.ndarray, float]] = field(default_factory=list)
-
-    @property
-    def var_count(self) -> int:
-        return int(np.asarray(self.objective).size)
+    rows: np.ndarray
+    rhs: np.ndarray
 
 
 def lp_solve(problem: LpProblem) -> tuple[np.ndarray, float]:
     """Solve the box LP with the bundled simplex; deterministic for fixed input."""
-    k = problem.var_count
-    a = np.zeros((len(problem.rows), k))
-    b = np.zeros(len(problem.rows))
-    for r, (idx, coef, rhs) in enumerate(problem.rows):
-        a[r, np.asarray(idx, dtype=int)] = coef
-        b[r] = rhs
-    return solve_box_lp(np.asarray(problem.objective, dtype=float), a, b, np.ones(k))
-
-
-@dataclass(frozen=True)
-class TriangleConstraint:
-    """One of the four triangle inequalities on vertices t < u < v.
-
-    Variants 1..3 bound each pair variable by the sum of the other two
-    (x_tu - x_uv - x_tv <= 0 and its rotations); variant 4 is
-    x_tu + x_uv + x_tv <= 2.
-    """
-
-    t: int
-    u: int
-    v: int
-    variant: int
-
-    _SIGNS = {1: (1.0, -1.0, -1.0), 2: (-1.0, 1.0, -1.0), 3: (-1.0, -1.0, 1.0), 4: (1.0, 1.0, 1.0)}
-
-    def __post_init__(self):
-        if not self.t < self.u < self.v:
-            raise ValueError("triangle vertices must satisfy t < u < v")
-        if self.variant not in (1, 2, 3, 4):
-            raise ValueError(f"unknown variant {self.variant}")
-
-    def row(self, n: int) -> tuple[np.ndarray, np.ndarray, float]:
-        idx = np.array(
-            [pair_index(self.t, self.u, n), pair_index(self.u, self.v, n), pair_index(self.t, self.v, n)]
-        )
-        coef = np.array(self._SIGNS[self.variant])
-        rhs = 2.0 if self.variant == 4 else 0.0
-        return idx, coef, rhs
-
-    def violation(self, x: np.ndarray, n: int) -> float:
-        idx, coef, rhs = self.row(n)
-        return float(coef @ x[idx] - rhs)
+    return solve_box_lp(problem.objective, problem.rows, problem.rhs, np.ones(problem.objective.size))
 
 
 @dataclass(eq=False)
@@ -131,32 +110,23 @@ class FractionalSolution:
 
 def separate_triangles(
     x: np.ndarray, n: int, tol: float = DEFAULT_TOL, cap: int = PER_ROUND_CAP
-) -> list[TriangleConstraint]:
-    """All triangle inequalities violated by more than tol, most violated first.
+) -> np.ndarray:
+    """All triangle inequalities violated by more than tol, most violated first,
+    as a (k, 4) int array of (t, u, v, variant) rows (see triangle_rows).
 
     Ties are broken by (t, u, v, variant); at most cap constraints are
     returned per call to bound LP growth.
     """
     m = pair_matrix(x, n)
-    found: list[tuple[float, int, int, int, int]] = []
-    for t in range(n):
-        for u in range(t + 1, n):
-            vs = np.arange(u + 1, n)
-            if vs.size == 0:
-                continue
-            a = m[t, u]
-            bv = m[u, vs]
-            cv = m[t, vs]
-            for variant, lhs in (
-                (1, a - bv - cv),
-                (2, -a + bv - cv),
-                (3, -a - bv + cv),
-                (4, a + bv + cv - 2.0),
-            ):
-                for k in np.flatnonzero(lhs > tol):
-                    found.append((float(lhs[k]), t, u, int(vs[k]), variant))
-    found.sort(key=lambda rec: (-rec[0], rec[1], rec[2], rec[3], rec[4]))
-    return [TriangleConstraint(t, u, v, var) for _, t, u, v, var in found[:cap]]
+    r = np.arange(n)
+    # nonzero walks the mask in C order, so the triples come out lexicographic
+    t, u, v = np.nonzero((r[:, None, None] < r[:, None]) & (r[:, None] < r))
+    a, bv, cv = m[t, u], m[u, v], m[t, v]
+    lhs = np.column_stack((a - bv - cv, -a + bv - cv, -a - bv + cv, a + bv + cv - 2.0)).ravel()
+    hit = np.flatnonzero(lhs > tol)
+    hit = hit[np.argsort(-lhs[hit], kind="stable")][:cap]
+    triple = hit // 4
+    return np.column_stack((t[triple], u[triple], v[triple], hit % 4 + 1))
 
 
 def solve_cycle_relaxation(
@@ -165,6 +135,8 @@ def solve_cycle_relaxation(
     """Iterated LP solve + triangle separation on a complete (dense-closure) graph."""
     if not g.is_complete():
         raise ValueError("expected a dense closure (complete graph); apply dense_closure first")
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
     n = g.vertex_count
     k = pair_count(n)
     if k == 0:
@@ -172,21 +144,23 @@ def solve_cycle_relaxation(
     # Edges of a complete graph are stored in the same lexicographic order as
     # the LP variables, so objective coefficients line up by position.
     objective = np.array([w for _, _, w in g.edges])
-    problem = LpProblem(objective)
-    seen: set[TriangleConstraint] = set()
+    problem = LpProblem(objective, np.zeros((0, k)), np.zeros(0))
+    seen: set[tuple[int, ...]] = set()
     round_values: list[float] = []
     while True:
         x, value = lp_solve(problem)
         round_values.append(value)
         violated = separate_triangles(x, n, tol, per_round_cap)
-        fresh = [tc for tc in violated if tc not in seen]
-        if violated and not fresh:
+        keys = list(map(tuple, violated.tolist()))
+        fresh = violated[[key not in seen for key in keys]]
+        if len(violated) and not len(fresh):
             raise SimplexError("separation stalled: violated constraints already in the model")
-        if not fresh:
+        if not len(fresh):
             break
-        for tc in fresh:
-            seen.add(tc)
-            problem.rows.append(tc.row(n))
+        seen.update(keys)
+        rows, rhs = triangle_rows(fresh, n)
+        problem.rows = np.vstack((problem.rows, rows))
+        problem.rhs = np.concatenate((problem.rhs, rhs))
     return FractionalSolution(
         n, x, value, len(round_values), len(problem.rows), tuple(round_values)
     )

@@ -117,3 +117,15 @@ def test_relax_command_reports_rounds(tmp_path, capsys):
     rec = record_of(capsys.readouterr().out)
     assert "iterations" not in rec
     assert int(rec["rounds"]) >= 1
+
+
+def test_bad_tolerance_fails(tmp_path, capsys):
+    path, _ = write_instance(tmp_path)
+    assert main(["relax", str(path), "--tol", "nan"]) == 1
+    assert "tol must be finite" in capsys.readouterr().err
+
+
+def test_zero_samples_fail(tmp_path, capsys):
+    path, _ = write_instance(tmp_path)
+    assert main(["pipeline", str(path), "--target", "4", "--samples", "0"]) == 1
+    assert "n_samples" in capsys.readouterr().err

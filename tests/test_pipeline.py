@@ -126,6 +126,15 @@ def test_stage_errors_are_labeled():
         run_pipeline(g, 3, subsolver="annealer")
 
 
+@pytest.mark.parametrize("n_samples", [0, -3])
+def test_sample_count_must_be_positive(n_samples):
+    g = grid_instance(2, 3, 7)
+    with pytest.raises(ValueError, match="n_samples"):
+        run_pipeline(g, 4, subsolver="coin", n_samples=n_samples)
+    with pytest.raises(ValueError, match="n_samples"):
+        sweep_shrink_counts(g, subsolvers=("coin",), n_samples=n_samples)
+
+
 def test_report_record_keys():
     g = grid_instance(2, 3, 8)
     rec = run_pipeline(g, 4, subsolver="exact", n_samples=1, seed=0).as_record()

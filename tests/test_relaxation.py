@@ -1,9 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shrinkcut import (
     LpProblem,
-    TriangleConstraint,
+    WeightedGraph,
     brute_force,
     dense_closure,
     lp_solve,
@@ -12,7 +16,14 @@ from shrinkcut import (
     solve_cycle_relaxation,
 )
 from shrinkcut.instances import build, grid_pairs, random_weighted_graph, sign_weights, unit, complete_pairs
-from shrinkcut.relaxation import format_solution, iter_pairs, pair_count, pair_index, pair_matrix
+from shrinkcut.relaxation import (
+    format_solution,
+    iter_pairs,
+    pair_count,
+    pair_index,
+    pair_matrix,
+    triangle_rows,
+)
 
 
 def test_pair_index_orders_lexicographically():
@@ -24,19 +35,20 @@ def test_pair_index_orders_lexicographically():
 
 def test_lp_solve_triangle_cap():
     # unit K3 with only the sum form: max x01+x02+x12 s.t. sum <= 2
-    problem = LpProblem(np.ones(3), [TriangleConstraint(0, 1, 2, 4).row(3)])
+    problem = LpProblem(np.ones(3), *triangle_rows(np.array([[0, 1, 2, 4]]), 3))
     x, value = lp_solve(problem)
     assert value == pytest.approx(2.0)
 
 
 def test_separation_trivial_points():
     n = 3
-    assert separate_triangles(np.zeros(3), n) == []
-    assert separate_triangles(np.full(3, 0.5), n) == []
+    assert separate_triangles(np.zeros(3), n).shape == (0, 4)
+    assert separate_triangles(np.full(3, 0.5), n).shape == (0, 4)
     violated = separate_triangles(np.ones(3), n)
     assert len(violated) == 1
-    assert violated[0].variant == 4
-    assert violated[0].violation(np.ones(3), n) == pytest.approx(1.0)
+    assert violated[0, 3] == 4
+    rows, rhs = triangle_rows(violated, n)
+    assert rows[0] @ np.ones(3) - rhs[0] == pytest.approx(1.0)
 
 
 def test_separation_orders_by_violation():
@@ -44,13 +56,103 @@ def test_separation_orders_by_violation():
     n = 3
     x = np.array([1.0, 0.0, 0.0])
     violated = separate_triangles(x, n)
-    assert [v.variant for v in violated] == [1]
+    assert violated[:, 3].tolist() == [1]
 
 
 def test_separation_cap():
     n = 8
     x = np.ones(pair_count(n))
     assert len(separate_triangles(x, n, cap=10)) == 10
+
+
+def separate_per_triple(x, n, tol, cap):
+    """Reference: each triangle inequality checked on its own, then sorted by
+    violation, ties by (t, u, v, variant)."""
+    found = []
+    for t, u, v in itertools.combinations(range(n), 3):
+        a, b, c = x[pair_index(t, u, n)], x[pair_index(u, v, n)], x[pair_index(t, v, n)]
+        for variant, lhs in enumerate((a - b - c, -a + b - c, -a - b + c, a + b + c - 2.0), start=1):
+            if lhs > tol:
+                found.append((-lhs, t, u, v, variant))
+    found.sort()
+    return [list(rec[1:]) for rec in found[:cap]]
+
+
+@st.composite
+def separation_cases(draw):
+    """A point on n = 0..10 vertices, on a quarter grid (many ties) or uniform."""
+    n = draw(st.integers(0, 10))
+    value = draw(st.sampled_from([st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), st.floats(0, 1)]))
+    x = np.array(draw(st.lists(value, min_size=pair_count(n), max_size=pair_count(n))))
+    tol = draw(st.sampled_from([0.0, 1e-6, 0.3]))
+    cap = draw(st.integers(0, 200))
+    return x, n, tol, cap
+
+
+@settings(deadline=None)
+@given(separation_cases())
+def test_separation_matches_per_triple_reference(case):
+    x, n, tol, cap = case
+    cuts = separate_triangles(x, n, tol, cap)
+    assert cuts.shape == (len(cuts), 4)
+    assert cuts.tolist() == separate_per_triple(x, n, tol, cap)
+
+
+@st.composite
+def triangle_cuts(draw):
+    """Up to 20 ((t, u, v), variant) cuts on n = 3..9 vertices."""
+    n = draw(st.integers(3, 9))
+    triple = st.sampled_from(list(itertools.combinations(range(n), 3)))
+    return n, draw(st.lists(st.tuples(triple, st.integers(1, 4)), max_size=20))
+
+
+@settings(deadline=None)
+@given(triangle_cuts())
+def test_triangle_rows_match_per_pair_fill(case):
+    n, cuts = case
+    signs = {1: (1, -1, -1), 2: (-1, 1, -1), 3: (-1, -1, 1), 4: (1, 1, 1)}
+    ref_rows = np.zeros((len(cuts), pair_count(n)))
+    ref_rhs = np.zeros(len(cuts))
+    for r, ((t, u, v), variant) in enumerate(cuts):
+        for (p, q), sign in zip(((t, u), (u, v), (t, v)), signs[variant]):
+            ref_rows[r, pair_index(p, q, n)] = sign
+        ref_rhs[r] = 2.0 if variant == 4 else 0.0
+    rows, rhs = triangle_rows(np.array([[*tri, variant] for tri, variant in cuts], dtype=int).reshape(-1, 4), n)
+    assert np.array_equal(rows, ref_rows)
+    assert np.array_equal(rhs, ref_rhs)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+def test_relaxation_rejects_bad_tol(tol):
+    with pytest.raises(ValueError, match="tol"):
+        solve_cycle_relaxation(unit(3, complete_pairs(3)), tol)
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 7))
+    weight = st.one_of(st.none(), st.floats(-10, 10))
+    pairs = list(itertools.combinations(range(n), 2))
+    weights = draw(st.lists(weight, min_size=len(pairs), max_size=len(pairs)))
+    return WeightedGraph.from_edges(n, [(u, v, w) for (u, v), w in zip(pairs, weights) if w is not None])
+
+
+@settings(deadline=None)
+@given(small_graphs())
+def test_relaxation_bounds_max_cut(g):
+    sol = solve_cycle_relaxation(dense_closure(g))
+    # weights below the simplex's cost tolerance may be left out of the optimum
+    assert sol.objective_value >= brute_force(g).max_value - 1e-6
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 6), st.integers(0, 2**32 - 1))
+def test_relaxation_exact_on_two_row_grids(cols, seed):
+    # 2 x k grids are planar, so the cycle relaxation is exact
+    pairs = grid_pairs(2, cols)
+    g = build(2 * cols, pairs, sign_weights(len(pairs), np.random.default_rng(seed)))
+    sol = solve_cycle_relaxation(dense_closure(g))
+    assert sol.objective_value == pytest.approx(brute_force(g).max_value, abs=1e-6)
 
 
 def test_relaxation_k2():
@@ -106,7 +208,7 @@ def test_relaxation_final_point_satisfies_triangles():
     rng = np.random.default_rng(3)
     g = random_weighted_graph(7, 0.7, rng)
     sol = solve_cycle_relaxation(dense_closure(g))
-    assert separate_triangles(sol.x, sol.n) == []
+    assert separate_triangles(sol.x, sol.n).shape == (0, 4)
 
 
 def test_solution_dump_format():
