@@ -29,7 +29,6 @@ from .pipeline import (
     sweep_to_csv,
 )
 from .qaoa import (
-    COMMON_NEIGHBOR_CAP,
     STATEVECTOR_CAP,
     AnalyticExpectation,
     Landscape,

@@ -11,7 +11,7 @@ import numpy as np
 
 BRUTE_FORCE_CAP = 24
 # Index bits one enumeration block covers: brute_force visits 2^ENUM_BLOCK_BITS
-# assignments per chunk, exactly one cut_values_for_indices block.
+# assignments per chunk, exactly one _cut_block.
 ENUM_BLOCK_BITS = 20
 
 
@@ -275,19 +275,21 @@ def brute_force(g: WeightedGraph, max_vertices: int = BRUTE_FORCE_CAP) -> ExactC
         raise ValueError(f"{n} vertices exceeds the enumeration cap of {max_vertices}")
     if n == 0:
         return ExactCutSummary(0.0, 0.0, np.zeros(0, dtype=bool), 1)
-    half = 1 << (n - 1)
-    chunk = 1 << ENUM_BLOCK_BITS
+    # A chunk is one whole _cut_block, already in index order, so it needs no
+    # index array or gather and allocates only the block and its doubling
+    # buffer (12 MB at 2^20): with more temporaries per chunk, the call's time
+    # depends on how much freed memory the heap kept from earlier calls.
+    bits = min(n - 1, ENUM_BLOCK_BITS)
     best = -np.inf
     worst = np.inf
     arg = 0
     count = 0
-    for start in range(0, half, chunk):
-        idx = np.arange(start, min(start + chunk, half), dtype=np.int64)
-        vals = cut_values_for_indices(g, idx)
+    for prefix in range(1 << (n - 1 - bits)):
+        vals = _cut_block(g.weight_matrix, min(n, ENUM_BLOCK_BITS), prefix, bits)
         i = int(np.argmax(vals))
         if vals[i] > best:
             best = float(vals[i])
-            arg = int(idx[i])
+            arg = (prefix << bits) + i
             count = 0
         count += int(np.count_nonzero(vals == best))
         worst = min(worst, float(np.min(vals)))

@@ -1,15 +1,15 @@
 """Depth-1 QAOA for weighted MaxCut.
 
 Two interchangeable expectation routes: an exact statevector simulation
-(capped at 24 qubits) and a closed-form per-edge evaluation that scales to
-large sparse graphs. The closed form also powers fast landscape grids, and a
-degree/weight-based parameter estimate replaces the usual optimization loop.
+(capped at 24 qubits) and a closed-form per-edge evaluation with no qubit or
+neighborhood cap, whose cost per edge and per gamma is linear in the size of
+the edge's neighborhood. The closed form also powers fast landscape grids, and
+a degree/weight-based parameter estimate replaces the usual optimization loop.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -20,7 +20,6 @@ from .graph import WeightedGraph, cut_values_for_indices
 STATEVECTOR_CAP = 24
 # qubits one X-mixer matrix product acts on: a 32x32 block
 MIXER_BLOCK_QUBITS = 5
-COMMON_NEIGHBOR_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -105,49 +104,40 @@ def sample_cuts(state: QaoaState, n_samples: int, seed=None) -> np.ndarray:
 class AnalyticExpectation:
     """Closed-form depth-1 expectation, precomputed for one graph.
 
-    The expected cut value decomposes per edge (u, v) as
+    The expected cut value decomposes per edge (u, v) of weight w as
 
         w * [ 1/2
-              + sin(4 beta)/4 * sin(gamma w) * (P_u + P_v)
-              - sin(2 beta)^2 / 2 * C_u * C_v * S ]
+              + sin(4 beta)/4 * sin(gamma w) * (prod cos(gamma a_r) + prod cos(gamma b_r))
+              - sin(2 beta)^2 / 4 * (prod cos(gamma (a_r - b_r)) - prod cos(gamma (a_r + b_r))) ]
 
-    where P_u is the product of cos(gamma w_us) over all other neighbors s of
-    u, C_u the same product restricted to non-shared neighbors, and S sums,
-    over every odd-sized subset of the common neighbors of u and v, the
-    product of sin(gamma w_ur) sin(gamma w_vr) inside the subset and
-    cos(gamma w_ur) cos(gamma w_vr) outside it. The odd subsets are
-    materialized as selection masks, so evaluation cost grows as
-    2^(common neighborhood size) per edge; neighborhoods larger than the cap
-    are rejected. Zero-weight edges are skipped: they contribute cos(0) = 1
-    factors and a vanishing edge term, leaving every value unchanged.
+    with every product over r in N(u) | N(v) minus {u, v}, a_r = w_ur and
+    b_r = w_vr (0 for a non-neighbor). The difference in the last term is
+    twice the sum, over odd subsets A of those r, of
+    prod_{r in A} s_r prod_{r not in A} c_r with s_r = sin(gamma a_r) sin(gamma b_r)
+    and c_r = cos(gamma a_r) cos(gamma b_r): that sum equals
+    1/2 (prod (c_r + s_r) - prod (c_r - s_r)) (Wang, Hadfield, Jiang & Rieffel,
+    PRA 97, 022304, 2018). A neighbor of only one endpoint gives the same cos
+    factor in both products, and a non-neighbor gives exact cos(0) = 1
+    factors, so one pair of arrays (a, b) per edge covers shared and unshared
+    neighbors alike. Construction reads the two endpoint rows of the weight
+    matrix; evaluation costs O(|N(u) | N(v)|) per edge and per gamma, whatever
+    the neighborhoods share. Zero-weight edges are skipped: they contribute
+    cos(0) = 1 factors and a vanishing edge term, leaving every value
+    unchanged.
 
     Whole (gamma, beta) grids are evaluated in one pass: beta only enters
     through sin(4 beta) and sin(2 beta)^2, so the landscape is an outer
     product of gamma-dependent and beta-dependent factors.
     """
 
-    def __init__(self, g: WeightedGraph, common_neighbor_cap: int = COMMON_NEIGHBOR_CAP):
-        adjacency: dict[int, dict[int, float]] = {v: {} for v in range(g.vertex_count)}
-        for u, v, w in g.nonzero_edges:
-            adjacency[u][v] = w
-            adjacency[v][u] = w
+    def __init__(self, g: WeightedGraph):
+        weights = g.weight_matrix
         self._edges = []
         self._half_total = 0.5 * sum(w for _, _, w in g.nonzero_edges)
         for u, v, w in g.nonzero_edges:
-            nbr_u = {s: ws for s, ws in adjacency[u].items() if s != v}
-            nbr_v = {t: wt for t, wt in adjacency[v].items() if t != u}
-            common = sorted(set(nbr_u) & set(nbr_v))
-            if len(common) > common_neighbor_cap:
-                raise ValueError(
-                    f"edge ({u}, {v}) has {len(common)} common neighbors, "
-                    f"beyond the cost cap of {common_neighbor_cap}"
-                )
-            excl_u = np.array([ws for s, ws in sorted(nbr_u.items()) if s not in common])
-            excl_v = np.array([wt for t, wt in sorted(nbr_v.items()) if t not in common])
-            lam_u = np.array([nbr_u[r] for r in common])
-            lam_v = np.array([nbr_v[r] for r in common])
-            masks = _odd_subset_masks(len(common))
-            self._edges.append((w, excl_u, excl_v, lam_u, lam_v, masks))
+            r = np.flatnonzero((weights[u] != 0.0) | (weights[v] != 0.0))
+            r = r[(r != u) & (r != v)]
+            self._edges.append((w, weights[u, r], weights[v, r]))
 
     def grid(self, gammas: np.ndarray, betas: np.ndarray) -> np.ndarray:
         """Expectation values over the outer grid, shape (len(gammas), len(betas))."""
@@ -155,51 +145,26 @@ class AnalyticExpectation:
         betas = np.atleast_1d(np.asarray(betas, dtype=float))
         t1 = np.zeros(gammas.size)
         t2 = np.zeros(gammas.size)
-        for w, excl_u, excl_v, lam_u, lam_v, masks in self._edges:
-            cos_excl_u = np.cos(np.outer(gammas, excl_u)).prod(axis=1)
-            cos_excl_v = np.cos(np.outer(gammas, excl_v)).prod(axis=1)
-            cos_lam_u = np.cos(np.outer(gammas, lam_u))
-            cos_lam_v = np.cos(np.outer(gammas, lam_v))
-            p_u = cos_excl_u * cos_lam_u.prod(axis=1)
-            p_v = cos_excl_v * cos_lam_v.prod(axis=1)
-            t1 += w * np.sin(gammas * w) * (p_u + p_v)
-            if masks.shape[0]:
-                both_cos = cos_lam_u * cos_lam_v
-                both_sin = np.sin(np.outer(gammas, lam_u)) * np.sin(np.outer(gammas, lam_v))
-                subset_sum = (
-                    np.where(masks[None, :, :], both_sin[:, None, :], both_cos[:, None, :])
-                    .prod(axis=2)
-                    .sum(axis=1)
-                )
-                t2 += w * cos_excl_u * cos_excl_v * subset_sum
+
+        def cos_product(x: np.ndarray) -> np.ndarray:
+            return np.cos(np.outer(gammas, x)).prod(axis=1)
+
+        for w, a, b in self._edges:
+            t1 += w * np.sin(gammas * w) * (cos_product(a) + cos_product(b))
+            t2 += w * (cos_product(a - b) - cos_product(a + b))
         return (
             self._half_total
             + 0.25 * np.outer(t1, np.sin(4.0 * betas))
-            - 0.5 * np.outer(t2, np.sin(2.0 * betas) ** 2)
+            - 0.25 * np.outer(t2, np.sin(2.0 * betas) ** 2)
         )
 
     def value(self, gamma: float, beta: float) -> float:
         return float(self.grid(np.array([gamma]), np.array([beta]))[0, 0])
 
 
-def _odd_subset_masks(m: int) -> np.ndarray:
-    """Boolean selection rows for every odd-sized subset of range(m)."""
-    rows = []
-    for size in range(1, m + 1, 2):
-        for combo in itertools.combinations(range(m), size):
-            row = np.zeros(m, dtype=bool)
-            row[list(combo)] = True
-            rows.append(row)
-    if not rows:
-        return np.zeros((0, m), dtype=bool)
-    return np.array(rows)
-
-
-def expectation_analytic(
-    g: WeightedGraph, params: QaoaParams, common_neighbor_cap: int = COMMON_NEIGHBOR_CAP
-) -> float:
+def expectation_analytic(g: WeightedGraph, params: QaoaParams) -> float:
     """Closed-form expected cut value; matches expectation_statevector exactly."""
-    return AnalyticExpectation(g, common_neighbor_cap).value(params.gamma, params.beta)
+    return AnalyticExpectation(g).value(params.gamma, params.beta)
 
 
 def estimate_parameters(g: WeightedGraph) -> QaoaParams:
@@ -242,7 +207,6 @@ def grid_search(
     g: WeightedGraph,
     step: float,
     evaluator: str = "analytic",
-    common_neighbor_cap: int = COMMON_NEIGHBOR_CAP,
     max_qubits: int = STATEVECTOR_CAP,
 ) -> Landscape:
     """Evaluate the expectation on a step-spaced grid over [0, pi/2]^2."""
@@ -251,7 +215,7 @@ def grid_search(
     count = int(math.floor(math.pi / 2.0 / step + 1e-12))
     points = step * np.arange(count + 1)
     if evaluator == "analytic":
-        values = AnalyticExpectation(g, common_neighbor_cap).grid(points, points)
+        values = AnalyticExpectation(g).grid(points, points)
     elif evaluator == "statevector":
         spectrum = _spectrum(g, max_qubits)
         values = np.empty((points.size, points.size))

@@ -137,6 +137,9 @@ def solve_cycle_relaxation(
         raise ValueError("expected a dense closure (complete graph); apply dense_closure first")
     if not (np.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and non-negative, got {tol}")
+    if per_round_cap < 1:
+        # separation would then drop violated cuts and stop short of the relaxation
+        raise ValueError(f"per_round_cap must be at least 1, got {per_round_cap}")
     n = g.vertex_count
     k = pair_count(n)
     if k == 0:

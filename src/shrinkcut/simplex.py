@@ -20,6 +20,8 @@ import numpy as np
 
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-6
+# relative: a reduced cost counts as improving beyond COST_TOL * max|c| of the
+# phase's objective, so the optimum does not depend on the weight scale
 COST_TOL = 1e-9
 
 
@@ -118,11 +120,12 @@ def _pivot_loop(s: _State, c: np.ndarray) -> None:
     # Reduced costs of the nonbasic columns, from scratch for the given
     # objective; pivots keep them updated incrementally afterwards.
     d = c[s.nonbasic] - c[s.basis] @ s.tab
+    cost_tol = COST_TOL * np.abs(c).max(initial=0.0)
     while True:
         if s.iterations > s.max_iterations:
             raise SimplexError(f"iteration cap {s.max_iterations} exceeded")
         use_bland = s.iterations > s.bland_after
-        q = _entering(s, d, use_bland)
+        q = _entering(s, d, use_bland, cost_tol)
         if q < 0:
             return
         s.iterations += 1
@@ -180,9 +183,9 @@ def _pivot_loop(s: _State, c: np.ndarray) -> None:
         s.at_upper[leaving] = leave_to_upper and np.isfinite(s.bounds[leaving])
 
 
-def _entering(s: _State, d: np.ndarray, use_bland: bool) -> int:
+def _entering(s: _State, d: np.ndarray, use_bland: bool, cost_tol: float) -> int:
     """Position in nonbasic of the entering column, or -1 at optimality."""
-    eligible = np.flatnonzero(np.where(s.at_upper[s.nonbasic], d < -COST_TOL, d > COST_TOL))
+    eligible = np.flatnonzero(np.where(s.at_upper[s.nonbasic], d < -cost_tol, d > cost_tol))
     if eligible.size == 0:
         return -1
     if not use_bland:

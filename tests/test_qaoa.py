@@ -22,6 +22,7 @@ from shrinkcut import (
 )
 from shrinkcut.instances import (
     build,
+    complete_pairs,
     random_weighted_graph,
     ring_pairs,
     sign_weights,
@@ -37,7 +38,9 @@ angles = st.floats(0.0, math.pi / 2)
 def random_graphs(draw, max_n):
     n = draw(st.integers(0, max_n))
     kind = draw(st.sampled_from(["normal", "sign"]))
-    return random_weighted_graph(n, 0.6, np.random.default_rng(draw(st.integers(0, 2**32))), kind)
+    # edge probability 1.0 draws complete graphs: every edge shares all n - 2 other vertices
+    p = draw(st.sampled_from([0.6, 1.0]))
+    return random_weighted_graph(n, p, np.random.default_rng(draw(st.integers(0, 2**32))), kind)
 
 
 def butterfly_state(g, params):
@@ -156,13 +159,18 @@ def test_analytic_ignores_zero_weight_edges():
     )
 
 
-def test_analytic_common_neighbor_cap():
-    # complete graph on 23 vertices has 21 common neighbors per edge
-    from shrinkcut.instances import complete_pairs
-
-    big = unit(23, complete_pairs(23))
-    with pytest.raises(ValueError):
-        expectation_analytic(big, QaoaParams(0.1, 0.1))
+@pytest.mark.parametrize("n", [3, 8, 23, 40])
+def test_analytic_unit_complete_graph_closed_form(n):
+    # unit K_n (Wang et al., PRA 97, 022304): every edge has n - 2 common neighbors, so
+    # C(n,2) [1/2 + 1/2 sin4b sin(g) cos^(n-2)(g) - 1/4 sin^2(2b) (1 - cos^(n-2)(2g))]
+    gamma, beta = 0.37, 0.21
+    expected = math.comb(n, 2) * (
+        0.5
+        + 0.5 * math.sin(4 * beta) * math.sin(gamma) * math.cos(gamma) ** (n - 2)
+        - 0.25 * math.sin(2 * beta) ** 2 * (1 - math.cos(2 * gamma) ** (n - 2))
+    )
+    g = unit(n, complete_pairs(n))
+    assert expectation_analytic(g, QaoaParams(gamma, beta)) == pytest.approx(expected, abs=1e-9)
 
 
 def test_weight_scaling_covariance():

@@ -128,6 +128,20 @@ def test_relaxation_rejects_bad_tol(tol):
         solve_cycle_relaxation(unit(3, complete_pairs(3)), tol)
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_relaxation_rejects_cap_below_one(cap):
+    with pytest.raises(ValueError, match="per_round_cap"):
+        solve_cycle_relaxation(unit(3, complete_pairs(3)), per_round_cap=cap)
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-9, 1.0, 1e9])
+def test_relaxation_bound_independent_of_weight_scale(scale):
+    # a path of two tiny edges must not fall under the simplex's cost tolerance
+    g = WeightedGraph.from_edges(3, [(0, 2, scale), (1, 2, scale)])
+    best = brute_force(g).max_value
+    assert solve_cycle_relaxation(dense_closure(g)).objective_value >= best * (1 - 1e-9)
+
+
 @st.composite
 def small_graphs(draw):
     n = draw(st.integers(1, 7))
@@ -141,7 +155,7 @@ def small_graphs(draw):
 @given(small_graphs())
 def test_relaxation_bounds_max_cut(g):
     sol = solve_cycle_relaxation(dense_closure(g))
-    # weights below the simplex's cost tolerance may be left out of the optimum
+    # weights below the simplex's cost tolerance times the largest |weight| may be left out
     assert sol.objective_value >= brute_force(g).max_value - 1e-6
 
 
