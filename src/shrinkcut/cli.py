@@ -73,6 +73,7 @@ def cmd_relax(args) -> int:
             "vertices": str(sol.n),
             "objective_value": f"{sol.objective_value:.12g}",
             "rounds": str(sol.rounds),
+            "pivots": str(sum(sol.round_pivots)),
             "constraints_added": str(sol.constraints_added),
         },
         None,

@@ -217,15 +217,20 @@ def cut_values_for_indices(g: WeightedGraph, indices: np.ndarray) -> np.ndarray:
     Indices are grouped by their bits from b = min(n, ENUM_BLOCK_BITS) up.
     Each group is read from one block of cut values over its low b bits,
     built by per-vertex doubling in O(2^b) adds whatever the edge count.
+    Raises ValueError for an index outside [0, 2^n).
     """
     idx = np.asarray(indices, dtype=np.int64)
     if idx.size == 0:
         return np.zeros(idx.shape)
+    smallest, largest = int(idx.min()), int(idx.max())
+    if smallest < 0 or largest >> g.vertex_count:
+        bad = smallest if smallest < 0 else largest
+        raise ValueError(f"assignment index {bad} is outside [0, 2^{g.vertex_count})")
     b = min(g.vertex_count, ENUM_BLOCK_BITS)
     low = idx & ((1 << b) - 1)
     top = int(low.max()).bit_length()
-    first = int(idx.min()) >> b
-    if first == int(idx.max()) >> b:
+    first = smallest >> b
+    if first == largest >> b:
         return _cut_block(g.weight_matrix, b, first, top)[low]
     high = idx >> b
     vals = np.empty(idx.shape)
@@ -235,26 +240,28 @@ def cut_values_for_indices(g: WeightedGraph, indices: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _cut_block(w: np.ndarray, b: int, prefix: int, top: int) -> np.ndarray:
+def _cut_block(w: np.ndarray, b: int, prefix: int, top: int, out: np.ndarray | None = None) -> np.ndarray:
     """Cut values of the 2^top assignments x whose bits from b up spell prefix
     and whose bits top..b-1 are 0, indexed by their low bits.
 
     Setting bit k of x (bits k..b-1 clear) gains d_k[x] = sum_j w[k, j] (1 - 2 x_j),
     so out[2^k + x] = out[x] + d_k[x] for x < 2^k, and d_k itself doubles bit by
-    bit: d_k[x + 2^j] = d_k[x] - 2 w[k, j] for x < 2^j and j < k.
+    bit: d_k[x + 2^j] = d_k[x] - 2 w[k, j] for x < 2^j and j < k. d_k is built
+    in the half of out it then fills, so a block allocates nothing else; a
+    given out (at least 2^top long) is reused.
     """
     n = w.shape[0]
     side = np.zeros(n)
     side[b:] = [(prefix >> k) & 1 for k in range(n - b)]
     gain = w[:b] @ (1.0 - 2.0 * side)
-    out = np.empty(1 << top)
+    out = np.empty(1 << top) if out is None else out[: 1 << top]
     out[0] = side @ w @ (1.0 - side)
-    d = np.empty(max(1 << top >> 1, 1))
     for k in range(top):
+        d = out[1 << k : 2 << k]
         d[0] = gain[k]
         for j in range(k):
             np.subtract(d[: 1 << j], 2.0 * w[k, j], out=d[1 << j : 2 << j])
-        np.add(out[: 1 << k], d[: 1 << k], out=out[1 << k : 2 << k])
+        np.add(out[: 1 << k], d, out=d)
     return out
 
 
@@ -276,16 +283,18 @@ def brute_force(g: WeightedGraph, max_vertices: int = BRUTE_FORCE_CAP) -> ExactC
     if n == 0:
         return ExactCutSummary(0.0, 0.0, np.zeros(0, dtype=bool), 1)
     # A chunk is one whole _cut_block, already in index order, so it needs no
-    # index array or gather and allocates only the block and its doubling
-    # buffer (12 MB at 2^20): with more temporaries per chunk, the call's time
-    # depends on how much freed memory the heap kept from earlier calls.
+    # index array or gather, and every chunk reuses one block buffer (8 MB at
+    # 2^20): memory the call touches fresh costs page faults, so with more of
+    # it the call's time depends on how much freed memory the heap kept from
+    # earlier calls.
     bits = min(n - 1, ENUM_BLOCK_BITS)
+    block = np.empty(1 << bits)
     best = -np.inf
     worst = np.inf
     arg = 0
     count = 0
     for prefix in range(1 << (n - 1 - bits)):
-        vals = _cut_block(g.weight_matrix, min(n, ENUM_BLOCK_BITS), prefix, bits)
+        vals = _cut_block(g.weight_matrix, min(n, ENUM_BLOCK_BITS), prefix, bits, block)
         i = int(np.argmax(vals))
         if vals[i] > best:
             best = float(vals[i])

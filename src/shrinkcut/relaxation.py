@@ -2,19 +2,21 @@
 
 The LP has one variable per vertex pair with bounds [0, 1] and is tightened
 iteratively: solve, enumerate all triangles for violated inequalities, add the
-most violated ones, repeat until none is violated beyond tolerance. On a
+most violated ones, repeat until none is violated beyond tolerance. Each
+re-solve starts from the previous round's optimal basis (the LpProblem keeps
+the simplex tableau), since a round only appends rows. On a
 complete graph the triangle inequalities are exactly the odd-cycle
 inequalities, so the final objective upper-bounds the maximum cut.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .graph import WeightedGraph
-from .simplex import SimplexError, solve_box_lp
+from .simplex import SimplexError, Tableau, solve_box_lp
 
 DEFAULT_TOL = 1e-6
 PER_ROUND_CAP = 500
@@ -71,16 +73,24 @@ def triangle_rows(cuts: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class LpProblem:
-    """max objective.x s.t. rows @ x <= rhs, x in [0,1]^k; rows is a dense (r, k) block."""
+    """max objective.x s.t. rows @ x <= rhs, x in [0,1]^k; rows is a dense (r, k) block.
+
+    tableau keeps the last solve's optimal dictionary, so a problem that only
+    ever gains rows (appended below the earlier ones) is re-solved warm.
+    """
 
     objective: np.ndarray
     rows: np.ndarray
     rhs: np.ndarray
+    tableau: Tableau = field(default_factory=Tableau, repr=False, compare=False)
 
 
 def lp_solve(problem: LpProblem) -> tuple[np.ndarray, float]:
-    """Solve the box LP with the bundled simplex; deterministic for fixed input."""
-    return solve_box_lp(problem.objective, problem.rows, problem.rhs, np.ones(problem.objective.size))
+    """Solve the box LP with the bundled simplex, from the problem's last optimal
+    basis; deterministic for a fixed sequence of inputs."""
+    return solve_box_lp(
+        problem.objective, problem.rows, problem.rhs, np.ones(problem.objective.size), tableau=problem.tableau
+    )
 
 
 @dataclass(eq=False)
@@ -88,8 +98,9 @@ class FractionalSolution:
     """Optimal point of the triangle relaxation over all vertex pairs.
 
     x is indexed like iter_pairs(n); objective_value upper-bounds the maximum
-    cut; rounds counts LP solves (separation rounds, not simplex pivots) and
-    round_values records the (non-increasing) objective after each of them.
+    cut; rounds counts LP solves (separation rounds, not simplex pivots),
+    round_values records the (non-increasing) objective after each of them and
+    round_pivots the simplex pivots each of them took.
     """
 
     n: int
@@ -98,6 +109,7 @@ class FractionalSolution:
     rounds: int
     constraints_added: int
     round_values: tuple[float, ...]
+    round_pivots: tuple[int, ...]
 
     def x_of(self, u: int, v: int) -> float:
         if u > v:
@@ -143,16 +155,18 @@ def solve_cycle_relaxation(
     n = g.vertex_count
     k = pair_count(n)
     if k == 0:
-        return FractionalSolution(n, np.zeros(0), 0.0, 0, 0, ())
+        return FractionalSolution(n, np.zeros(0), 0.0, 0, 0, (), ())
     # Edges of a complete graph are stored in the same lexicographic order as
     # the LP variables, so objective coefficients line up by position.
     objective = np.array([w for _, _, w in g.edges])
     problem = LpProblem(objective, np.zeros((0, k)), np.zeros(0))
     seen: set[tuple[int, ...]] = set()
     round_values: list[float] = []
+    round_pivots: list[int] = []
     while True:
         x, value = lp_solve(problem)
         round_values.append(value)
+        round_pivots.append(problem.tableau.pivots)
         violated = separate_triangles(x, n, tol, per_round_cap)
         keys = list(map(tuple, violated.tolist()))
         fresh = violated[[key not in seen for key in keys]]
@@ -165,7 +179,7 @@ def solve_cycle_relaxation(
         problem.rows = np.vstack((problem.rows, rows))
         problem.rhs = np.concatenate((problem.rhs, rhs))
     return FractionalSolution(
-        n, x, value, len(round_values), len(problem.rows), tuple(round_values)
+        n, x, value, len(round_values), len(problem.rows), tuple(round_values), tuple(round_pivots)
     )
 
 

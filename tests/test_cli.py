@@ -1,5 +1,6 @@
 import numpy as np
 
+from shrinkcut import dense_closure, solve_cycle_relaxation
 from shrinkcut.cli import main
 from shrinkcut.graph import format_instance, parse_instance
 from shrinkcut.instances import build, grid_pairs, sign_weights
@@ -117,6 +118,14 @@ def test_relax_command_reports_rounds(tmp_path, capsys):
     rec = record_of(capsys.readouterr().out)
     assert "iterations" not in rec
     assert int(rec["rounds"]) >= 1
+
+
+def test_relax_command_reports_pivots(tmp_path, capsys):
+    path, g = write_instance(tmp_path)
+    assert main(["relax", str(path)]) == 0
+    rec = record_of(capsys.readouterr().out)
+    sol = solve_cycle_relaxation(dense_closure(g))
+    assert int(rec["pivots"]) == sum(sol.round_pivots) > 0
 
 
 def test_bad_tolerance_fails(tmp_path, capsys):

@@ -83,6 +83,13 @@ def test_cut_values_for_indices_tiny_graphs():
     assert cut_values_for_indices(k2, np.array([], dtype=np.int64)).shape == (0,)
 
 
+@pytest.mark.parametrize("n, index", [(3, 8), (3, -1), (0, 1), (21, 1 << 21)])
+def test_cut_values_for_indices_reject_out_of_range(n, index):
+    g = WeightedGraph.from_edges(n, [(0, 1, 1.0)] if n > 1 else [])
+    with pytest.raises(ValueError, match=f"index {index} is outside"):
+        cut_values_for_indices(g, np.array([0, index]))
+
+
 def test_parse_single_edge():
     g = parse_instance("2 1\n1 2 5")
     assert g.vertex_count == 2

@@ -250,15 +250,15 @@ def test_pair_matrix_matches_pairwise_fill():
     assert pair_matrix(np.zeros(0), 1).shape == (1, 1)
 
 
-# (constraints_added, round_values) of the 4x4 +-1 grids built from seeds 1..4.
-# The simplex's pivot rules decide which optimal vertex each round returns, so
-# any change to them shows here; the values are compared exactly.
+# (constraints_added, round_values, round_pivots) of the 4x4 +-1 grids built
+# from seeds 1..4. The simplex's pivot rules decide which optimal vertex each
+# round returns, so any change to them shows here; the values are compared
+# exactly.
 PINNED_GRIDS = {
-    1: (584, (13.0, 13.0, 9.999999999999808, 9.99999999999992, 9.999999999999904)),
-    2: (522, (10.0, 10.0, 8.0, 7.999999999999998, 7.999999999999979)),
-    3: (442, (9.0, 9.0, 4.999999999999993, 5.0)),
-    4: (681, (15.0, 14.999999999999982, 9.999999999999993, 10.000000000000004,
-              9.999999999999986, 9.999999999999998, 9.999999999999973)),
+    1: (508, (13.0, 13.0, 10.0), (0, 86, 101)),
+    2: (282, (10.0, 10.0, 8.0), (0, 72, 28)),
+    3: (446, (9.0, 9.0, 4.999999999999997, 4.9999999999999964), (0, 80, 97, 5)),
+    4: (536, (15.0, 15.0, 10.0, 9.999999999999995), (0, 94, 71, 40)),
 }
 
 
@@ -267,7 +267,29 @@ def test_grid_relaxation_pivots_pinned(seed):
     pairs = grid_pairs(4, 4)
     g = build(16, pairs, sign_weights(24, np.random.default_rng(seed)))
     sol = solve_cycle_relaxation(dense_closure(g))
-    rows, values = PINNED_GRIDS[seed]
+    rows, values, pivots = PINNED_GRIDS[seed]
     assert sol.constraints_added == rows
     assert sol.round_values == values
+    assert sol.round_pivots == pivots
     assert sol.rounds == len(values)
+
+
+@pytest.mark.parametrize("rows, cols, seed", [(3, 6, 11), (3, 5, 9)])
+def test_relaxation_exact_on_grids_that_drifted(rows, cols, seed):
+    # planar grids make the relaxation exact; on these two, a simplex that
+    # restarts from the slack basis every round drifts (3x6) or cycles (3x5)
+    pairs = grid_pairs(rows, cols)
+    g = build(rows * cols, pairs, sign_weights(len(pairs), np.random.default_rng(seed)))
+    sol = solve_cycle_relaxation(dense_closure(g))
+    assert sol.objective_value == pytest.approx(brute_force(g).max_value, abs=1e-6)
+
+
+def test_relaxation_5x5_grid():
+    # the 5x5 grid drawn after the 3x3, 4x4 and 4x5 grids of one generator
+    rng = np.random.default_rng(77)
+    for rows, cols in ((3, 3), (4, 4), (4, 5), (5, 5)):
+        pairs = grid_pairs(rows, cols)
+        g = build(rows * cols, pairs, sign_weights(len(pairs), rng))
+    sol = solve_cycle_relaxation(dense_closure(g))
+    assert sol.objective_value == pytest.approx(12.0, abs=1e-6)
+    assert len(sol.round_pivots) == sol.rounds

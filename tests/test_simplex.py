@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shrinkcut.simplex import InfeasibleError, SimplexError, solve_box_lp
+from shrinkcut.simplex import InfeasibleError, SimplexError, Tableau, solve_box_lp
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -113,11 +113,12 @@ def test_feasibility_of_returned_point():
 
 
 @st.composite
-def box_lps(draw):
+def box_lps(draw, max_rows=6):
     """Small box LPs with coefficients on a half-integer grid, right-hand sides
-    of both signs (negative ones need phase 1) and some infinite upper bounds."""
+    of both signs (negative ones make the start basis infeasible) and some
+    infinite upper bounds."""
     n = draw(st.integers(1, 6))
-    m = draw(st.integers(0, 6))
+    m = draw(st.integers(0, max_rows))
     coef = st.integers(-4, 4).map(lambda k: k / 2)
     c = np.array(draw(st.lists(coef, min_size=n, max_size=n)))
     a = np.array(draw(st.lists(coef, min_size=m * n, max_size=m * n))).reshape(m, n)
@@ -126,26 +127,106 @@ def box_lps(draw):
     return c, a, b, upper
 
 
+def highs_verdict(c, a, b, upper):
+    """("optimal", value), ("infeasible", None) or ("unbounded", None) from HiGHS."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+
+    def status(objective):
+        ref = linprog(-objective, A_ub=a if a.size else None, b_ub=b if a.size else None,
+                      bounds=list(zip(np.zeros_like(upper), upper)), method="highs")
+        assert ref.status in (0, 2, 3), ref.message
+        return ref.status, -ref.fun if ref.status == 0 else None
+
+    code, value = status(c)
+    if code == 0:
+        return "optimal", value
+    # HiGHS's presolve can call an unbounded problem infeasible; a feasible
+    # point under a zero objective settles which it is
+    if code == 2 and status(np.zeros_like(c))[0] == 2:
+        return "infeasible", None
+    return "unbounded", None
+
+
+def bundled_verdict(c, a, b, upper, tableau=None):
+    """The same verdict from solve_box_lp; an optimal point is checked feasible."""
+    try:
+        x, value = solve_box_lp(c, a, b, upper, tableau=tableau)
+    except InfeasibleError:
+        return "infeasible", None
+    except SimplexError as err:
+        assert "unbounded" in str(err)
+        return "unbounded", None
+    assert np.all(a @ x <= b + 1e-6)
+    assert np.all((x >= 0) & (x <= upper))
+    return "optimal", value
+
+
+def same_verdict(got, expected, **tolerance):
+    assert got[0] == expected[0]
+    if expected[0] == "optimal":
+        assert got[1] == pytest.approx(expected[1], **tolerance)
+
+
 @settings(max_examples=300, deadline=None)
 @given(box_lps())
 def test_objective_matches_highs(lp):
-    linprog = pytest.importorskip("scipy.optimize").linprog
+    same_verdict(bundled_verdict(*lp), highs_verdict(*lp), abs=1e-7)
+
+
+@settings(max_examples=200, deadline=None)
+@given(box_lps(max_rows=12), st.lists(st.integers(0, 12), max_size=4))
+def test_warm_resolve_matches_cold_and_highs(lp, cuts):
+    # a cutting-plane loop: the rows arrive in batches and each re-solve starts
+    # from the tableau the previous one left
     c, a, b, upper = lp
-    ref = linprog(-c, A_ub=a if a.size else None, b_ub=b if a.size else None,
-                  bounds=list(zip(np.zeros_like(upper), upper)), method="highs")
-    assert ref.status in (0, 2, 3), ref.message
-    if ref.status == 2:
-        with pytest.raises(InfeasibleError):
-            solve_box_lp(c, a, b, upper)
-        return
-    if ref.status == 3:
-        with pytest.raises(SimplexError, match="unbounded"):
-            solve_box_lp(c, a, b, upper)
-        return
-    x, value = solve_box_lp(c, a, b, upper)
-    assert value == pytest.approx(-ref.fun, abs=1e-7)
-    assert np.all(a @ x <= b + 1e-6)
-    assert np.all((x >= 0) & (x <= upper))
+    tableau = Tableau()
+    for end in sorted({min(k, len(b)) for k in cuts} | {len(b)}):
+        warm = bundled_verdict(c, a[:end], b[:end], upper, tableau)
+        same_verdict(warm, bundled_verdict(c, a[:end], b[:end], upper), rel=1e-7, abs=1e-9)
+        same_verdict(warm, highs_verdict(c, a[:end], b[:end], upper), rel=1e-7, abs=1e-9)
+
+
+def test_warm_tableau_rejects_another_problem():
+    c, a, b = np.ones(2), np.array([[1.0, 1.0], [1.0, -1.0]]), np.array([1.0, 0.5])
+    tableau = Tableau()
+    solve_box_lp(c, a, b, np.ones(2), tableau=tableau)
+    for args in ((c, a[::-1], b), (c, a, b[::-1]), (c, a[:1], b[:1]), (-c, a, b)):
+        with pytest.raises(ValueError, match="prefix"):
+            solve_box_lp(*args, np.ones(2), tableau=tableau)
+    _, value = solve_box_lp(c, np.vstack((a, [[0.0, 1.0]])), np.append(b, 0.1), np.ones(2), tableau=tableau)
+    assert value == pytest.approx(0.7)
+    assert tableau.pivots >= 1
+
+
+def test_warm_tableau_rejects_rows_changed_in_place():
+    # the tableau keeps its own copy of the rows, so a caller's in-place edit
+    # shows up as a different problem rather than a stale warm start
+    c, a, b = np.ones(2), np.array([[1.0, 1.0], [1.0, -1.0]]), np.array([1.0, 0.5])
+    tableau = Tableau()
+    solve_box_lp(c, a, b, np.ones(2), tableau=tableau)
+    b[0] = 3.0
+    with pytest.raises(ValueError, match="prefix"):
+        solve_box_lp(c, a, b, np.ones(2), tableau=tableau)
+    a[1, 1] = 0.0
+    with pytest.raises(ValueError, match="prefix"):
+        solve_box_lp(c, a, np.array([1.0, 0.5]), np.ones(2), tableau=tableau)
+
+
+def test_drifted_reduced_costs_fail_loudly():
+    # max x1 + 2 x2 s.t. x1 + x2 <= 1 ends with x1 basic at 0 and x2 nonbasic
+    # at its upper bound 1. Drop x2 to 0 and corrupt its stored column so that
+    # its reduced cost reads -3: the next warm solve then sees a feasible
+    # point of value 0 that its reduced costs call optimal. The row price of
+    # that basis (1) bounds the optimum by 2, which exposes it.
+    c, a, b = np.array([1.0, 2.0]), np.array([[1.0, 1.0]]), np.array([1.0])
+    tableau = Tableau()
+    _, value = solve_box_lp(c, a, b, np.ones(2), tableau=tableau)
+    assert value == pytest.approx(2.0)
+    assert tableau.basis.tolist() == [0] and tableau.nonbasic.tolist() == [2, 1]
+    tableau.at_upper[1] = False
+    tableau.tab[0, 1] = 5.0
+    with pytest.raises(SimplexError, match="not optimal"):
+        solve_box_lp(c, a, b, np.ones(2), tableau=tableau)
 
 
 def test_package_import_leaves_scipy_unloaded():
