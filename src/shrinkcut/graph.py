@@ -10,9 +10,11 @@ from typing import Iterable
 import numpy as np
 
 BRUTE_FORCE_CAP = 24
-# Index bits one enumeration block covers: brute_force visits 2^ENUM_BLOCK_BITS
-# assignments per chunk, exactly one _cut_block.
+# Index bits one cut_values_for_indices block covers: 2^20 cut values per prefix.
 ENUM_BLOCK_BITS = 20
+# Index bits one brute_force block covers: 2^16 cut values, 512 KB, which stay
+# in cache while the block is built and scanned.
+ORACLE_BLOCK_BITS = 16
 
 
 class ParseError(ValueError):
@@ -282,27 +284,48 @@ def brute_force(g: WeightedGraph, max_vertices: int = BRUTE_FORCE_CAP) -> ExactC
         raise ValueError(f"{n} vertices exceeds the enumeration cap of {max_vertices}")
     if n == 0:
         return ExactCutSummary(0.0, 0.0, np.zeros(0, dtype=bool), 1)
-    # A chunk is one whole _cut_block, already in index order, so it needs no
-    # index array or gather, and every chunk reuses one block buffer (8 MB at
-    # 2^20): memory the call touches fresh costs page faults, so with more of
-    # it the call's time depends on how much freed memory the heap kept from
-    # earlier calls.
-    bits = min(n - 1, ENUM_BLOCK_BITS)
-    block = np.empty(1 << bits)
+    # Blocks of 2^bits assignments, in index order, one per prefix of the bits
+    # from `bits` up: the block of prefix 0 is one _cut_block, every other one
+    # that block plus an affine term (_prefix_block) in a second buffer. The
+    # two buffers are all the call allocates, and they stay in cache.
+    bits = min(n - 1, ORACLE_BLOCK_BITS)
+    prefixes = 1 << (n - 1 - bits)
+    base = _cut_block(g.weight_matrix, bits, 0, bits)
+    block = np.empty(base.size) if prefixes > 1 else None
     best = -np.inf
     worst = np.inf
     arg = 0
     count = 0
-    for prefix in range(1 << (n - 1 - bits)):
-        vals = _cut_block(g.weight_matrix, min(n, ENUM_BLOCK_BITS), prefix, bits, block)
+    for prefix in range(prefixes):
+        vals = _prefix_block(g.weight_matrix, bits, prefix, base, block) if prefix else base
         i = int(np.argmax(vals))
         if vals[i] > best:
             best = float(vals[i])
             arg = (prefix << bits) + i
             count = 0
-        count += int(np.count_nonzero(vals == best))
+        if vals[i] == best:
+            count += int(np.count_nonzero(vals == best))
         worst = min(worst, float(np.min(vals)))
     return ExactCutSummary(best, worst, index_to_assignment(arg, n), count)
+
+
+def _prefix_block(w: np.ndarray, b: int, prefix: int, base: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Cut values of the assignments whose bits from b up spell prefix, indexed
+    by their low b bits, from base, the block of prefix 0.
+
+    Let y be the high vertices' sides and g = w[:b, b:] @ y. Against prefix 0,
+    the high vertices add their own cut C_HH(y), and an edge (k, h) from a low
+    vertex to a high vertex with y_h = 1 is cut iff x_k is 0 instead of iff it
+    is 1. So out[x] = base[x] + C_HH(y) + sum(g) - 2 g.x, whose affine term
+    doubles bit by bit like _cut_block's: term[2^k + x] = term[x] - 2 g_k.
+    """
+    y = ((prefix >> np.arange(w.shape[0] - b)) & 1).astype(float)
+    g = w[:b, b:] @ y
+    out[0] = y @ w[b:, b:] @ (1.0 - y) + g.sum()
+    for k in range(b):
+        np.subtract(out[: 1 << k], 2.0 * g[k], out=out[1 << k : 2 << k])
+    out += base
+    return out
 
 
 def format_summary(s: ExactCutSummary) -> str:

@@ -21,7 +21,7 @@ from .graph import (
     cut_value_batch,
     dense_closure,
 )
-from .qaoa import STATEVECTOR_CAP, estimate_parameters, qaoa_state, sample_cuts
+from .qaoa import STATEVECTOR_CAP, average_degree, estimate_parameters, qaoa_state, sample_cuts
 from .relaxation import solve_cycle_relaxation
 from .shrink import (
     CorrelationSet, ShrinkState, correlations_from_relaxation, shrink_to_target, zero_correlations
@@ -112,6 +112,22 @@ def _solve_reduced(reduced: WeightedGraph, subsolver: str, n_samples: int, seed)
     raise ValueError(f"unknown subsolver {subsolver!r}")
 
 
+def _low_degree_message(g: WeightedGraph, correlations: CorrelationSet, reduced: WeightedGraph) -> str:
+    """Why qaoa-sim cannot run on reduced, with the smallest larger target,
+    shrunk with the same correlations, whose reduction it can run on."""
+    size = reduced.vertex_count
+    message = (
+        f"reduced size {size} has average degree {average_degree(reduced):.3g} <= 1, "
+        "so the QAOA parameter estimate is undefined"
+    )
+    limit = min(g.vertex_count, STATEVECTOR_CAP)
+    for target in range(size + 1, limit + 1):
+        degree = average_degree(shrink_to_target(g, correlations, target).reduced)
+        if degree > 1.0:
+            return f"{message}; target {target} reduces to average degree {degree:.3g}"
+    return f"{message}; no target up to {limit} reduces to average degree > 1"
+
+
 def _lift_and_score(state: ShrinkState, samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every reduced sample lifted to the original graph, and its cut value there."""
     lifted = state.reconstruct(samples)
@@ -168,7 +184,10 @@ def run_pipeline(
     try:
         samples = _solve_reduced(reduced, subsolver, n_samples, seed)
     except Exception as exc:
-        raise PipelineError("solve", exc) from exc
+        cause = exc
+        if subsolver == "qaoa-sim" and reduced.vertex_count <= STATEVECTOR_CAP and average_degree(reduced) <= 1.0:
+            cause = ValueError(_low_degree_message(g, correlations, reduced))
+        raise PipelineError("solve", cause) from exc
     timings["solve"] = time.perf_counter() - tic
 
     tic = time.perf_counter()

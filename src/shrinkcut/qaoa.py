@@ -40,7 +40,13 @@ class QaoaState:
     n: int
 
     def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
+        return _probabilities(self.amplitudes)
+
+
+def _probabilities(amp: np.ndarray) -> np.ndarray:
+    probs = np.square(amp.real)
+    probs += np.square(amp.imag)
+    return probs
 
 
 def _check_qubits(n: int, cap: int) -> None:
@@ -50,38 +56,58 @@ def _check_qubits(n: int, cap: int) -> None:
 
 def qaoa_state(g: WeightedGraph, params: QaoaParams, max_qubits: int = STATEVECTOR_CAP) -> QaoaState:
     """Statevector of the depth-1 circuit: phase by cut value, then one X
-    rotation of angle 2*beta on every qubit, starting from the uniform state."""
-    return _evolve(_spectrum(g, max_qubits), g.vertex_count, params)
+    rotation of angle 2*beta on every qubit, starting from the uniform state.
+
+    The half with the top qubit 0 is simulated; the other half is its mirror
+    image (see _evolve).
+    """
+    half = _evolve(_spectrum(g, max_qubits), g.vertex_count, params)
+    return QaoaState(np.concatenate((half, half[::-1])) if g.vertex_count else half, g.vertex_count)
 
 
 def _spectrum(g: WeightedGraph, max_qubits: int) -> np.ndarray:
-    """Cut value of every basis state, after checking the qubit cap."""
+    """Cut value of every basis state whose top qubit is 0 (the one state for
+    n = 0), after checking the qubit cap. Flipping every vertex keeps a cut's
+    value, so these 2^(n-1) values are the whole spectrum."""
     _check_qubits(g.vertex_count, max_qubits)
-    return cut_values_for_indices(g, np.arange(1 << g.vertex_count, dtype=np.int64))
+    return cut_values_for_indices(g, np.arange(1 << max(g.vertex_count - 1, 0), dtype=np.int64))
 
 
-def _evolve(spectrum: np.ndarray, n: int, params: QaoaParams) -> QaoaState:
-    """The depth-1 circuit on n qubits, given the cut value of every basis state.
+def _evolve(spectrum: np.ndarray, n: int, params: QaoaParams) -> np.ndarray:
+    """The depth-1 circuit on n qubits, on the basis states whose top qubit is 0.
 
-    The X rotations are applied MIXER_BLOCK_QUBITS qubits at a time: for the
-    k qubits from qubit q up, the k-fold tensor power of the one-qubit
-    rotation multiplies the middle axis of the state reshaped to
+    The uniform start state, the phase by cut value and the X mixer all
+    commute with the global flip X^n, so amp[x] = amp[~x] throughout
+    (Shaydulin, Hadfield, Hogg & Safro, QIP 20, 359, 2021) and the half h
+    with the top qubit 0 is the whole state. On such a state X_{n-1} acts as
+    X_0...X_{n-2}, which reverses h, so the top qubit's rotation is
+    c h - i s h[::-1]. The n - 1 low qubits rotate MIXER_BLOCK_QUBITS at a
+    time: for the k qubits from qubit q up, the k-fold tensor power of the
+    one-qubit rotation multiplies the middle axis of h reshaped to
     (rest, 2^k, 2^q), one matrix product per block.
     """
-    amp = np.full(1 << n, 2.0 ** (-n / 2.0), dtype=complex)
-    amp *= np.exp(-1j * params.gamma * spectrum)
+    # real cos and sin of the phase angle give exp(-i gamma C) without complex exp
+    phase = params.gamma * spectrum
+    scale = 2.0 ** (-n / 2.0)
+    amp = np.empty(spectrum.size, dtype=complex)
+    amp.real = scale * np.cos(phase)
+    amp.imag = -scale * np.sin(phase)
     c = math.cos(params.beta)
     s = math.sin(params.beta)
+    if n:
+        amp = c * amp - (1j * s) * amp[::-1]
     rotation = np.array([[c, -1j * s], [-1j * s, c]])
-    for q in range(0, n, MIXER_BLOCK_QUBITS):
-        k = min(MIXER_BLOCK_QUBITS, n - q)
+    for q in range(0, n - 1, MIXER_BLOCK_QUBITS):
+        k = min(MIXER_BLOCK_QUBITS, n - 1 - q)
         block = functools.reduce(np.kron, [rotation] * k)
         amp = np.matmul(block, amp.reshape(-1, 1 << k, 1 << q)).reshape(-1)
-    return QaoaState(amp, n)
+    return amp
 
 
 def _expectation(spectrum: np.ndarray, n: int, params: QaoaParams) -> float:
-    return float(_evolve(spectrum, n, params).probabilities() @ spectrum)
+    """sum_x p(x) C(x): twice the sum over the half, whose mirror image has the
+    same probabilities and cut values (for n = 0 the one value is C = 0)."""
+    return 2.0 * float(_probabilities(_evolve(spectrum, n, params)) @ spectrum)
 
 
 def expectation_statevector(g: WeightedGraph, params: QaoaParams, max_qubits: int = STATEVECTOR_CAP) -> float:
@@ -93,11 +119,23 @@ def sample_cuts(state: QaoaState, n_samples: int, seed=None) -> np.ndarray:
     """Draw i.i.d. assignments from the measurement distribution.
 
     Returns a (n_samples, n) boolean matrix; deterministic for a fixed seed.
+    The draws are those of Generator.choice(2^n, n_samples, p=probs/probs.sum()):
+    the same normalized cumulative sum, searched (side "right") for the same
+    rng.random stream, without choice's own passes over p. The stream is
+    searched in sorted order, so each search is bounded by the one before.
+    Raises ValueError when the total probability is not finite and positive.
     """
-    probs = state.probabilities()
-    probs = probs / probs.sum()
-    rng = np.random.default_rng(seed)
-    draws = rng.choice(probs.size, size=n_samples, p=probs)
+    cdf = state.probabilities()
+    total = cdf.sum()
+    if not (np.isfinite(total) and total > 0.0):
+        raise ValueError(f"total probability {total} is not finite and positive")
+    cdf /= total
+    np.cumsum(cdf, out=cdf)
+    cdf /= cdf[-1]
+    uniform = np.random.default_rng(seed).random(n_samples)
+    order = np.argsort(uniform)
+    draws = np.empty(n_samples, dtype=np.int64)
+    draws[order] = cdf.searchsorted(uniform[order], side="right")
     return ((draws[:, None] >> np.arange(state.n)) & 1).astype(bool)
 
 
@@ -167,6 +205,11 @@ def expectation_analytic(g: WeightedGraph, params: QaoaParams) -> float:
     return AnalyticExpectation(g).value(params.gamma, params.beta)
 
 
+def average_degree(g: WeightedGraph) -> float:
+    """Average degree of the nonzero-edge graph."""
+    return 2.0 * len(g.nonzero_edges) / g.vertex_count
+
+
 def estimate_parameters(g: WeightedGraph) -> QaoaParams:
     """Closed-form parameter guess from mean |weight| and average degree.
 
@@ -179,7 +222,7 @@ def estimate_parameters(g: WeightedGraph) -> QaoaParams:
     if not nz:
         raise ValueError("cannot estimate parameters: graph has no weighted edges")
     abar = float(np.mean([abs(w) for _, _, w in nz]))
-    dbar = 2.0 * len(nz) / g.vertex_count
+    dbar = average_degree(g)
     if dbar <= 1.0:
         raise ValueError(f"average degree {dbar:.3g} <= 1: estimate undefined")
     gamma = math.atan(1.0 / math.sqrt(dbar - 1.0)) / abar

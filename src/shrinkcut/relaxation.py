@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import WeightedGraph
-from .simplex import SimplexError, Tableau, solve_box_lp
+from .simplex import FEAS_TOL, SimplexError, Tableau, solve_box_lp
 
 DEFAULT_TOL = 1e-6
 PER_ROUND_CAP = 500
@@ -147,8 +147,10 @@ def solve_cycle_relaxation(
     """Iterated LP solve + triangle separation on a complete (dense-closure) graph."""
     if not g.is_complete():
         raise ValueError("expected a dense closure (complete graph); apply dense_closure first")
-    if not (np.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be finite and non-negative, got {tol}")
+    if not (np.isfinite(tol) and tol >= FEAS_TOL):
+        # the simplex meets rows only to FEAS_TOL, so below it a row already in
+        # the model could count as violated and separation would stall
+        raise ValueError(f"tol must be finite and at least the simplex's feasibility tolerance {FEAS_TOL:g}, got {tol}")
     if per_round_cap < 1:
         # separation would then drop violated cuts and stop short of the relaxation
         raise ValueError(f"per_round_cap must be at least 1, got {per_round_cap}")

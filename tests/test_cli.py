@@ -132,6 +132,8 @@ def test_bad_tolerance_fails(tmp_path, capsys):
     path, _ = write_instance(tmp_path)
     assert main(["relax", str(path), "--tol", "nan"]) == 1
     assert "tol must be finite" in capsys.readouterr().err
+    assert main(["relax", str(path), "--tol", "0"]) == 1
+    assert "at least the simplex's feasibility tolerance 1e-06, got 0.0" in capsys.readouterr().err
 
 
 def test_zero_samples_fail(tmp_path, capsys):

@@ -140,6 +140,15 @@ def test_format_parse_round_trip():
     assert parse_instance(format_instance(g)) == g
 
 
+@settings(deadline=None)
+@given(st.integers(0, 12), st.sampled_from(["normal", "sign"]), st.sampled_from([0.3, 1.0]), st.integers(0, 2**32 - 1))
+def test_format_parse_round_trip_property(n, kind, p, seed):
+    g = random_weighted_graph(n, p, np.random.default_rng(seed), kind)
+    text = format_instance(g)
+    assert parse_instance(text) == g
+    assert format_instance(parse_instance(text)) == text
+
+
 def test_cut_value_trivial_cases():
     k2 = WeightedGraph.from_edges(2, [(0, 1, 5.0)])
     assert cut_value(k2, [True, False]) == 5.0
@@ -236,6 +245,49 @@ def test_brute_force_counts_across_chunks(edges, chunk_maxima):
     assert np.array_equal(s.argmax, index_to_assignment(int(np.argmax(vals)), n))
 
 
+@st.composite
+def integer_weight_graphs(draw, max_n):
+    """Graphs on 0..max_n vertices with small integer weights (zeros kept as
+    explicit pairs), so every cut value is exact and optima tie often."""
+    n = draw(st.integers(0, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = rng.random(len(pairs)) < draw(st.sampled_from([0.1, 0.5, 1.0]))
+    weights = rng.integers(-2, 3, size=len(pairs))
+    return WeightedGraph.from_edges(n, [(u, v, float(w)) for (u, v), w, k in zip(pairs, weights, keep) if k])
+
+
+def assert_brute_force_matches_half_space(g):
+    """brute_force against every cut value of the half-space, read at once."""
+    n = g.vertex_count
+    s = brute_force(g)
+    if n == 0:
+        assert (s.max_value, s.min_value, s.optimum_count, s.argmax.shape) == (0.0, 0.0, 1, (0,))
+        return
+    vals = cut_values_for_indices(g, np.arange(1 << (n - 1), dtype=np.int64))
+    assert s.max_value == vals.max()
+    assert s.min_value == vals.min()
+    assert s.optimum_count == np.count_nonzero(vals == vals.max())
+    assert np.array_equal(s.argmax, index_to_assignment(int(np.argmax(vals)), n))
+
+
+@settings(deadline=None, max_examples=60)
+@given(integer_weight_graphs(22))
+def test_brute_force_matches_half_space_enumeration(g):
+    # from n = 18 the half-space spans several 2^16 blocks
+    assert_brute_force_matches_half_space(g)
+
+
+@pytest.mark.parametrize("block_bits", [0, 1, 3])
+@settings(deadline=None)
+@given(integer_weight_graphs(12))
+def test_brute_force_matches_half_space_with_small_blocks(block_bits, g):
+    # small blocks take the multi-prefix path at small n
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "ORACLE_BLOCK_BITS", block_bits)
+        assert_brute_force_matches_half_space(g)
+
+
 def test_brute_force_cap():
     g = WeightedGraph.from_edges(5, [(0, 1, 1.0)])
     with pytest.raises(ValueError):
@@ -279,6 +331,22 @@ def test_qubo_equivalence_exhaustive():
             x = np.array(bits)
             a = np.concatenate([[False], x])
             assert cut_value(g, a) == pytest.approx(q.objective(x) + offset, abs=1e-9)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_qubo_equivalence_property(data):
+    n = data.draw(st.integers(1, 7))
+    index = st.integers(0, n - 1)
+    coefficient = st.one_of(st.integers(-3, 3).map(float), st.floats(-10, 10))
+    q = QuboProblem.from_entries(n, data.draw(st.lists(st.tuples(index, index, coefficient), max_size=20)))
+    g, offset = qubo_to_maxcut(q)
+    assert g.vertex_count == n + 1
+    xs = np.array(list(itertools.product([False, True], repeat=n)))
+    cuts = cut_value_batch(g, np.column_stack((np.zeros(len(xs), dtype=bool), xs)))
+    scale = 1.0 + sum(abs(c) for _, c in q.coefficients)
+    for x, cut in zip(xs, cuts):
+        assert cut == pytest.approx(q.objective(x) + offset, abs=1e-12 * scale)
 
 
 def test_dense_closure_small_cases():

@@ -120,10 +120,23 @@ def test_stage_errors_are_labeled():
         # reduced 2-vertex instance has average degree 1: estimate undefined
         run_pipeline(g, 2, subsolver="qaoa-sim", n_samples=10, seed=0)
     assert err.value.stage == "solve"
+    message = str(err.value)
+    assert "reduced size 2 has average degree 1 <= 1" in message
+    # target 3, shrunk with the same correlations, is the smallest that works
+    assert "target 3 reduces to average degree 2" in message
+    run_pipeline(g, 3, subsolver="qaoa-sim", n_samples=10, seed=0)
     with pytest.raises(ValueError):
         run_pipeline(g, 0, subsolver="exact")
     with pytest.raises(ValueError):
         run_pipeline(g, 3, subsolver="annealer")
+
+
+def test_low_degree_error_says_when_no_target_works():
+    # one edge among four vertices: no reduction reaches average degree > 1
+    g = build(4, [(0, 1)], [1.0])
+    with pytest.raises(PipelineError, match="no target up to 4 reduces to average degree > 1") as err:
+        run_pipeline(g, 2, subsolver="qaoa-sim", correlation_mode="zero", n_samples=10, seed=0)
+    assert err.value.stage == "solve"
 
 
 @pytest.mark.parametrize("n_samples", [0, -3])

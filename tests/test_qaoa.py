@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from shrinkcut import (
     QaoaParams,
+    QaoaState,
     WeightedGraph,
     cut_value_batch,
     cut_values_for_indices,
@@ -307,3 +308,28 @@ def test_sample_from_deterministic_state():
     state.amplitudes = np.array([0.0, 1.0 + 0j])
     draws = sample_cuts(state, 50, seed=0)
     assert np.all(draws)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 12), st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1), st.integers(1, 200))
+def test_sample_draws_equal_generator_choice(n, state_seed, seed, k):
+    rng = np.random.default_rng(state_seed)
+    amplitudes = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    # some exact zeros give the cumulative sum flat steps
+    amplitudes[rng.random(1 << n) < 0.3] = 0.0
+    amplitudes[0] = 1.0
+    state = QaoaState(amplitudes, n)
+    probs = state.probabilities()
+    expected = np.random.default_rng(seed).choice(1 << n, size=k, p=probs / probs.sum())
+    draws = sample_cuts(state, k, seed)
+    assert draws.shape == (k, n)
+    assert np.array_equal(draws @ (1 << np.arange(n)), expected)
+
+
+@pytest.mark.parametrize(
+    "amplitudes, total",
+    [(np.array([0.5, np.nan, 0.5, 0.5]), "nan"), (np.zeros(4, dtype=complex), "0.0")],
+)
+def test_sample_rejects_state_without_finite_positive_total(amplitudes, total):
+    with pytest.raises(ValueError, match=f"total probability {total} is not finite and positive"):
+        sample_cuts(QaoaState(amplitudes.astype(complex), 2), 10, seed=0)

@@ -122,9 +122,11 @@ def test_triangle_rows_match_per_pair_fill(case):
     assert np.array_equal(rhs, ref_rhs)
 
 
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+# below the simplex's 1e-6 feasibility tolerance (0 and 1e-7) a row already in
+# the model can count as violated, and separation stalls
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, 0.0, 1e-7])
 def test_relaxation_rejects_bad_tol(tol):
-    with pytest.raises(ValueError, match="tol"):
+    with pytest.raises(ValueError, match="tol must be finite and at least the simplex's feasibility tolerance 1e-06"):
         solve_cycle_relaxation(unit(3, complete_pairs(3)), tol)
 
 
