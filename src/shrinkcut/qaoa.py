@@ -49,27 +49,23 @@ def _probabilities(amp: np.ndarray) -> np.ndarray:
     return probs
 
 
-def _check_qubits(n: int, cap: int) -> None:
-    if n > cap:
-        raise ValueError(f"{n} qubits exceeds the statevector cap of {cap}")
-
-
-def qaoa_state(g: WeightedGraph, params: QaoaParams, max_qubits: int = STATEVECTOR_CAP) -> QaoaState:
+def qaoa_state(g: WeightedGraph, params: QaoaParams) -> QaoaState:
     """Statevector of the depth-1 circuit: phase by cut value, then one X
     rotation of angle 2*beta on every qubit, starting from the uniform state.
 
     The half with the top qubit 0 is simulated; the other half is its mirror
     image (see _evolve).
     """
-    half = _evolve(_spectrum(g, max_qubits), g.vertex_count, params)
+    half = _evolve(_spectrum(g), g.vertex_count, params)
     return QaoaState(np.concatenate((half, half[::-1])) if g.vertex_count else half, g.vertex_count)
 
 
-def _spectrum(g: WeightedGraph, max_qubits: int) -> np.ndarray:
+def _spectrum(g: WeightedGraph) -> np.ndarray:
     """Cut value of every basis state whose top qubit is 0 (the one state for
     n = 0), after checking the qubit cap. Flipping every vertex keeps a cut's
     value, so these 2^(n-1) values are the whole spectrum."""
-    _check_qubits(g.vertex_count, max_qubits)
+    if g.vertex_count > STATEVECTOR_CAP:
+        raise ValueError(f"{g.vertex_count} qubits exceeds the statevector cap of {STATEVECTOR_CAP}")
     return cut_values_for_indices(g, np.arange(1 << max(g.vertex_count - 1, 0), dtype=np.int64))
 
 
@@ -110,9 +106,9 @@ def _expectation(spectrum: np.ndarray, n: int, params: QaoaParams) -> float:
     return 2.0 * float(_probabilities(_evolve(spectrum, n, params)) @ spectrum)
 
 
-def expectation_statevector(g: WeightedGraph, params: QaoaParams, max_qubits: int = STATEVECTOR_CAP) -> float:
+def expectation_statevector(g: WeightedGraph, params: QaoaParams) -> float:
     """Exact expected cut value, sum_x |amp(x)|^2 C(x)."""
-    return _expectation(_spectrum(g, max_qubits), g.vertex_count, params)
+    return _expectation(_spectrum(g), g.vertex_count, params)
 
 
 def sample_cuts(state: QaoaState, n_samples: int, seed=None) -> np.ndarray:
@@ -246,21 +242,16 @@ class Landscape:
     min_value: float
 
 
-def grid_search(
-    g: WeightedGraph,
-    step: float,
-    evaluator: str = "analytic",
-    max_qubits: int = STATEVECTOR_CAP,
-) -> Landscape:
+def grid_search(g: WeightedGraph, step: float, evaluator: str = "analytic") -> Landscape:
     """Evaluate the expectation on a step-spaced grid over [0, pi/2]^2."""
-    if step <= 0:
-        raise ValueError("grid step must be positive")
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"grid step must be finite and positive, got {step}")
     count = int(math.floor(math.pi / 2.0 / step + 1e-12))
     points = step * np.arange(count + 1)
     if evaluator == "analytic":
         values = AnalyticExpectation(g).grid(points, points)
     elif evaluator == "statevector":
-        spectrum = _spectrum(g, max_qubits)
+        spectrum = _spectrum(g)
         values = np.empty((points.size, points.size))
         for i, gamma in enumerate(points):
             for j, beta in enumerate(points):

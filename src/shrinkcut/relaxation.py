@@ -141,9 +141,7 @@ def separate_triangles(
     return np.column_stack((t[triple], u[triple], v[triple], hit % 4 + 1))
 
 
-def solve_cycle_relaxation(
-    g: WeightedGraph, tol: float = DEFAULT_TOL, per_round_cap: int = PER_ROUND_CAP
-) -> FractionalSolution:
+def solve_cycle_relaxation(g: WeightedGraph, tol: float = DEFAULT_TOL) -> FractionalSolution:
     """Iterated LP solve + triangle separation on a complete (dense-closure) graph."""
     if not g.is_complete():
         raise ValueError("expected a dense closure (complete graph); apply dense_closure first")
@@ -151,9 +149,6 @@ def solve_cycle_relaxation(
         # the simplex meets rows only to FEAS_TOL, so below it a row already in
         # the model could count as violated and separation would stall
         raise ValueError(f"tol must be finite and at least the simplex's feasibility tolerance {FEAS_TOL:g}, got {tol}")
-    if per_round_cap < 1:
-        # separation would then drop violated cuts and stop short of the relaxation
-        raise ValueError(f"per_round_cap must be at least 1, got {per_round_cap}")
     n = g.vertex_count
     k = pair_count(n)
     if k == 0:
@@ -169,7 +164,7 @@ def solve_cycle_relaxation(
         x, value = lp_solve(problem)
         round_values.append(value)
         round_pivots.append(problem.tableau.pivots)
-        violated = separate_triangles(x, n, tol, per_round_cap)
+        violated = separate_triangles(x, n, tol)
         keys = list(map(tuple, violated.tolist()))
         fresh = violated[[key not in seen for key in keys]]
         if len(violated) and not len(fresh):

@@ -90,35 +90,6 @@ def zero_correlations(n: int) -> CorrelationSet:
     return _all_pairs(n, np.zeros(n * (n - 1) // 2))
 
 
-class SignedUnionFind:
-    """Union-find where each vertex carries a +-1 sign relative to its root."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.sign = [1] * n
-
-    def find(self, x: int) -> tuple[int, int]:
-        """Root of x and the product of signs along the path (path-compressed)."""
-        path = []
-        node = x
-        total = 1
-        while self.parent[node] != node:
-            path.append(node)
-            total *= self.sign[node]
-            node = self.parent[node]
-        suffix = total
-        for nd in path:
-            old = self.sign[nd]
-            self.parent[nd] = node
-            self.sign[nd] = suffix
-            suffix *= old  # signs are +-1, so this divides out the hop just passed
-        return node, total
-
-    def union_into(self, removed_root: int, kept_root: int, sign: int) -> None:
-        self.parent[removed_root] = kept_root
-        self.sign[removed_root] = sign
-
-
 @dataclass(frozen=True)
 class ShrinkRecord:
     """One contraction: removed merged into kept with the given sign.
@@ -148,42 +119,44 @@ class ShrinkState:
         self.original = graph
         n = graph.vertex_count
         self._w = np.array(graph.weight_matrix, copy=True)
-        self._active = np.ones(n, dtype=bool)
-        self._uf = SignedUnionFind(n)
+        # the contraction forest, flat: each original vertex's current
+        # super-vertex, and whether it sits on the side opposite that root
+        self._root = np.arange(n)
+        self._flip = np.zeros(n, dtype=bool)
         self.records: list[ShrinkRecord] = []
         self.offset = 0.0
 
     @property
     def reduced_size(self) -> int:
-        return int(np.count_nonzero(self._active))
+        return self._root.size - len(self.records)
+
+    def _check_super_vertex(self, *vertices: int) -> None:
+        for v in vertices:
+            if not (0 <= v < self._root.size) or self._root[v] != v:
+                raise ValueError(f"vertex {v} is not a current super-vertex")
 
     def active_vertices(self) -> np.ndarray:
         """Current super-vertex representatives, ascending; their order defines
-        the reduced graph's vertex numbering."""
-        return np.flatnonzero(self._active)
+        the reduced graph's vertex numbering: the vertices that are their own root."""
+        return np.flatnonzero(self._root == np.arange(self._root.size))
 
     @property
     def reduced(self) -> WeightedGraph:
         """The contracted instance; zero-weight pairs are dropped."""
         active = self.active_vertices()
-        pos = {int(a): i for i, a in enumerate(active)}
-        edges = []
-        for i, a in enumerate(active):
-            for b in active[i + 1 :]:
-                w = self._w[a, b]
-                if w != 0.0:
-                    edges.append((pos[int(a)], pos[int(b)], float(w)))
-        return WeightedGraph.from_edges(len(active), edges)
+        upper = np.triu(self._w[np.ix_(active, active)], 1)
+        u, v = np.nonzero(upper)
+        return WeightedGraph.from_edges(active.size, zip(u.tolist(), v.tolist(), upper[u, v].tolist()))
 
     def find(self, vertex: int) -> tuple[int, int]:
         """Super-vertex representative of an original vertex, with relative sign."""
-        return self._uf.find(vertex)
+        if not 0 <= vertex < self._root.size:
+            raise ValueError(f"vertex {vertex} outside [0, {self._root.size})")
+        return int(self._root[vertex]), -1 if self._flip[vertex] else 1
 
     def current_weight(self, u: int, v: int) -> float:
         """Dense-representation weight between two current super-vertices."""
-        for x in (u, v):
-            if not (0 <= x < self._active.size) or not self._active[x]:
-                raise ValueError(f"vertex {x} is not a current super-vertex")
+        self._check_super_vertex(u, v)
         return float(self._w[u, v])
 
     def contract(self, removed: int, kept: int, sign: int) -> None:
@@ -193,20 +166,21 @@ class ShrinkState:
             raise ValueError(f"sign must be +1 or -1, got {sign}")
         if removed == kept:
             raise ValueError("cannot contract a super-vertex with itself")
-        for v in (removed, kept):
-            if not (0 <= v < self._active.size) or not self._active[v]:
-                raise ValueError(f"vertex {v} is not a current super-vertex")
+        self._check_super_vertex(removed, kept)
         pair_weight = float(self._w[removed, kept])
-        delta = float(self._w[removed, self._active].sum()) if sign == -1 else 0.0
-        others = self._active.copy()
-        others[removed] = False
-        others[kept] = False
-        self._w[kept, others] += sign * self._w[removed, others]
-        self._w[others, kept] = self._w[kept, others]
-        self._w[removed, :] = 0.0
+        # summed over the current super-vertices only: zeros in between would
+        # regroup numpy's pairwise sum and can change the last bits
+        delta = float(self._w[removed, self.active_vertices()].sum()) if sign == -1 else 0.0
+        # contracted vertices' rows and columns are zero, so whole rows merge safely
+        self._w[kept] += sign * self._w[removed]
+        self._w[kept, kept] = 0.0
+        self._w[:, kept] = self._w[kept]
+        self._w[removed] = 0.0
         self._w[:, removed] = 0.0
-        self._active[removed] = False
-        self._uf.union_into(removed, kept, sign)
+        moved = self._root == removed
+        self._root[moved] = kept
+        if sign == -1:
+            self._flip[moved] ^= True
         self.offset += delta
         self.records.append(ShrinkRecord(kept, removed, sign, pair_weight, delta))
 
@@ -215,17 +189,13 @@ class ShrinkState:
         them, to the original graph.
 
         Each original vertex takes the side of its super-vertex, flipped when
-        its accumulated relative sign is -1. The lift map is rebuilt on every
-        call, since contract() changes it.
+        it sits opposite that super-vertex.
         """
         a = np.asarray(reduced_assignment, dtype=bool)
         size = self.reduced_size
         if a.ndim not in (1, 2) or a.shape[-1] != size:
             raise ValueError(f"assignment has shape {a.shape}, expected ({size},) or (k, {size})")
-        n = self.original.vertex_count
-        found = np.array([self._uf.find(v) for v in range(n)], dtype=np.int64).reshape(n, 2)
-        column = (np.cumsum(self._active) - 1)[found[:, 0]]
-        return a[..., column] ^ (found[:, 1] < 0)
+        return a[..., np.searchsorted(self.active_vertices(), self._root)] ^ self._flip
 
 
 def shrink_to_target(g: WeightedGraph, correlations: CorrelationSet, target: int) -> ShrinkState:
@@ -279,7 +249,10 @@ def parse_trace(text: str) -> list[tuple[int, int, int, float]]:
         parts = line.split()
         if len(parts) != 4:
             raise ValueError(f"trace line {line_no}: expected 'kept removed sign weight'")
-        steps.append((int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3])))
+        try:
+            steps.append((int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3])))
+        except ValueError:
+            raise ValueError(f"trace line {line_no}: malformed step {line!r}") from None
     return steps
 
 
@@ -288,7 +261,7 @@ def replay_trace(g: WeightedGraph, steps: list[tuple[int, int, int, float]]) -> 
     state = ShrinkState(g)
     for kept, removed, sign, weight in steps:
         current = state.current_weight(removed, kept)
-        if abs(current - weight) > 1e-9:
+        if not abs(current - weight) <= 1e-9:  # a NaN weight fails too
             raise ValueError(
                 f"trace mismatch at ({kept}, {removed}): recorded weight {weight}, current {current}"
             )

@@ -140,3 +140,12 @@ def test_zero_samples_fail(tmp_path, capsys):
     path, _ = write_instance(tmp_path)
     assert main(["pipeline", str(path), "--target", "4", "--samples", "0"]) == 1
     assert "n_samples" in capsys.readouterr().err
+
+
+def test_non_finite_landscape_step_fails(tmp_path, capsys):
+    path, _ = write_instance(tmp_path)
+    out = tmp_path / "landscape.csv"
+    for step in ("inf", "nan"):
+        assert main(["qaoa-landscape", str(path), "--step", step, "--out", str(out)]) == 1
+        assert f"grid step must be finite and positive, got {step}" in capsys.readouterr().err
+        assert not out.exists()

@@ -193,13 +193,18 @@ def test_sweep_rejects_oversized_instances():
 
 
 def lift_and_score_per_row(g, state, samples):
-    """Reference: lift each sample by union-find lookups, score each row alone."""
-    pos = {int(r): i for i, r in enumerate(state.active_vertices())}
+    """Reference: lift each sample by walking the recorded contractions from
+    every vertex up to its surviving super-vertex, score each row alone."""
+    link = {r.removed: (r.kept, r.sign) for r in state.records}
+    pos = {v: i for i, v in enumerate(v for v in range(g.vertex_count) if v not in link)}
     lifted = np.zeros((len(samples), g.vertex_count), dtype=bool)
     for k, row in enumerate(samples):
         for vertex in range(g.vertex_count):
-            root, sign = state.find(vertex)
-            lifted[k, vertex] = bool(row[pos[root]]) ^ (sign < 0)
+            node, flip = vertex, False
+            while node in link:
+                node, sign = link[node]
+                flip ^= sign < 0
+            lifted[k, vertex] = bool(row[pos[node]]) ^ flip
     return lifted, np.array([cut_value_batch(g, row[None, :])[0] for row in lifted])
 
 

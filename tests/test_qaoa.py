@@ -248,8 +248,9 @@ def test_grid_search_flat_landscape():
 
 
 def test_grid_search_rejects_bad_step():
-    with pytest.raises(ValueError):
-        grid_search(K2, 0.0)
+    for step in (0.0, -0.1, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match=f"grid step must be finite and positive, got {step}"):
+            grid_search(K2, step)
     with pytest.raises(ValueError):
         grid_search(K2, 0.1, "quantum-hardware")
 

@@ -130,12 +130,6 @@ def test_relaxation_rejects_bad_tol(tol):
         solve_cycle_relaxation(unit(3, complete_pairs(3)), tol)
 
 
-@pytest.mark.parametrize("cap", [0, -1])
-def test_relaxation_rejects_cap_below_one(cap):
-    with pytest.raises(ValueError, match="per_round_cap"):
-        solve_cycle_relaxation(unit(3, complete_pairs(3)), per_round_cap=cap)
-
-
 @pytest.mark.parametrize("scale", [1e-12, 1e-9, 1.0, 1e9])
 def test_relaxation_bound_independent_of_weight_scale(scale):
     # a path of two tiny edges must not fall under the simplex's cost tolerance

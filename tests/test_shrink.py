@@ -22,7 +22,7 @@ from shrinkcut import (
 from shrinkcut.graph import index_to_assignment
 from shrinkcut.instances import random_weighted_graph
 from shrinkcut.relaxation import iter_pairs
-from shrinkcut.shrink import ShrinkState, SignedUnionFind
+from shrinkcut.shrink import ShrinkState
 
 
 def random_correlations(n, rng):
@@ -54,17 +54,22 @@ def test_correlations_from_relaxation_endpoints():
     assert corr[(0, 1)] == pytest.approx(-1.0)
 
 
-def test_signed_union_find_composes_signs():
-    uf = SignedUnionFind(4)
-    uf.union_into(0, 1, -1)
-    uf.union_into(1, 2, -1)
-    root, sign = uf.find(0)
-    assert root == 2
-    assert sign == 1  # two flips cancel
-    root, sign = uf.find(1)
-    assert sign == -1
-    # compression keeps answers stable
-    assert uf.find(0) == (2, 1)
+def test_find_composes_signs():
+    state = ShrinkState(WeightedGraph.from_edges(4, []))
+    state.contract(0, 1, -1)
+    state.contract(1, 2, -1)
+    assert state.find(0) == (2, 1)  # two flips cancel
+    assert state.find(1) == (2, -1)
+    assert state.find(2) == (2, 1)
+    assert state.find(3) == (3, 1)
+
+
+@pytest.mark.parametrize("vertex", [-1, 4, 5])
+def test_find_rejects_vertex_outside_graph(vertex):
+    state = ShrinkState(WeightedGraph.from_edges(4, []))
+    state.contract(3, 0, -1)
+    with pytest.raises(ValueError, match=rf"vertex {vertex} outside \[0, 4\)"):
+        state.find(vertex)
 
 
 def test_contract_weight_merging():
@@ -219,10 +224,17 @@ def test_trace_round_trip_and_replay():
     replayed = replay_trace(g, steps)
     assert replayed.offset == pytest.approx(state.offset)
     assert replayed.reduced == state.reduced
-    # forged weight is rejected
+    # forged weights are rejected, a NaN one too
     kept, removed, sign, w = steps[0]
-    with pytest.raises(ValueError):
-        replay_trace(g, [(kept, removed, sign, w + 1.0)])
+    for forged in (w + 1.0, float("nan")):
+        with pytest.raises(ValueError, match=f"trace mismatch at \\({kept}, {removed}\\): recorded weight {forged}"):
+            replay_trace(g, [(kept, removed, sign, forged), *steps[1:]])
+
+
+@pytest.mark.parametrize("line", ["1 x -1 2.5", "1 0 -1.0 2.5", "1 0 -1 heavy"])
+def test_parse_trace_reports_malformed_fields_with_line_number(line):
+    with pytest.raises(ValueError, match=f"^trace line 3: malformed step '{line}'$"):
+        parse_trace("# kept removed sign weight\n2 3 1 0\n" + line + "\n")
 
 
 def test_removed_roots_never_reappear():
@@ -236,14 +248,21 @@ def test_removed_roots_never_reappear():
         seen_removed.add(rec.removed)
 
 
-def lift_by_find(state, samples):
-    """Reference lift: one union-find lookup per vertex and sample."""
-    pos = {int(r): i for i, r in enumerate(state.active_vertices())}
-    out = np.zeros((len(samples), state.original.vertex_count), dtype=bool)
+def lift_by_replay(state, samples):
+    """Reference lift built from the records alone: each removed super-vertex
+    links to the one it merged into with the contraction's sign, and every
+    vertex walks its links up to a survivor, one vertex and sample at a time."""
+    n = state.original.vertex_count
+    link = {r.removed: (r.kept, r.sign) for r in state.records}
+    pos = {v: i for i, v in enumerate(v for v in range(n) if v not in link)}
+    out = np.zeros((len(samples), n), dtype=bool)
     for k, row in enumerate(samples):
-        for vertex in range(state.original.vertex_count):
-            root, sign = state.find(vertex)
-            out[k, vertex] = bool(row[pos[root]]) ^ (sign < 0)
+        for vertex in range(n):
+            node, flip = vertex, False
+            while node in link:
+                node, sign = link[node]
+                flip ^= sign < 0
+            out[k, vertex] = bool(row[pos[node]]) ^ flip
     return out
 
 
@@ -269,7 +288,16 @@ def test_batched_lift_matches_per_row_lift(case):
     _, state, samples = case
     lifted = state.reconstruct(samples)
     assert np.array_equal(lifted, np.stack([state.reconstruct(row) for row in samples]))
-    assert np.array_equal(lifted, lift_by_find(state, samples))
+    assert np.array_equal(lifted, lift_by_replay(state, samples))
+
+
+@settings(deadline=None)
+@given(shrunk_with_samples())
+def test_reduced_matches_pair_loop(case):
+    _, state, _ = case
+    active = state.active_vertices().tolist()
+    weights = [(i, j, state.current_weight(a, active[j])) for i, a in enumerate(active) for j in range(i + 1, len(active))]
+    assert state.reduced == WeightedGraph.from_edges(len(active), [e for e in weights if e[2] != 0.0])
 
 
 @settings(deadline=None)
