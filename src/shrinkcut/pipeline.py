@@ -21,7 +21,7 @@ from .graph import (
     cut_value_batch,
     dense_closure,
 )
-from .qaoa import STATEVECTOR_CAP, average_degree, estimate_parameters, qaoa_state, sample_cuts
+from .qaoa import STATEVECTOR_CAP, QaoaParams, average_degree, estimate_parameters, qaoa_state, sample_cuts
 from .relaxation import solve_cycle_relaxation
 from .shrink import (
     CorrelationSet, ShrinkState, correlations_from_relaxation, shrink_to_target, zero_correlations
@@ -57,6 +57,9 @@ class PipelineReport:
     c_min: float | None = None
     c_max: float | None = None
     approximation_ratio: float | None = None
+    # the (gamma, beta) the qaoa-sim subsolver ran at; None for other subsolvers
+    qaoa_gamma: float | None = None
+    qaoa_beta: float | None = None
     timings: dict[str, float] = field(default_factory=dict)
 
     def as_record(self) -> dict[str, str]:
@@ -80,6 +83,9 @@ class PipelineReport:
             rec["c_max"] = f"{self.c_max:.12g}"
         if self.approximation_ratio is not None:
             rec["approximation_ratio"] = f"{self.approximation_ratio:.12g}"
+        if self.qaoa_gamma is not None:
+            rec["qaoa_gamma"] = f"{self.qaoa_gamma:.12g}"
+            rec["qaoa_beta"] = f"{self.qaoa_beta:.12g}"
         rec["best_assignment"] = "".join("1" if b else "0" for b in self.best_assignment)
         for stage, seconds in self.timings.items():
             rec[f"time_{stage}"] = f"{seconds:.6f}"
@@ -93,11 +99,14 @@ def approximation_ratio(mean: float, c_min: float, c_max: float) -> float:
     return float(np.clip((mean - c_min) / (c_max - c_min), 0.0, 1.0))
 
 
-def _solve_reduced(reduced: WeightedGraph, subsolver: str, n_samples: int, seed) -> np.ndarray:
-    """Boolean assignment matrix sampled (or solved) on the reduced graph."""
+def _solve_reduced(
+    reduced: WeightedGraph, subsolver: str, n_samples: int, seed
+) -> tuple[np.ndarray, QaoaParams | None]:
+    """Boolean assignment matrix sampled (or solved) on the reduced graph, and
+    the QAOA parameters it was sampled at (None unless subsolver is qaoa-sim)."""
     if subsolver == "exact":
         summary = brute_force(reduced)
-        return summary.argmax[None, :]
+        return summary.argmax[None, :], None
     if subsolver == "qaoa-sim":
         if reduced.vertex_count > STATEVECTOR_CAP:
             raise ValueError(
@@ -105,10 +114,10 @@ def _solve_reduced(reduced: WeightedGraph, subsolver: str, n_samples: int, seed)
             )
         params = estimate_parameters(reduced)
         state = qaoa_state(reduced, params)
-        return sample_cuts(state, n_samples, seed)
+        return sample_cuts(state, n_samples, seed), params
     if subsolver == "coin":
         rng = np.random.default_rng(seed)
-        return rng.integers(0, 2, size=(n_samples, reduced.vertex_count)).astype(bool)
+        return rng.integers(0, 2, size=(n_samples, reduced.vertex_count)).astype(bool), None
     raise ValueError(f"unknown subsolver {subsolver!r}")
 
 
@@ -182,7 +191,7 @@ def run_pipeline(
 
     tic = time.perf_counter()
     try:
-        samples = _solve_reduced(reduced, subsolver, n_samples, seed)
+        samples, params = _solve_reduced(reduced, subsolver, n_samples, seed)
     except Exception as exc:
         cause = exc
         if subsolver == "qaoa-sim" and reduced.vertex_count <= STATEVECTOR_CAP and average_degree(reduced) <= 1.0:
@@ -226,6 +235,8 @@ def run_pipeline(
         c_min=c_min,
         c_max=c_max,
         approximation_ratio=ratio,
+        qaoa_gamma=params.gamma if params else None,
+        qaoa_beta=params.beta if params else None,
         timings=timings,
     )
 
@@ -286,7 +297,7 @@ def sweep_shrink_counts(
             reduced = state.reduced
             for subsolver in subsolvers:
                 cell_seed = int(master.integers(2**63))
-                samples = _solve_reduced(reduced, subsolver, n_samples, cell_seed)
+                samples, _ = _solve_reduced(reduced, subsolver, n_samples, cell_seed)
                 _, values = _lift_and_score(state, samples)
                 mean = float(values.mean())
                 ratio = approximation_ratio(mean, summary.min_value, summary.max_value)

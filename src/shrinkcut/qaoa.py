@@ -30,17 +30,22 @@ class QaoaParams:
 
 @dataclass(eq=False)
 class QaoaState:
-    """Complex amplitudes over the 2^n computational basis states.
-
-    Basis index x encodes the assignment: vertex i is on the True side iff
-    bit i of x is set.
+    """Amplitudes of the basis states whose top qubit is 0: 2^(n-1) of them, one
+    for n = 0. Basis index x puts vertex i on the True side iff bit i is set.
+    amp[x] = amp[~x] (see _evolve), so entry x stands for the bipartition {x, ~x}.
     """
 
     amplitudes: np.ndarray
     n: int
 
+    def __post_init__(self):
+        size = 1 << max(self.n - 1, 0)
+        if np.shape(self.amplitudes) != (size,):
+            raise ValueError(f"a {self.n}-qubit half state has {size} amplitudes, got shape {np.shape(self.amplitudes)}")
+
     def probabilities(self) -> np.ndarray:
-        return _probabilities(self.amplitudes)
+        """Each bipartition's probability, 2|amp|^2 (|amp|^2 for n = 0), summing to 1."""
+        return _probabilities(self.amplitudes) * (2.0 if self.n else 1.0)
 
 
 def _probabilities(amp: np.ndarray) -> np.ndarray:
@@ -51,26 +56,34 @@ def _probabilities(amp: np.ndarray) -> np.ndarray:
 
 def qaoa_state(g: WeightedGraph, params: QaoaParams) -> QaoaState:
     """Statevector of the depth-1 circuit: phase by cut value, then one X
-    rotation of angle 2*beta on every qubit, starting from the uniform state.
-
-    The half with the top qubit 0 is simulated; the other half is its mirror
-    image (see _evolve).
-    """
-    half = _evolve(_spectrum(g), g.vertex_count, params)
-    return QaoaState(np.concatenate((half, half[::-1])) if g.vertex_count else half, g.vertex_count)
+    rotation of angle 2*beta on every qubit, starting from the uniform state."""
+    return QaoaState(_evolve(_phase(g, params.gamma), g.vertex_count, params.beta), g.vertex_count)
 
 
-def _spectrum(g: WeightedGraph) -> np.ndarray:
-    """Cut value of every basis state whose top qubit is 0 (the one state for
-    n = 0), after checking the qubit cap. Flipping every vertex keeps a cut's
-    value, so these 2^(n-1) values are the whole spectrum."""
-    if g.vertex_count > STATEVECTOR_CAP:
-        raise ValueError(f"{g.vertex_count} qubits exceeds the statevector cap of {STATEVECTOR_CAP}")
-    return cut_values_for_indices(g, np.arange(1 << max(g.vertex_count - 1, 0), dtype=np.int64))
+def _phase(g: WeightedGraph, gamma: float) -> np.ndarray:
+    """2^(-n/2) exp(-i gamma C(x)) for every x whose top qubit is 0, built by
+    graph._cut_block's per-vertex doubling, multiplying unit phases where it
+    adds cut gains: the factor for setting bit k starts at
+    exp(-i gamma sum_j w[k, j]) and doubles by exp(2i gamma w[k, j]) per lower
+    bit j. Trigonometry runs on the O(n^2) weights only."""
+    n = g.vertex_count
+    if n > STATEVECTOR_CAP:
+        raise ValueError(f"{n} qubits exceeds the statevector cap of {STATEVECTOR_CAP}")
+    out = np.empty(1 << max(n - 1, 0), dtype=complex)
+    step = np.exp(2j * gamma * g.weight_matrix)
+    start = np.exp(-1j * gamma * g.weight_matrix.sum(axis=1))
+    out[0] = 2.0 ** (-n / 2.0)
+    for k in range(n - 1):
+        d = out[1 << k : 2 << k]
+        d[0] = start[k]
+        for j in range(k):
+            np.multiply(d[: 1 << j], step[k, j], out=d[1 << j : 2 << j])
+        d *= out[: 1 << k]
+    return out
 
 
-def _evolve(spectrum: np.ndarray, n: int, params: QaoaParams) -> np.ndarray:
-    """The depth-1 circuit on n qubits, on the basis states whose top qubit is 0.
+def _evolve(amp: np.ndarray, n: int, beta: float) -> np.ndarray:
+    """The X mixer on amp, the phased half with the top qubit 0 (overwritten).
 
     The uniform start state, the phase by cut value and the X mixer all
     commute with the global flip X^n, so amp[x] = amp[~x] throughout
@@ -80,58 +93,62 @@ def _evolve(spectrum: np.ndarray, n: int, params: QaoaParams) -> np.ndarray:
     c h - i s h[::-1]. The n - 1 low qubits rotate MIXER_BLOCK_QUBITS at a
     time: for the k qubits from qubit q up, the k-fold tensor power of the
     one-qubit rotation multiplies the middle axis of h reshaped to
-    (rest, 2^k, 2^q), one matrix product per block.
+    (rest, 2^k, 2^q), one matrix product per block into the one other buffer.
     """
-    # real cos and sin of the phase angle give exp(-i gamma C) without complex exp
-    phase = params.gamma * spectrum
-    scale = 2.0 ** (-n / 2.0)
-    amp = np.empty(spectrum.size, dtype=complex)
-    amp.real = scale * np.cos(phase)
-    amp.imag = -scale * np.sin(phase)
-    c = math.cos(params.beta)
-    s = math.sin(params.beta)
+    c, s = math.cos(beta), math.sin(beta)
+    buf = np.empty_like(amp)
     if n:
-        amp = c * amp - (1j * s) * amp[::-1]
+        np.multiply(amp[::-1], -1j * s, out=buf)
+        amp *= c
+        amp += buf
     rotation = np.array([[c, -1j * s], [-1j * s, c]])
     for q in range(0, n - 1, MIXER_BLOCK_QUBITS):
         k = min(MIXER_BLOCK_QUBITS, n - 1 - q)
         block = functools.reduce(np.kron, [rotation] * k)
-        amp = np.matmul(block, amp.reshape(-1, 1 << k, 1 << q)).reshape(-1)
+        if q:
+            shape = (-1, 1 << k, 1 << q)
+            np.matmul(block, amp.reshape(shape), out=buf.reshape(shape))
+        else:  # block is symmetric: one product from the right
+            np.matmul(amp.reshape(-1, 1 << k), block, out=buf.reshape(-1, 1 << k))
+        amp, buf = buf, amp
     return amp
 
 
-def _expectation(spectrum: np.ndarray, n: int, params: QaoaParams) -> float:
-    """sum_x p(x) C(x): twice the sum over the half, whose mirror image has the
-    same probabilities and cut values (for n = 0 the one value is C = 0)."""
-    return 2.0 * float(_probabilities(_evolve(spectrum, n, params)) @ spectrum)
+def _expectation(phase: np.ndarray, spectrum: np.ndarray, n: int, beta: float) -> float:
+    """sum_x p(x) C(x) from the half's cut values: twice the sum over the half, whose
+    mirror image has the same probabilities and cut values (for n = 0 C = 0)."""
+    return 2.0 * float(_probabilities(_evolve(phase, n, beta)) @ spectrum)
 
 
 def expectation_statevector(g: WeightedGraph, params: QaoaParams) -> float:
     """Exact expected cut value, sum_x |amp(x)|^2 C(x)."""
-    return _expectation(_spectrum(g), g.vertex_count, params)
+    phase = _phase(g, params.gamma)
+    return _expectation(phase, cut_values_for_indices(g, np.arange(phase.size)), g.vertex_count, params.beta)
 
 
 def sample_cuts(state: QaoaState, n_samples: int, seed=None) -> np.ndarray:
     """Draw i.i.d. assignments from the measurement distribution.
 
     Returns a (n_samples, n) boolean matrix; deterministic for a fixed seed.
-    The draws are those of Generator.choice(2^n, n_samples, p=probs/probs.sum()):
-    the same normalized cumulative sum, searched (side "right") for the same
-    rng.random stream, without choice's own passes over p. The stream is
-    searched in sorted order, so each search is bounded by the one before.
-    Raises ValueError when the total probability is not finite and positive.
+    The bipartitions drawn are Generator.choice(2^(n-1), n_samples, p=probs/probs.sum())'s:
+    the same cumulative sum, searched (side "right") in sorted order for the
+    same rng.random stream. The generator's next n_samples uniforms then flip
+    all n bits of a draw with probability 1/2, as amp[x] = amp[~x]. Raises
+    ValueError when the total probability is not finite and positive.
     """
-    cdf = state.probabilities()
+    cdf = _probabilities(state.amplitudes)
     total = cdf.sum()
     if not (np.isfinite(total) and total > 0.0):
         raise ValueError(f"total probability {total} is not finite and positive")
     cdf /= total
     np.cumsum(cdf, out=cdf)
     cdf /= cdf[-1]
-    uniform = np.random.default_rng(seed).random(n_samples)
+    rng = np.random.default_rng(seed)
+    uniform = rng.random(n_samples)
     order = np.argsort(uniform)
     draws = np.empty(n_samples, dtype=np.int64)
     draws[order] = cdf.searchsorted(uniform[order], side="right")
+    draws[rng.random(n_samples) < 0.5] ^= (1 << state.n) - 1
     return ((draws[:, None] >> np.arange(state.n)) & 1).astype(bool)
 
 
@@ -251,11 +268,12 @@ def grid_search(g: WeightedGraph, step: float, evaluator: str = "analytic") -> L
     if evaluator == "analytic":
         values = AnalyticExpectation(g).grid(points, points)
     elif evaluator == "statevector":
-        spectrum = _spectrum(g)
         values = np.empty((points.size, points.size))
         for i, gamma in enumerate(points):
+            phase = _phase(g, gamma)
+            spectrum = cut_values_for_indices(g, np.arange(phase.size))
             for j, beta in enumerate(points):
-                values[i, j] = _expectation(spectrum, g.vertex_count, QaoaParams(gamma, beta))
+                values[i, j] = _expectation(phase.copy(), spectrum, g.vertex_count, beta)
     else:
         raise ValueError(f"unknown evaluator {evaluator!r}")
     flat = int(np.argmax(values))

@@ -1,6 +1,6 @@
 import numpy as np
 
-from shrinkcut import dense_closure, solve_cycle_relaxation
+from shrinkcut import dense_closure, estimate_parameters, shrink_to_target, solve_cycle_relaxation, zero_correlations
 from shrinkcut.cli import main
 from shrinkcut.graph import format_instance, parse_instance
 from shrinkcut.instances import build, grid_pairs, sign_weights
@@ -78,6 +78,19 @@ def test_pipeline_command(tmp_path, capsys):
     rec = record_of(out)
     assert rec["approximation_ratio"] == "1"
     assert report_path.read_text() == out
+
+
+def test_pipeline_record_carries_qaoa_parameters(tmp_path, capsys):
+    path, g = write_instance(tmp_path, rows=3, cols=3)
+    args = ["pipeline", str(path), "--target", "5", "--mode", "zero", "--samples", "50"]
+    assert main(args) == 0
+    rec = record_of(capsys.readouterr().out)
+    params = estimate_parameters(shrink_to_target(g, zero_correlations(9), 5).reduced)
+    assert rec["qaoa_gamma"] == f"{params.gamma:.12g}"
+    assert rec["qaoa_beta"] == f"{params.beta:.12g}"
+    assert main(args + ["--subsolver", "coin"]) == 0
+    rec = record_of(capsys.readouterr().out)
+    assert "qaoa_gamma" not in rec and "qaoa_beta" not in rec
 
 
 def test_sweep_command(tmp_path, capsys):

@@ -213,7 +213,8 @@ def test_batched_lift_reproduces_per_row_reference():
     for subsolver in ("qaoa-sim", "coin"):
         report = run_pipeline(g, 5, subsolver=subsolver, correlation_mode="zero", n_samples=300, seed=4)
         state = shrink_to_target(g, zero_correlations(g.vertex_count), 5)
-        lifted, values = lift_and_score_per_row(g, state, _solve_reduced(state.reduced, subsolver, 300, 4))
+        samples, _ = _solve_reduced(state.reduced, subsolver, 300, 4)
+        lifted, values = lift_and_score_per_row(g, state, samples)
         best = int(np.argmax(values))
         assert report.mean_cut_value == float(values.mean())
         assert report.best_cut_value == values[best]
@@ -230,7 +231,7 @@ def test_batched_lift_reproduces_per_row_reference():
         for deleted in (0, 1, 2):
             state = shrink_to_target(g, correlations, g.vertex_count - deleted)
             for subsolver in subsolvers:
-                samples = _solve_reduced(state.reduced, subsolver, 300, int(master.integers(2**63)))
+                samples, _ = _solve_reduced(state.reduced, subsolver, 300, int(master.integers(2**63)))
                 _, values = lift_and_score_per_row(g, state, samples)
                 mean = float(values.mean())
                 ratio = approximation_ratio(mean, summary.min_value, summary.max_value)

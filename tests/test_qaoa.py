@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from shrinkcut.instances import (
     sign_weights,
     unit,
 )
+from shrinkcut.qaoa import _phase
 
 K2 = WeightedGraph.from_edges(2, [(0, 1, 1.0)])
 
@@ -63,7 +65,40 @@ def butterfly_state(g, params):
 def test_blocked_mixer_matches_butterfly(g, gamma, beta):
     # n = 0..12 covers fewer qubits than one mixer block and partial last blocks
     p = QaoaParams(gamma, beta)
-    np.testing.assert_allclose(qaoa_state(g, p).amplitudes, butterfly_state(g, p), rtol=0, atol=1e-12)
+    full = butterfly_state(g, p)
+    # the full state is its own mirror image, amp[x] = amp[~x], so its first
+    # half (top qubit 0) is all of it
+    np.testing.assert_allclose(full, full[::-1], rtol=0, atol=1e-12)
+    half = qaoa_state(g, p).amplitudes
+    assert half.size == 1 << max(g.vertex_count - 1, 0)
+    np.testing.assert_allclose(half, full[: half.size], rtol=0, atol=1e-12)
+
+
+def random_edges(n, scale, rng):
+    return [(u, v, float(rng.uniform(-scale, scale))) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.7]
+
+
+def phase_reference(g, gamma):
+    half = 1 << max(g.vertex_count - 1, 0)
+    return 2.0 ** (-g.vertex_count / 2.0) * np.exp(-1j * gamma * cut_values_for_indices(g, np.arange(half)))
+
+
+@settings(deadline=None)
+@given(st.integers(0, 14), st.floats(0.0, 10.0), angles, st.integers(0, 2**32 - 1))
+def test_phase_products_equal_exp_of_spectrum(n, scale, gamma, seed):
+    g = WeightedGraph.from_edges(n, random_edges(n, scale, np.random.default_rng(seed)))
+    # every entry has modulus 2^(-n/2), so rtol bounds each one's relative error
+    np.testing.assert_allclose(_phase(g, gamma), phase_reference(g, gamma), rtol=1e-12, atol=0)
+
+
+def test_phase_and_state_at_20_qubits():
+    # the longest product chains the benchmark's 20-qubit reductions build
+    g = WeightedGraph.from_edges(20, random_edges(20, 3.0, np.random.default_rng(20)))
+    p = estimate_parameters(g)
+    np.testing.assert_allclose(_phase(g, p.gamma), phase_reference(g, p.gamma), rtol=1e-12, atol=0)
+    half = qaoa_state(g, p).amplitudes
+    full = butterfly_state(g, p)
+    assert np.abs(half - full[: half.size]).max() <= 1e-12 * np.abs(full).max()
 
 
 @settings(deadline=None)
@@ -84,7 +119,9 @@ def test_zero_gamma_distribution_uniform_for_any_beta():
     rng = np.random.default_rng(1)
     g = random_weighted_graph(4, 0.7, rng)
     state = qaoa_state(g, QaoaParams(0.0, 1.234))
-    assert np.allclose(state.probabilities(), 1.0 / 16.0, atol=1e-12)
+    # 8 bipartitions of 4 vertices, each two of the 16 equally likely assignments
+    assert state.probabilities().size == 8
+    assert np.allclose(state.probabilities(), 1.0 / 8.0, atol=1e-12)
 
 
 def test_state_normalized():
@@ -93,7 +130,9 @@ def test_state_normalized():
         g = random_weighted_graph(6, 0.5, rng)
         gamma, beta = rng.uniform(0, math.pi / 2, size=2)
         state = qaoa_state(g, QaoaParams(gamma, beta))
-        assert np.abs(state.amplitudes).sum() > 0
+        assert state.amplitudes.size == 32
+        # the half holds half of the norm; the mirror image holds the rest
+        assert np.sum(np.abs(state.amplitudes) ** 2) == pytest.approx(0.5, abs=1e-9)
         assert np.sum(state.probabilities()) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -106,8 +145,8 @@ def test_statevector_cap():
 def test_k2_concentrates_on_optimal_cuts():
     state = qaoa_state(K2, QaoaParams(math.pi / 2, math.pi / 8))
     probs = state.probabilities()
-    # indices 1 and 2 are the two maximum cuts of a single edge
-    assert probs[1] + probs[2] == pytest.approx(1.0, abs=1e-12)
+    # half index 1 is the bipartition {1, 2}: the two maximum cuts of a single edge
+    assert probs[1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_expectation_at_zero_gamma_is_half_total():
@@ -297,34 +336,57 @@ def test_sample_mean_tracks_expectation():
     draws = sample_cuts(state, n_samples, seed=99)
     mean = cut_value_batch(g, draws).mean()
     expectation = expectation_statevector(g, p)
-    spectrum = cut_values_for_indices(g, np.arange(1 << 6))
+    spectrum = cut_values_for_indices(g, np.arange(1 << 5))
     variance = float(state.probabilities() @ (spectrum - expectation) ** 2)
     assert abs(mean - expectation) <= 3.0 * math.sqrt(variance / n_samples)
 
 
 def test_sample_from_deterministic_state():
-    g = WeightedGraph.from_edges(1, [])
-    state = qaoa_state(g, QaoaParams(0.0, 0.0))
-    # one qubit, uniform: force a point mass instead
-    state.amplitudes = np.array([0.0, 1.0 + 0j])
+    # a point mass on half index 2 = 010: the bipartition {010, 101}
+    state = QaoaState(np.array([0.0, 0.0, 1.0, 0.0], dtype=complex), 3)
     draws = sample_cuts(state, 50, seed=0)
-    assert np.all(draws)
+    assert set((draws @ (1 << np.arange(3))).tolist()) == {2, 5}
 
 
 @settings(deadline=None)
 @given(st.integers(0, 12), st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1), st.integers(1, 200))
 def test_sample_draws_equal_generator_choice(n, state_seed, seed, k):
+    size = 1 << max(n - 1, 0)
     rng = np.random.default_rng(state_seed)
-    amplitudes = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    amplitudes = rng.normal(size=size) + 1j * rng.normal(size=size)
     # some exact zeros give the cumulative sum flat steps
-    amplitudes[rng.random(1 << n) < 0.3] = 0.0
+    amplitudes[rng.random(size) < 0.3] = 0.0
     amplitudes[0] = 1.0
     state = QaoaState(amplitudes, n)
     probs = state.probabilities()
-    expected = np.random.default_rng(seed).choice(1 << n, size=k, p=probs / probs.sum())
+    expected = np.random.default_rng(seed).choice(size, size=k, p=probs / probs.sum())
     draws = sample_cuts(state, k, seed)
     assert draws.shape == (k, n)
+    # undo the flip: a draw with the top vertex set is the complement of its half index
+    if n:
+        draws ^= draws[:, n - 1 :]
     assert np.array_equal(draws @ (1 << np.arange(n)), expected)
+
+
+def test_sample_frequencies_match_bipartition_probabilities():
+    g = random_weighted_graph(5, 0.8, np.random.default_rng(14))
+    state = qaoa_state(g, QaoaParams(0.6, 0.3))
+    n_samples = 100_000
+    draws = sample_cuts(state, n_samples, seed=15)
+    # the top vertex is on the True side exactly when the draw was flipped
+    flips = int(draws[:, 4].sum())
+    assert abs(flips - n_samples / 2) <= 5.0 * math.sqrt(n_samples / 4)
+    draws ^= draws[:, 4:]
+    counts = np.bincount(draws @ (1 << np.arange(5)), minlength=16)
+    p = state.probabilities()
+    assert np.all(np.abs(counts - n_samples * p) <= 5.0 * np.sqrt(n_samples * p * (1 - p)))
+
+
+@pytest.mark.parametrize("n, shape", [(3, (8,)), (3, (2,)), (0, (2,)), (1, (2,)), (2, (1, 2))])
+def test_state_rejects_amplitudes_of_wrong_length(n, shape):
+    size = 1 << max(n - 1, 0)
+    with pytest.raises(ValueError, match=re.escape(f"a {n}-qubit half state has {size} amplitudes, got shape {shape}")):
+        QaoaState(np.zeros(shape, dtype=complex), n)
 
 
 @pytest.mark.parametrize(
@@ -333,4 +395,4 @@ def test_sample_draws_equal_generator_choice(n, state_seed, seed, k):
 )
 def test_sample_rejects_state_without_finite_positive_total(amplitudes, total):
     with pytest.raises(ValueError, match=f"total probability {total} is not finite and positive"):
-        sample_cuts(QaoaState(amplitudes.astype(complex), 2), 10, seed=0)
+        sample_cuts(QaoaState(amplitudes.astype(complex), 3), 10, seed=0)
