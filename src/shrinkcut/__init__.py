@@ -48,7 +48,7 @@ from .relaxation import (
     LpProblem,
     format_solution,
     lp_solve,
-    separate_triangles,
+    separate_odd_cycles,
     solve_cycle_relaxation,
 )
 from .shrink import (

@@ -14,7 +14,6 @@ from .graph import (
     BRUTE_FORCE_CAP,
     ParseError,
     brute_force,
-    dense_closure,
     format_instance,
     format_summary,
     parse_instance,
@@ -66,8 +65,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_relax(args) -> int:
-    g = dense_closure(_load(args.instance))
-    sol = solve_cycle_relaxation(g, args.tol)
+    sol = solve_cycle_relaxation(_load(args.instance), args.tol)
     _emit(
         {
             "vertices": str(sol.n),
@@ -86,7 +84,7 @@ def cmd_relax(args) -> int:
 def cmd_shrink(args) -> int:
     g = _load(args.instance)
     if args.mode == "relaxation":
-        correlations = correlations_from_relaxation(solve_cycle_relaxation(dense_closure(g), args.tol))
+        correlations = correlations_from_relaxation(solve_cycle_relaxation(g, args.tol))
     else:
         correlations = zero_correlations(g.vertex_count)
     state = shrink_to_target(g, correlations, args.target)
@@ -186,10 +184,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=BRUTE_FORCE_CAP)
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("relax", help="solve the triangle relaxation on the dense closure")
+    p = sub.add_parser("relax", help="solve the odd-cycle relaxation on the instance's edges")
     p.add_argument("instance")
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--solution-out", help="write the fractional point as 'u v value' lines")
+    p.add_argument("--solution-out", help="write the fractional point as one 'u v value' line per edge")
     p.set_defaults(func=cmd_relax)
 
     p = sub.add_parser("shrink", help="contract the instance to a target size")

@@ -92,9 +92,6 @@ class WeightedGraph:
     def total_weight(self) -> float:
         return float(sum(w for _, _, w in self.edges))
 
-    def is_complete(self) -> bool:
-        return self.edge_count == self.vertex_count * (self.vertex_count - 1) // 2
-
 
 @dataclass(frozen=True)
 class QuboProblem:

@@ -19,7 +19,6 @@ from .graph import (
     WeightedGraph,
     brute_force,
     cut_value_batch,
-    dense_closure,
 )
 from .qaoa import STATEVECTOR_CAP, QaoaParams, average_degree, estimate_parameters, qaoa_state, sample_cuts
 from .relaxation import solve_cycle_relaxation
@@ -172,7 +171,7 @@ def run_pipeline(
     tic = time.perf_counter()
     try:
         if correlation_mode == "relaxation":
-            solution = solve_cycle_relaxation(dense_closure(g), lp_tol)
+            solution = solve_cycle_relaxation(g, lp_tol)
             upper_bound = solution.objective_value
             correlations: CorrelationSet = correlations_from_relaxation(solution)
         else:
@@ -284,7 +283,7 @@ def sweep_shrink_counts(
     per_mode: dict[str, CorrelationSet] = {}
     for mode in correlation_modes:
         if mode == "relaxation":
-            per_mode[mode] = correlations_from_relaxation(solve_cycle_relaxation(dense_closure(g), lp_tol))
+            per_mode[mode] = correlations_from_relaxation(solve_cycle_relaxation(g, lp_tol))
         elif mode == "zero":
             per_mode[mode] = zero_correlations(n)
         else:

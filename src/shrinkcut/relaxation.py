@@ -1,12 +1,21 @@
-"""Cycle relaxation of MaxCut on a dense closure, via triangle separation.
+"""Cycle relaxation of MaxCut on the instance's own edges, via odd-cycle separation.
 
-The LP has one variable per vertex pair with bounds [0, 1] and is tightened
-iteratively: solve, enumerate all triangles for violated inequalities, add the
-most violated ones, repeat until none is violated beyond tolerance. Each
-re-solve starts from the previous round's optimal basis (the LpProblem keeps
-the simplex tableau), since a round only appends rows. On a
-complete graph the triangle inequalities are exactly the odd-cycle
-inequalities, so the final objective upper-bounds the maximum cut.
+The LP has one variable x_e in [0, 1] per edge of the graph and is tightened
+iteratively: solve, find violated odd-cycle inequalities, append them, repeat
+until none is violated beyond tolerance. For a cycle C and an odd subset F of
+its edges the inequality reads x(F) - x(C \\ F) <= |F| - 1. Each re-solve
+starts from the previous round's optimal basis (the LpProblem keeps the
+simplex tableau), since a round only appends rows.
+
+Separation is exact. In the doubled graph on vertices (v, 0) and (v, 1), the
+even copy of edge uv joins (u, p) to (v, p) at length x_e and the odd copy
+joins (u, p) to (v, 1 - p) at length 1 - x_e. A (v, 0)-(v, 1) path of length
+d crosses an odd number of odd copies F, and its inequality is violated by
+1 - d. The projection of the metric polytope of the complete graph onto the
+edges is the cycle polytope (Barahona & Mahjoub, "On the cut polytope", Math.
+Prog. 36, 1986), so the bound equals the triangle relaxation of the dense
+closure: it upper-bounds the maximum cut and is exact on graphs with no K5
+minor.
 """
 
 from __future__ import annotations
@@ -19,56 +28,6 @@ from .graph import WeightedGraph
 from .simplex import FEAS_TOL, SimplexError, Tableau, solve_box_lp
 
 DEFAULT_TOL = 1e-6
-PER_ROUND_CAP = 500
-
-
-def pair_count(n: int) -> int:
-    return n * (n - 1) // 2
-
-
-def pair_index(u: int, v: int, n: int) -> int:
-    """Flat index of pair (u, v), u < v, in lexicographic order."""
-    if not 0 <= u < v < n:
-        raise ValueError(f"({u}, {v}) is not a canonical pair for n={n}")
-    return u * (2 * n - u - 1) // 2 + (v - u - 1)
-
-
-def iter_pairs(n: int):
-    for u in range(n):
-        for v in range(u + 1, n):
-            yield u, v
-
-
-def pair_matrix(x: np.ndarray, n: int) -> np.ndarray:
-    """Symmetric n x n matrix holding x, indexed like iter_pairs(n), off the diagonal."""
-    m = np.zeros((n, n))
-    u, v = np.triu_indices(n, 1)
-    m[u, v] = x
-    m[v, u] = x
-    return m
-
-
-# Coefficients on pairs (t, u), (u, v), (t, v) of triangle variants 1..4; the
-# right-hand side is 0 for variants 1..3 and 2 for variant 4.
-_TRIANGLE_SIGNS = np.array([[1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0], [1.0, 1.0, 1.0]])
-
-
-def triangle_rows(cuts: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Dense (k, pair_count(n)) coefficient rows and right-hand sides of triangle cuts.
-
-    cuts is a (k, 4) int array of (t, u, v, variant) rows, t < u < v: variants
-    1..3 bound each pair variable by the sum of the other two
-    (x_tu - x_uv - x_tv <= 0 and its rotations); variant 4 is
-    x_tu + x_uv + x_tv <= 2.
-    """
-    t, u, v, variant = np.asarray(cuts).T
-    k = pair_count(n)
-    flat = pair_matrix(np.arange(k), n).astype(np.int64)  # pair_index of every pair
-    rows = np.zeros((t.size, k))
-    rows[np.arange(t.size)[:, None], np.column_stack((flat[t, u], flat[u, v], flat[t, v]))] = (
-        _TRIANGLE_SIGNS[variant - 1]
-    )
-    return rows, np.where(variant == 4, 2.0, 0.0)
 
 
 @dataclass
@@ -95,15 +54,17 @@ def lp_solve(problem: LpProblem) -> tuple[np.ndarray, float]:
 
 @dataclass(eq=False)
 class FractionalSolution:
-    """Optimal point of the triangle relaxation over all vertex pairs.
+    """Optimal point of the cycle relaxation on a graph's own edges.
 
-    x is indexed like iter_pairs(n); objective_value upper-bounds the maximum
+    ends is the graph's (k, 2) array of edge endpoints u < v and x holds one
+    value per edge in that order; objective_value upper-bounds the maximum
     cut; rounds counts LP solves (separation rounds, not simplex pivots),
     round_values records the (non-increasing) objective after each of them and
     round_pivots the simplex pivots each of them took.
     """
 
     n: int
+    ends: np.ndarray
     x: np.ndarray
     objective_value: float
     rounds: int
@@ -111,76 +72,111 @@ class FractionalSolution:
     round_values: tuple[float, ...]
     round_pivots: tuple[int, ...]
 
-    def x_of(self, u: int, v: int) -> float:
-        if u > v:
-            u, v = v, u
-        return float(self.x[pair_index(u, v, self.n)])
 
-    def to_matrix(self) -> np.ndarray:
-        return pair_matrix(self.x, self.n)
+def edge_ends(g: WeightedGraph) -> np.ndarray:
+    """(k, 2) int array of g's edge endpoints, in g's edge order."""
+    return np.array([(u, v) for u, v, _ in g.edges], dtype=np.int64).reshape(-1, 2)
 
 
-def separate_triangles(
-    x: np.ndarray, n: int, tol: float = DEFAULT_TOL, cap: int = PER_ROUND_CAP
-) -> np.ndarray:
-    """All triangle inequalities violated by more than tol, most violated first,
-    as a (k, 4) int array of (t, u, v, variant) rows (see triangle_rows).
+def separate_odd_cycles(
+    x: np.ndarray, ends: np.ndarray, n: int, tol: float = DEFAULT_TOL
+) -> tuple[np.ndarray, np.ndarray]:
+    """Violated odd-cycle inequalities of the point x on the edges ends, as
+    dense (r, k) rows and right-hand sides, most violated first.
 
-    Ties are broken by (t, u, v, variant); at most cap constraints are
-    returned per call to bound LP growth.
+    For every vertex v a shortest (v, 0)-(v, 1) path of the doubled graph
+    (see the module docstring) comes from one Floyd-Warshall pass that keeps
+    next hops. A path shorter than 1 - tol whose vertices are distinct in the
+    graph is a simple odd cycle: +1 on its odd-copy edges F, -1 on the rest,
+    right-hand side |F| - 1. Repeats of one cycle are returned once; ties in
+    violation keep the order of v. An odd closed walk splits into a simple
+    odd cycle and even closed walks of non-negative length, so some shortest
+    violated walk is a simple cycle and rows come back whenever x violates
+    an odd-cycle inequality by more than tol; should every path found repeat
+    a vertex, SimplexError is raised instead of reporting no violation.
     """
-    m = pair_matrix(x, n)
-    r = np.arange(n)
-    # nonzero walks the mask in C order, so the triples come out lexicographic
-    t, u, v = np.nonzero((r[:, None, None] < r[:, None]) & (r[:, None] < r))
-    a, bv, cv = m[t, u], m[u, v], m[t, v]
-    lhs = np.column_stack((a - bv - cv, -a + bv - cv, -a - bv + cv, a + bv + cv - 2.0)).ravel()
-    hit = np.flatnonzero(lhs > tol)
-    hit = hit[np.argsort(-lhs[hit], kind="stable")][:cap]
-    triple = hit // 4
-    return np.column_stack((t[triple], u[triple], v[triple], hit % 4 + 1))
+    k = len(ends)
+    x = np.clip(x, 0.0, 1.0)
+    u, v = ends.T
+    # node v + p * n is (v, p); hop[i, j] is the node after i on a shortest i-j path
+    size = 2 * n
+    dist = np.full((size, size), np.inf)
+    np.fill_diagonal(dist, 0.0)
+    hop = np.tile(np.arange(size), (size, 1))
+    for p in (0, 1):
+        a, even, odd = u + p * n, v + p * n, v + (1 - p) * n
+        dist[a, even] = dist[even, a] = x
+        dist[a, odd] = dist[odd, a] = 1.0 - x
+    for m in range(size):
+        via = dist[:, m, None] + dist[m]
+        better = via < dist
+        dist = np.where(better, via, dist)
+        hop = np.where(better, hop[:, m, None], hop)
+
+    length = dist[np.arange(n), np.arange(n) + n]
+    start = np.flatnonzero(length < 1.0 - tol)
+    start = start[np.argsort(length[start], kind="stable")]
+    stop = start + n
+    walk = [start]
+    while np.any(walk[-1] != stop):
+        walk.append(hop[walk[-1], stop])  # hop[j, j] == j, so finished walks stay put
+    walk = np.column_stack(walk)
+    moved = walk[:, 1:] != walk[:, :-1]
+    # a walk is a simple cycle when the vertices it leaves are distinct; padding
+    # gets labels n, n + 1, ... that never collide
+    labels = np.sort(np.where(moved, walk[:, :-1] % n, n + np.arange(moved.shape[1])), axis=1)
+    simple = ~np.any(labels[:, 1:] == labels[:, :-1], axis=1)
+    if start.size and not simple.any():
+        raise SimplexError("separation found violated closed walks but no simple cycle among them")
+    walk, moved = walk[simple], moved[simple]
+
+    edge_id = np.full((n, n), -1)
+    edge_id[u, v] = edge_id[v, u] = np.arange(k)
+    r, step = np.nonzero(moved)
+    tail, head = walk[r, step], walk[r, step + 1]
+    rows = np.zeros((len(walk), k))
+    # an odd-copy step changes the copy: +1; an even-copy step: -1
+    rows[r, edge_id[tail % n, head % n]] = np.where((tail >= n) != (head >= n), 1.0, -1.0)
+    rows, first = np.unique(rows, axis=0, return_index=True)
+    rows = rows[np.argsort(first)]
+    return rows, (rows > 0).sum(axis=1) - 1.0
 
 
 def solve_cycle_relaxation(g: WeightedGraph, tol: float = DEFAULT_TOL) -> FractionalSolution:
-    """Iterated LP solve + triangle separation on a complete (dense-closure) graph."""
-    if not g.is_complete():
-        raise ValueError("expected a dense closure (complete graph); apply dense_closure first")
+    """Iterated LP solve + odd-cycle separation, one variable per edge of g."""
     if not (np.isfinite(tol) and tol >= FEAS_TOL):
         # the simplex meets rows only to FEAS_TOL, so below it a row already in
         # the model could count as violated and separation would stall
         raise ValueError(f"tol must be finite and at least the simplex's feasibility tolerance {FEAS_TOL:g}, got {tol}")
     n = g.vertex_count
-    k = pair_count(n)
+    ends = edge_ends(g)
+    k = len(ends)
     if k == 0:
-        return FractionalSolution(n, np.zeros(0), 0.0, 0, 0, (), ())
-    # Edges of a complete graph are stored in the same lexicographic order as
-    # the LP variables, so objective coefficients line up by position.
-    objective = np.array([w for _, _, w in g.edges])
-    problem = LpProblem(objective, np.zeros((0, k)), np.zeros(0))
-    seen: set[tuple[int, ...]] = set()
+        return FractionalSolution(n, ends, np.zeros(0), 0.0, 0, 0, (), ())
+    problem = LpProblem(np.array([w for _, _, w in g.edges]), np.zeros((0, k)), np.zeros(0))
+    seen: set[bytes] = set()
     round_values: list[float] = []
     round_pivots: list[int] = []
     while True:
         x, value = lp_solve(problem)
         round_values.append(value)
         round_pivots.append(problem.tableau.pivots)
-        violated = separate_triangles(x, n, tol)
-        keys = list(map(tuple, violated.tolist()))
-        fresh = violated[[key not in seen for key in keys]]
-        if len(violated) and not len(fresh):
-            raise SimplexError("separation stalled: violated constraints already in the model")
-        if not len(fresh):
+        rows, rhs = separate_odd_cycles(x, ends, n, tol)
+        if not len(rows):
             break
+        keys = [row.tobytes() for row in rows]
+        fresh = np.array([key not in seen for key in keys])
+        if not fresh.any():
+            raise SimplexError("separation stalled: violated constraints already in the model")
         seen.update(keys)
-        rows, rhs = triangle_rows(fresh, n)
-        problem.rows = np.vstack((problem.rows, rows))
-        problem.rhs = np.concatenate((problem.rhs, rhs))
+        problem.rows = np.vstack((problem.rows, rows[fresh]))
+        problem.rhs = np.concatenate((problem.rhs, rhs[fresh]))
     return FractionalSolution(
-        n, x, value, len(round_values), len(problem.rows), tuple(round_values), tuple(round_pivots)
+        n, ends, x, value, len(round_values), len(problem.rows), tuple(round_values), tuple(round_pivots)
     )
 
 
 def format_solution(sol: FractionalSolution) -> str:
-    """Dump the fractional point as one "u v value" line per pair (0-based ids)."""
-    lines = [f"{u} {v} {val:.12g}" for (u, v), val in zip(iter_pairs(sol.n), sol.x)]
+    """Dump the fractional point as one "u v value" line per edge (0-based ids)."""
+    lines = [f"{u} {v} {val:.12g}" for (u, v), val in zip(sol.ends.tolist(), sol.x)]
     return "\n".join(lines) + ("\n" if lines else "")

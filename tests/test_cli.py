@@ -1,6 +1,13 @@
 import numpy as np
 
-from shrinkcut import dense_closure, estimate_parameters, shrink_to_target, solve_cycle_relaxation, zero_correlations
+from shrinkcut import (
+    correlations_from_relaxation,
+    estimate_parameters,
+    format_trace,
+    shrink_to_target,
+    solve_cycle_relaxation,
+    zero_correlations,
+)
 from shrinkcut.cli import main
 from shrinkcut.graph import format_instance, parse_instance
 from shrinkcut.instances import build, grid_pairs, sign_weights
@@ -32,12 +39,25 @@ def test_oracle_command(tmp_path, capsys):
 
 
 def test_relax_command_with_dump(tmp_path, capsys):
-    path, _ = write_instance(tmp_path)
+    path, g = write_instance(tmp_path, rows=3, cols=3)
     out = tmp_path / "point.txt"
     assert main(["relax", str(path), "--solution-out", str(out)]) == 0
     rec = record_of(capsys.readouterr().out)
-    assert "objective_value" in rec
-    assert len(out.read_text().strip().splitlines()) == 15  # all pairs of 6 vertices
+    sol = solve_cycle_relaxation(g)
+    assert rec["objective_value"] == f"{sol.objective_value:.12g}"
+    lines = out.read_text().strip().splitlines()
+    assert len(lines) == g.edge_count == 12  # one line per edge of the 3x3 grid
+    for line, (u, v, _), x in zip(lines, g.edges, sol.x):
+        assert line == f"{u} {v} {x:.12g}"
+
+
+def test_shrink_command_uses_the_relaxation(tmp_path, capsys):
+    path, g = write_instance(tmp_path, rows=3, cols=3)
+    trace = tmp_path / "trace.txt"
+    assert main(["shrink", str(path), "--target", "4", "--mode", "relaxation", "--trace-out", str(trace)]) == 0
+    state = shrink_to_target(g, correlations_from_relaxation(solve_cycle_relaxation(g)), 4)
+    assert trace.read_text() == format_trace(state)
+    assert record_of(capsys.readouterr().out)["offset"] == f"{state.offset:.12g}"
 
 
 def test_shrink_command_outputs(tmp_path, capsys):
@@ -137,7 +157,7 @@ def test_relax_command_reports_pivots(tmp_path, capsys):
     path, g = write_instance(tmp_path)
     assert main(["relax", str(path)]) == 0
     rec = record_of(capsys.readouterr().out)
-    sol = solve_cycle_relaxation(dense_closure(g))
+    sol = solve_cycle_relaxation(g)
     assert int(rec["pivots"]) == sum(sol.round_pivots) > 0
 
 

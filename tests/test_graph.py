@@ -359,7 +359,7 @@ def test_dense_closure_small_cases():
     path = WeightedGraph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
     closed = dense_closure(path)
     assert closed.weight_matrix[0, 2] == 0.0
-    assert closed.is_complete()
+    assert closed.edge_count == 3
 
 
 def test_dense_closure_preserves_cut_values():

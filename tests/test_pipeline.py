@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +13,6 @@ from shrinkcut import (
     brute_force,
     correlations_from_relaxation,
     cut_value_batch,
-    dense_closure,
     run_pipeline,
     shrink_to_target,
     solve_cycle_relaxation,
@@ -221,7 +224,7 @@ def test_batched_lift_reproduces_per_row_reference():
         assert np.array_equal(report.best_assignment, lifted[best])
 
     summary = brute_force(g)
-    modes = {"relaxation": correlations_from_relaxation(solve_cycle_relaxation(dense_closure(g))),
+    modes = {"relaxation": correlations_from_relaxation(solve_cycle_relaxation(g)),
              "zero": zero_correlations(g.vertex_count)}
     subsolvers = ("exact", "qaoa-sim", "coin")
     cells = sweep_shrink_counts(g, [0, 1, 2], subsolvers, tuple(modes), n_samples=300, seed=4)
@@ -237,3 +240,21 @@ def test_batched_lift_reproduces_per_row_reference():
                 ratio = approximation_ratio(mean, summary.min_value, summary.max_value)
                 expected.append(SweepCell(deleted, mode, subsolver, mean, float(values.max()), ratio))
     assert cells == expected
+
+
+def test_relaxation_pipeline_leaves_scipy_unloaded():
+    # the relax path runs on numpy alone; importing scipy would add tens of MB
+    # of RSS to every relaxation-mode run
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from shrinkcut import run_pipeline\n"
+        "from shrinkcut.instances import build, grid_pairs, sign_weights\n"
+        "g = build(16, grid_pairs(4, 4), sign_weights(24, np.random.default_rng(1)))\n"
+        "report = run_pipeline(g, 8, subsolver='exact', correlation_mode='relaxation', n_samples=1)\n"
+        "assert report.upper_bound == report.best_cut_value == 10.0, report.as_record()\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "assert not loaded, loaded\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,6 @@ from shrinkcut import (
 )
 from shrinkcut.graph import index_to_assignment
 from shrinkcut.instances import random_weighted_graph
-from shrinkcut.relaxation import iter_pairs
 from shrinkcut.shrink import ShrinkState
 
 
@@ -52,6 +53,20 @@ def test_correlations_from_relaxation_endpoints():
     corr = dict(correlations_from_relaxation(sol).entries)
     # x_01 = 1 at the optimum, so the correlation is -1 (opposite sides)
     assert corr[(0, 1)] == pytest.approx(-1.0)
+
+
+def test_correlations_from_relaxation_cover_every_pair():
+    # b = 1 - 2x on the edges of g and 0 on every other pair, so a graph with
+    # an isolated vertex still shrinks to a single vertex
+    g = WeightedGraph.from_edges(4, [(0, 1, 1.0), (1, 2, -1.0)])
+    sol = solve_cycle_relaxation(g)
+    corr = correlations_from_relaxation(sol)
+    assert [pair for pair, _ in corr.entries] == list(itertools.combinations(range(4), 2))
+    expected = {(0, 1): 1.0 - 2.0 * sol.x[0], (1, 2): 1.0 - 2.0 * sol.x[1]}
+    assert dict(corr.entries) == {pair: expected.get(pair, 0.0) for pair, _ in corr.entries}
+    assert expected == {(0, 1): -1.0, (1, 2): 1.0}
+    state = shrink_to_target(g, corr, 1)
+    assert state.offset == 1.0
 
 
 def test_find_composes_signs():
@@ -271,7 +286,7 @@ def shrunk_with_samples(draw):
     """A graph on at most 10 vertices shrunk by random correlations to a
     random target, and a batch of reduced assignments."""
     n = draw(st.integers(1, 10))
-    pairs = list(iter_pairs(n))
+    pairs = list(itertools.combinations(range(n), 2))
     weight = st.one_of(st.just(0.0), st.floats(-10, 10))
     weights = draw(st.lists(weight, min_size=len(pairs), max_size=len(pairs)))
     g = WeightedGraph.from_edges(n, [(u, v, w) for (u, v), w in zip(pairs, weights)])
@@ -352,6 +367,6 @@ def test_correlation_set_rejects_bad_entries():
 def test_zero_correlations_cover_every_pair_in_order():
     n = 9
     corr = zero_correlations(n)
-    assert corr.entries == tuple(((u, v), 0.0) for u, v in iter_pairs(n))
+    assert corr.entries == tuple(((u, v), 0.0) for u, v in itertools.combinations(range(n), 2))
     assert list(corr.ordered_pairs()) == list(corr.entries)
     assert zero_correlations(1).entries == ()
