@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shrinkcut import (
@@ -217,6 +217,8 @@ def test_relaxation_bounds_max_cut(g):
 
 @settings(deadline=None)
 @given(small_graphs(max_n=8))
+@example(WeightedGraph.from_edges(5, []))
+@example(WeightedGraph.from_edges(7, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (3, 4, -2.0), (4, 5, 0.0), (3, 5, 1.5)]))
 def test_relaxation_on_g_equals_dense_closure(g):
     # the cycle polytope of g is the projection of the dense closure's
     # metric polytope onto g's edges, so both LPs have the same optimum
