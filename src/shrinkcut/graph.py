@@ -25,72 +25,80 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedGraph:
     """Undirected weighted graph on vertices 0..vertex_count-1.
 
-    Edges are stored canonically: u < v, sorted by (u, v), at most one entry
-    per pair (parallel edges are merged by summing their weights at
-    construction). Instances are immutable and safe to share across threads.
+    Edge i joins u[i] < v[i] with weight w[i], sorted by (u, v) and unique. The
+    arrays are read-only copies of the constructor's inputs, so instances are
+    immutable and safe to share across threads.
     """
 
     vertex_count: int
-    edges: tuple[tuple[int, int, float], ...]
+    u: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
 
     def __post_init__(self):
-        if self.vertex_count < 0:
-            raise ValueError("vertex_count must be non-negative")
-        prev = None
-        for u, v, _ in self.edges:
-            if not (0 <= u < v < self.vertex_count):
-                raise ValueError(f"edge ({u}, {v}) is not canonical for {self.vertex_count} vertices")
-            if prev is not None and (u, v) <= prev:
-                raise ValueError("edges must be sorted with unique pairs; use from_edges()")
-            prev = (u, v)
+        n = self.vertex_count
+        ends = np.array((self.u, self.v))
+        w = np.array(self.w, dtype=float)
+        if n < 0 or ends.ndim != 2 or w.shape != ends.shape[1:]:
+            raise ValueError(f"need vertex_count >= 0 and 1-d u, v, w of one length, got {n}, {ends.shape}, {w.shape}")
+        with np.errstate(invalid="ignore"):  # a nan or inf id fails the comparison below
+            u, v = ids = ends.astype(np.int64)
+        # an id such as 1.5 is rejected, not truncated by the cast
+        bad = np.flatnonzero(np.any(ids != ends, axis=0) | (u < 0) | (u >= v) | (v >= n))
+        if bad.size:
+            raise ValueError(f"edge ({ends[0, bad[0]]}, {ends[1, bad[0]]}) needs integer ids u < v in [0, {n})")
+        if np.any((u[1:] < u[:-1]) | (u[1:] == u[:-1]) & (v[1:] <= v[:-1])):
+            raise ValueError("edges must be sorted with unique pairs; use from_edges()")
+        bad = np.flatnonzero(~np.isfinite(w))
+        if bad.size:
+            raise ValueError(f"edge ({u[bad[0]]}, {v[bad[0]]}) has non-finite weight {w[bad[0]]}")
+        ids.setflags(write=False)
+        w.setflags(write=False)
+        for name, value in zip("uvw", (ids[0], ids[1], w)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_edges(cls, vertex_count: int, edges: Iterable[tuple[int, int, float]]) -> "WeightedGraph":
-        """Build a graph, canonicalizing pairs and summing duplicate entries.
+        """Build a graph from (u, v, w) triples in any order and orientation.
 
-        Raises ValueError for a non-finite weight, including a sum of
-        duplicates that overflows.
+        Duplicate pairs are summed in input order from 0.0, and a zero sum
+        stays an edge. Raises ValueError as the constructor does, also for a
+        sum of duplicates that overflows.
         """
-        merged: dict[tuple[int, int], float] = {}
-        for u, v, w in edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-                raise ValueError(f"vertex id out of range in edge ({u}, {v})")
-            key = (u, v) if u < v else (v, u)
-            merged[key] = merged.get(key, 0.0) + float(w)
-        items = tuple((u, v, merged[(u, v)]) for u, v in sorted(merged))
-        for u, v, w in items:
-            # a non-finite input makes its pair's sum non-finite too
-            if not math.isfinite(w):
-                raise ValueError(f"edge ({u}, {v}) has non-finite weight {w}")
-        return cls(vertex_count, items)
+        first, second, weights = tuple(zip(*edges)) or ((), (), ())
+        pairs, inverse = np.unique(np.sort((first, second), axis=0), axis=1, return_inverse=True)
+        merged = np.zeros(pairs.shape[1])
+        with np.errstate(over="ignore", invalid="ignore"):  # the constructor rejects a non-finite sum
+            np.add.at(merged, inverse.reshape(-1), np.array(weights, dtype=float))
+        return cls(vertex_count, *pairs, merged)
+
+    @property
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        """The edges as Python (u, v, w) tuples, in array order."""
+        return tuple(zip(self.u.tolist(), self.v.tolist(), self.w.tolist()))
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return self.w.size
+
+    def __eq__(self, other: object) -> bool:
+        same = isinstance(other, WeightedGraph) and self.vertex_count == other.vertex_count
+        return same and all(np.array_equal(getattr(self, a), getattr(other, a)) for a in "uvw")
 
     @cached_property
     def weight_matrix(self) -> np.ndarray:
         """Symmetric (n, n) weight matrix; absent pairs are 0."""
         m = np.zeros((self.vertex_count, self.vertex_count))
-        for u, v, w in self.edges:
-            m[u, v] = w
-            m[v, u] = w
+        m[self.u, self.v] = m[self.v, self.u] = self.w
         m.setflags(write=False)
         return m
 
-    @cached_property
-    def nonzero_edges(self) -> tuple[tuple[int, int, float], ...]:
-        """Edges with weight != 0 (dense closures carry explicit zero pairs)."""
-        return tuple(e for e in self.edges if e[2] != 0.0)
-
     def total_weight(self) -> float:
-        return float(sum(w for _, _, w in self.edges))
+        return float(sum(self.w.tolist()))
 
 
 @dataclass(frozen=True)
@@ -344,25 +352,21 @@ def qubo_to_maxcut(q: QuboProblem) -> tuple[WeightedGraph, float]:
     are -q_ij/2 and reference weights q_ii + sum_j q_ij / 2, which makes the
     offset zero; the equivalence is what tests pin down, not the constants.
     """
-    n = q.n
     coeff = dict(q.coefficients)
+    # one pass adds each pair's half to both reference weights, after the diagonal
+    reference = [coeff.get((i, i), 0.0) for i in range(q.n)]
     edges: list[tuple[int, int, float]] = []
     for (i, j), qq in coeff.items():
-        if i != j and qq != 0.0:
-            edges.append((i + 1, j + 1, -qq / 2.0))
-    for i in range(n):
-        w = coeff.get((i, i), 0.0)
-        for (a, b), qq in coeff.items():
-            if a != b and (a == i or b == i):
-                w += qq / 2.0
-        if w != 0.0:
-            edges.append((0, i + 1, w))
-    return WeightedGraph.from_edges(n + 1, edges), 0.0
+        if i != j:
+            reference[i] += qq / 2.0
+            reference[j] += qq / 2.0
+            if qq != 0.0:
+                edges.append((i + 1, j + 1, -qq / 2.0))
+    edges.extend((0, i + 1, w) for i, w in enumerate(reference) if w != 0.0)
+    return WeightedGraph.from_edges(q.n + 1, edges), 0.0
 
 
 def dense_closure(g: WeightedGraph) -> WeightedGraph:
     """Complete graph on the same vertices; missing pairs get weight 0."""
-    existing = {(u, v): w for u, v, w in g.edges}
-    n = g.vertex_count
-    edges = [(u, v, existing.get((u, v), 0.0)) for u in range(n) for v in range(u + 1, n)]
-    return WeightedGraph.from_edges(n, edges)
+    u, v = np.triu_indices(g.vertex_count, 1)
+    return WeightedGraph(g.vertex_count, u, v, g.weight_matrix[u, v])

@@ -183,9 +183,10 @@ class AnalyticExpectation:
 
     def __init__(self, g: WeightedGraph):
         weights = g.weight_matrix
+        nz = g.w != 0.0
         self._edges = []
-        self._half_total = 0.5 * sum(w for _, _, w in g.nonzero_edges)
-        for u, v, w in g.nonzero_edges:
+        self._half_total = 0.5 * sum(g.w[nz].tolist())
+        for u, v, w in zip(g.u[nz].tolist(), g.v[nz].tolist(), g.w[nz].tolist()):
             r = np.flatnonzero((weights[u] != 0.0) | (weights[v] != 0.0))
             r = r[(r != u) & (r != v)]
             self._edges.append((w, weights[u, r], weights[v, r]))
@@ -220,7 +221,7 @@ def expectation_analytic(g: WeightedGraph, params: QaoaParams) -> float:
 
 def average_degree(g: WeightedGraph) -> float:
     """Average degree of the nonzero-edge graph."""
-    return 2.0 * len(g.nonzero_edges) / g.vertex_count
+    return 2.0 * np.count_nonzero(g.w) / g.vertex_count
 
 
 def estimate_parameters(g: WeightedGraph) -> QaoaParams:
@@ -231,10 +232,10 @@ def estimate_parameters(g: WeightedGraph) -> QaoaParams:
     graph; beta = pi/8. Provably optimal on triangle-free regular graphs with
     weights of constant magnitude.
     """
-    nz = g.nonzero_edges
-    if not nz:
+    nz = g.w[g.w != 0.0]
+    if not nz.size:
         raise ValueError("cannot estimate parameters: graph has no weighted edges")
-    abar = float(np.mean([abs(w) for _, _, w in nz]))
+    abar = float(np.mean(np.abs(nz)))
     dbar = average_degree(g)
     if dbar <= 1.0:
         raise ValueError(f"average degree {dbar:.3g} <= 1: estimate undefined")

@@ -73,11 +73,6 @@ class FractionalSolution:
     round_pivots: tuple[int, ...]
 
 
-def edge_ends(g: WeightedGraph) -> np.ndarray:
-    """(k, 2) int array of g's edge endpoints, in g's edge order."""
-    return np.array([(u, v) for u, v, _ in g.edges], dtype=np.int64).reshape(-1, 2)
-
-
 def separate_odd_cycles(
     x: np.ndarray, ends: np.ndarray, n: int, tol: float = DEFAULT_TOL
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -149,11 +144,10 @@ def solve_cycle_relaxation(g: WeightedGraph, tol: float = DEFAULT_TOL) -> Fracti
         # the model could count as violated and separation would stall
         raise ValueError(f"tol must be finite and at least the simplex's feasibility tolerance {FEAS_TOL:g}, got {tol}")
     n = g.vertex_count
-    ends = edge_ends(g)
-    k = len(ends)
-    if k == 0:
+    ends = np.column_stack((g.u, g.v))
+    if not g.edge_count:
         return FractionalSolution(n, ends, np.zeros(0), 0.0, 0, 0, (), ())
-    problem = LpProblem(np.array([w for _, _, w in g.edges]), np.zeros((0, k)), np.zeros(0))
+    problem = LpProblem(g.w, np.zeros((0, g.edge_count)), np.zeros(0))
     seen: set[bytes] = set()
     round_values: list[float] = []
     round_pivots: list[int] = []

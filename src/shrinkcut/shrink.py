@@ -150,7 +150,7 @@ class ShrinkState:
         active = self.active_vertices()
         upper = np.triu(self._w[np.ix_(active, active)], 1)
         u, v = np.nonzero(upper)
-        return WeightedGraph.from_edges(active.size, zip(u.tolist(), v.tolist(), upper[u, v].tolist()))
+        return WeightedGraph(active.size, u, v, upper[u, v])
 
     def find(self, vertex: int) -> tuple[int, int]:
         """Super-vertex representative of an original vertex, with relative sign."""

@@ -382,9 +382,106 @@ def test_from_edges_validation():
         WeightedGraph.from_edges(2, [(0, 0, 1.0)])
     with pytest.raises(ValueError):
         WeightedGraph.from_edges(2, [(0, 2, 1.0)])
+    with pytest.raises(ValueError, match="vertex_count >= 0"):
+        WeightedGraph.from_edges(-1, [])
     for w in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError, match="non-finite"):
             WeightedGraph.from_edges(2, [(0, 1, w)])
     # finite duplicates whose sum overflows
     with pytest.raises(ValueError, match="non-finite"):
         WeightedGraph.from_edges(2, [(0, 1, 1e308), (1, 0, 1e308)])
+    # the direct constructor checks weights as from_edges does
+    with pytest.raises(ValueError, match=r"edge \(0, 1\) has non-finite weight nan"):
+        WeightedGraph(2, [0], [1], [float("nan")])
+    # an int64 cast would truncate 1.5 to 1; the edge is named instead
+    with pytest.raises(ValueError, match=r"edge \(0(\.0)?, 1\.5\) needs integer ids u < v in \[0, 3\)"):
+        WeightedGraph.from_edges(3, [(0, 1.5, 1.0), (1, 2, 1.0)])
+    for bad_id in (2.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="integer ids"):
+            WeightedGraph.from_edges(3, [(0, 1, 1.0), (bad_id, 1, 1.0)])
+    with pytest.raises(ValueError, match="integer ids"):
+        WeightedGraph(3, [0, 1], [1.5, 2], [1.0, 1.0])
+    # integral floats cast exactly, so they are kept, as are numpy integer ids
+    assert WeightedGraph.from_edges(3, [(2.0, 0, 1.0)]).edges == ((0, 2, 1.0),)
+    numpy_ids = WeightedGraph.from_edges(np.int64(3), [(np.int32(2), np.int64(0), 1.0), (np.uint8(1), 2, 2.0)])
+    assert numpy_ids.edges == ((0, 2, 1.0), (1, 2, 2.0))
+
+
+@pytest.mark.parametrize(
+    "u, v, w, message",
+    [
+        ([1], [0], [1.0], "needs integer ids u < v"),
+        ([1], [1], [1.0], "needs integer ids u < v"),
+        ([0], [3], [1.0], "needs integer ids u < v"),
+        ([-1], [1], [1.0], "needs integer ids u < v"),
+        ([0, 0], [2, 1], [1.0, 1.0], "sorted with unique pairs"),
+        ([0, 0], [1, 1], [1.0, 1.0], "sorted with unique pairs"),
+        ([0, 1], [1, 2], [1.0], "one length"),
+        ([[0]], [[1]], [[1.0]], "one length"),
+        ([0, 1], [1], [1.0, 1.0], None),  # numpy rejects the ragged pair of id lists
+    ],
+)
+def test_constructor_rejects_non_canonical_arrays(u, v, w, message):
+    with pytest.raises(ValueError, match=message):
+        WeightedGraph(3, u, v, w)
+
+
+def dict_merge_reference(n, edges):
+    """The former dict-based from_edges: sums in input order, sorted pairs."""
+    merged = {}
+    for u, v, w in edges:
+        key = (u, v) if u < v else (v, u)
+        merged[key] = merged.get(key, 0.0) + float(w)
+    return [(int(u), int(v), merged[(u, v)]) for u, v in sorted(merged)]
+
+
+@st.composite
+def edge_lists(draw):
+    """Edges on 0..6 vertices with reversed pairs, repeats (some cancelling
+    to 0), and Python or numpy integer ids."""
+    n = draw(st.integers(0, 6))
+    if n < 2:
+        return n, []
+    vertex = st.integers(0, n - 1)
+    pair = st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1])
+    weight = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0, 0.1, 0.2, 0.3, 1e300]))
+    edges = []
+    for (u, v), w, cancel in draw(st.lists(st.tuples(pair, weight, st.booleans()), max_size=20)):
+        edges.append((u, v, w))
+        if cancel:
+            edges.append((v, u, -w))
+    ids = draw(st.sampled_from([int, np.int64, np.int32, np.uint16]))
+    return n, [(ids(u), ids(v), w) for u, v, w in draw(st.permutations(edges))]
+
+
+@settings(deadline=None)
+@given(edge_lists())
+def test_from_edges_matches_dict_merge(case):
+    n, edges = case
+    g = WeightedGraph.from_edges(n, edges)
+    expected = dict_merge_reference(n, edges)
+    assert g.vertex_count == n
+    assert [e[:2] for e in g.edges] == [e[:2] for e in expected]
+    # bit for bit: the same sums in the same order, explicit zeros kept
+    assert np.array_equal(g.w.view(np.int64), np.array([e[2] for e in expected]).view(np.int64))
+    assert all(type(u) is int and type(v) is int and type(w) is float for u, v, w in g.edges)
+    assert g.u.dtype == g.v.dtype == np.int64 and g.w.dtype == np.float64
+    for a in (g.u, g.v, g.w):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[:1] = 0
+    filled = np.zeros((n, n))
+    for u, v, w in expected:
+        filled[u, v] = filled[v, u] = w
+    assert np.array_equal(g.weight_matrix, filled)
+    assert WeightedGraph(n, g.u, g.v, g.w) == g
+
+
+def test_constructor_copies_its_inputs():
+    u, v, w = np.array([0, 1]), np.array([1, 2]), np.array([1.0, -2.0])
+    g = WeightedGraph(3, u, v, w)
+    u[0], w[0] = 1, 5.0
+    assert g.edges == ((0, 1, 1.0), (1, 2, -2.0))
+    assert u.flags.writeable and w.flags.writeable
+    assert g != WeightedGraph(3, [0, 1], [1, 2], [1.0, 2.0])
+    assert g != WeightedGraph(4, [0, 1], [1, 2], [1.0, -2.0])

@@ -16,7 +16,7 @@ from shrinkcut import (
     solve_cycle_relaxation,
 )
 from shrinkcut.instances import build, grid_pairs, random_weighted_graph, sign_weights, unit, complete_pairs
-from shrinkcut.relaxation import edge_ends, format_solution
+from shrinkcut.relaxation import format_solution
 
 
 def test_lp_solve_triangle_cap():
@@ -27,7 +27,8 @@ def test_lp_solve_triangle_cap():
 
 
 def test_separation_trivial_points():
-    ends = edge_ends(unit(3, complete_pairs(3)))
+    g = unit(3, complete_pairs(3))
+    ends = np.column_stack((g.u, g.v))
     assert separate_odd_cycles(np.zeros(3), ends, 3)[0].shape == (0, 3)
     assert separate_odd_cycles(np.full(3, 0.5), ends, 3)[0].shape == (0, 3)
     rows, rhs = separate_odd_cycles(np.ones(3), ends, 3)
@@ -39,7 +40,8 @@ def test_separation_trivial_points():
 def test_separation_five_cycle_row():
     # x = 1 on (0, 1), (1, 2), (3, 4) and 0.25 on (0, 4), (2, 3): with F the
     # three edges at 1, x(F) - x(C minus F) = 2.5 > |F| - 1 = 2
-    ends = edge_ends(unit(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]))
+    g = unit(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    ends = np.column_stack((g.u, g.v))
     x = np.array([1.0, 0.25, 1.0, 0.25, 1.0])  # ends order: 01, 04, 12, 23, 34
     rows, rhs = separate_odd_cycles(x, ends, 5)
     assert ends.tolist() == [[0, 1], [0, 4], [1, 2], [2, 3], [3, 4]]
@@ -54,7 +56,7 @@ def test_separation_orders_by_violation():
     # come later
     g = unit(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
     x = np.array([1.0, 1.0, 0.5, 1.0, 1.0, 1.0])
-    rows, rhs = separate_odd_cycles(x, edge_ends(g), 6)
+    rows, rhs = separate_odd_cycles(x, np.column_stack((g.u, g.v)), 6)
     assert rows.tolist() == [[0, 0, 0, 1, 1, 1], [1, 1, 1, 0, 0, 0]]
     assert rhs.tolist() == [2.0, 2.0]
 
@@ -63,7 +65,8 @@ def test_separation_cap():
     # one shortest path per vertex: at most n rows per call, however many
     # triangles the point violates (all 56 of K8 here, each by 1)
     n = 8
-    ends = edge_ends(unit(n, complete_pairs(n)))
+    g = unit(n, complete_pairs(n))
+    ends = np.column_stack((g.u, g.v))
     rows, rhs = separate_odd_cycles(np.ones(len(ends)), ends, n)
     assert 1 <= len(rows) <= n
     assert np.all((rows == 1).sum(axis=1) == 3) and np.all(rows >= 0)

@@ -138,7 +138,7 @@ def test_shrink_to_target_identity():
     state = shrink_to_target(g, zero_correlations(6), 6)
     assert state.records == []
     assert state.offset == 0.0
-    assert state.reduced == WeightedGraph.from_edges(6, g.nonzero_edges)
+    assert state.reduced == WeightedGraph.from_edges(6, [e for e in g.edges if e[2] != 0.0])
 
 
 def test_shrink_to_single_vertex_reconstructs_offset():
