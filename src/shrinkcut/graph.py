@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -12,6 +13,8 @@ import numpy as np
 BRUTE_FORCE_CAP = 24
 # Index bits one cut_values_for_indices block covers: 2^20 cut values per prefix.
 ENUM_BLOCK_BITS = 20
+# Bytes of temporaries one cut_value_batch chunk of rows may hold.
+SCORE_CHUNK_BYTES = 1 << 21
 # Index bits one brute_force block covers: 2^16 cut values, 512 KB, which stay
 # in cache while the block is built and scanned.
 ORACLE_BLOCK_BITS = 16
@@ -40,7 +43,10 @@ class WeightedGraph:
     w: np.ndarray
 
     def __post_init__(self):
-        n = self.vertex_count
+        try:
+            n = operator.index(self.vertex_count)
+        except TypeError:
+            raise ValueError(f"vertex_count must be an integer, got {self.vertex_count!r}") from None
         ends = np.array((self.u, self.v))
         w = np.array(self.w, dtype=float)
         if n < 0 or ends.ndim != 2 or w.shape != ends.shape[1:]:
@@ -58,8 +64,12 @@ class WeightedGraph:
             raise ValueError(f"edge ({u[bad[0]]}, {v[bad[0]]}) has non-finite weight {w[bad[0]]}")
         ids.setflags(write=False)
         w.setflags(write=False)
-        for name, value in zip("uvw", (ids[0], ids[1], w)):
+        for name, value in zip(("vertex_count", "u", "v", "w"), (n, ids[0], ids[1], w)):
             object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        # unpickling runs the constructor, so the copy is validated and read-only too
+        return type(self), (self.vertex_count, self.u, self.v, self.w)
 
     @classmethod
     def from_edges(cls, vertex_count: int, edges: Iterable[tuple[int, int, float]]) -> "WeightedGraph":
@@ -70,11 +80,16 @@ class WeightedGraph:
         sum of duplicates that overflows.
         """
         first, second, weights = tuple(zip(*edges)) or ((), (), ())
-        pairs, inverse = np.unique(np.sort((first, second), axis=0), axis=1, return_inverse=True)
-        merged = np.zeros(pairs.shape[1])
+        ends = np.sort((first, second), axis=0)
+        # stable, so each pair's duplicates stay in input order
+        order = np.lexsort(ends[::-1])
+        ends = ends[:, order]
+        starts = np.ones(order.size, dtype=bool)
+        starts[1:] = np.any(ends[:, 1:] != ends[:, :-1], axis=0)
+        merged = np.zeros(np.count_nonzero(starts))
         with np.errstate(over="ignore", invalid="ignore"):  # the constructor rejects a non-finite sum
-            np.add.at(merged, inverse.reshape(-1), np.array(weights, dtype=float))
-        return cls(vertex_count, *pairs, merged)
+            np.add.at(merged, np.cumsum(starts) - 1, np.array(weights, dtype=float)[order])
+        return cls(vertex_count, *ends[:, starts], merged)
 
     @property
     def edges(self) -> tuple[tuple[int, int, float], ...]:
@@ -208,13 +223,26 @@ def cut_value(g: WeightedGraph, assignment: np.ndarray) -> float:
 
 
 def cut_value_batch(g: WeightedGraph, assignments: np.ndarray) -> np.ndarray:
-    """Cut values for a (k, n) boolean matrix of assignments, one row each."""
+    """Cut values for a (k, n) boolean matrix of assignments, one row each.
+
+    A row's value is the sum of the weights it cuts, in edge order from 0.0,
+    whatever rows it is scored with. Rows are scored in chunks with about
+    SCORE_CHUNK_BYTES of temporaries, all edges at once on the transpose.
+    """
     a = np.asarray(assignments, dtype=bool)
     if a.ndim != 2 or a.shape[1] != g.vertex_count:
         raise ValueError(f"expected shape (k, {g.vertex_count})")
-    vals = np.zeros(a.shape[0])
-    for u, v, w in g.edges:
-        vals += w * (a[:, u] ^ a[:, v])
+    # bytes per row: its sides, the two gathered endpoint sides, their XOR, its value
+    step = max(2, SCORE_CHUNK_BYTES // (g.vertex_count + 3 * g.edge_count + 8))
+    vals = np.empty(a.shape[0])
+    for start in range(0, a.shape[0], step):
+        rows = a[start : start + step]
+        # two columns at least: einsum sums a lone column with several
+        # accumulators, not in edge order, so a row alone would score differently
+        sides = np.zeros((g.vertex_count, max(2, len(rows))), dtype=bool)
+        sides[:, : len(rows)] = rows.T
+        cut = sides[g.u] ^ sides[g.v]
+        vals[start : start + len(rows)] = np.einsum("ek,e->k", cut, g.w)[: len(rows)]
     return vals
 
 

@@ -23,7 +23,7 @@ from .graph import (
 from .qaoa import STATEVECTOR_CAP, QaoaParams, average_degree, estimate_parameters, qaoa_state, sample_cuts
 from .relaxation import solve_cycle_relaxation
 from .shrink import (
-    CorrelationSet, ShrinkState, correlations_from_relaxation, shrink_to_target, zero_correlations
+    CorrelationSet, ShrinkState, _contractions, correlations_from_relaxation, shrink_to_target, zero_correlations
 )
 
 SUBSOLVERS = ("exact", "qaoa-sim", "coin")
@@ -260,10 +260,14 @@ def sweep_shrink_counts(
     lp_tol: float = 1e-6,
     oracle_cap: int = BRUTE_FORCE_CAP,
 ) -> list[SweepCell]:
-    """Approximation ratio versus number of deleted vertices, per mode and
-    subsolver. All cells share one oracle bound; the relaxation is solved once
-    per mode. The qaoa-sim subsolver needs reduced average degree > 1, so keep
-    deleted counts away from n - 1 and n - 2 when using it.
+    """Approximation ratio versus number of deleted vertices: one cell per
+    mode, deleted count (a repeat included) and subsolver, in the given order,
+    each with its own seed drawn from `seed` in that order. All cells share
+    one oracle bound; the relaxation is solved once per mode, and one pass
+    over each mode's contractions scores every count as it reaches it.
+    Raises ValueError for a count outside [0, n). The qaoa-sim subsolver needs
+    reduced average degree > 1, so keep deleted counts away from n - 1 and
+    n - 2 when using it.
     """
     n = g.vertex_count
     if n > oracle_cap:
@@ -273,11 +277,14 @@ def sweep_shrink_counts(
             raise ValueError(f"unknown subsolver {s!r}")
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+    if deleted_counts is None:
+        deleted_counts = list(range(n))
+    for deleted in deleted_counts:
+        if not 0 <= deleted < n:
+            raise ValueError(f"deleted count {deleted} outside [0, {n})")
     summary = brute_force(g, oracle_cap)
     if not summary.max_value > summary.min_value:
         raise ValueError("degenerate instance: every bipartition has the same value")
-    if deleted_counts is None:
-        deleted_counts = list(range(n))
     master = np.random.default_rng(seed)
 
     per_mode: dict[str, CorrelationSet] = {}
@@ -289,18 +296,26 @@ def sweep_shrink_counts(
         else:
             raise ValueError(f"unknown correlation mode {mode!r}")
 
+    # positions in deleted_counts by the reduced size they ask for
+    at_size: dict[int, list[int]] = {}
+    for i, deleted in enumerate(deleted_counts):
+        at_size.setdefault(n - deleted, []).append(i)
     cells: list[SweepCell] = []
     for mode in correlation_modes:
-        for deleted in deleted_counts:
-            state = shrink_to_target(g, per_mode[mode], n - deleted)
+        seeds = [[int(master.integers(2**63)) for _ in subsolvers] for _ in deleted_counts]
+        rows: list[list[SweepCell]] = [[] for _ in deleted_counts]
+        for state in _contractions(g, per_mode[mode], min(at_size, default=n)):
+            if state.reduced_size not in at_size:
+                continue
             reduced = state.reduced
-            for subsolver in subsolvers:
-                cell_seed = int(master.integers(2**63))
-                samples, _ = _solve_reduced(reduced, subsolver, n_samples, cell_seed)
-                _, values = _lift_and_score(state, samples)
-                mean = float(values.mean())
-                ratio = approximation_ratio(mean, summary.min_value, summary.max_value)
-                cells.append(SweepCell(deleted, mode, subsolver, mean, float(values.max()), ratio))
+            for i in at_size[state.reduced_size]:
+                for subsolver, cell_seed in zip(subsolvers, seeds[i]):
+                    samples, _ = _solve_reduced(reduced, subsolver, n_samples, cell_seed)
+                    _, values = _lift_and_score(state, samples)
+                    mean = float(values.mean())
+                    ratio = approximation_ratio(mean, summary.min_value, summary.max_value)
+                    rows[i].append(SweepCell(deleted_counts[i], mode, subsolver, mean, float(values.max()), ratio))
+        cells += [cell for row in rows for cell in row]
     return cells
 
 

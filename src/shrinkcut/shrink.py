@@ -210,14 +210,22 @@ def shrink_to_target(g: WeightedGraph, correlations: CorrelationSet, target: int
     from the original correlations and projected through the current
     super-vertices; the pair sign composes with the endpoints' relative signs.
     """
+    *_, state = _contractions(g, correlations, target)
+    return state
+
+
+def _contractions(g: WeightedGraph, correlations: CorrelationSet, target: int) -> Iterator[ShrinkState]:
+    """shrink_to_target's loop: yields its one ShrinkState before the first
+    contraction and after each one, so read it before resuming. Raises
+    ValueError for a target outside [1, n] or correlations that run out."""
     n = g.vertex_count
     if not 1 <= target <= n:
         raise ValueError(f"target size {target} outside [1, {n}]")
     state = ShrinkState(g)
-    remaining = n - target
+    yield state
     for (u, v), b in correlations.ordered_pairs():
-        if remaining == 0:
-            break
+        if state.reduced_size == target:
+            return
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"correlation pair ({u}, {v}) outside the graph")
         root_u, sign_u = state.find(u)
@@ -225,13 +233,12 @@ def shrink_to_target(g: WeightedGraph, correlations: CorrelationSet, target: int
         if root_u == root_v:
             continue
         state.contract(root_u, root_v, correlation_sign(b) * sign_u * sign_v)
-        remaining -= 1
-    if remaining:
+        yield state
+    if state.reduced_size > target:
         raise ValueError(
-            f"correlations exhausted with {remaining} contractions still needed; "
+            f"correlations exhausted with {state.reduced_size - target} contractions still needed; "
             "provide correlations for more pairs (one for every pair u < v always suffices)"
         )
-    return state
 
 
 def format_trace(state: ShrinkState) -> str:

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -178,6 +179,37 @@ def test_cut_value_batch_matches_scalar():
     batch = cut_value_batch(g, mat)
     for row, val in zip(mat, batch):
         assert val == pytest.approx(cut_value(g, row), abs=1e-12)
+
+
+@st.composite
+def graphs_with_assignments(draw):
+    """A graph on 0..9 vertices, possibly edgeless, and a (k, n) assignment
+    matrix with k in 0..12, in C or Fortran order."""
+    n = draw(st.integers(0, 9))
+    pairs = list(itertools.combinations(range(n), 2))
+    weights = draw(st.lists(st.one_of(st.none(), st.floats(-1e6, 1e6)), min_size=len(pairs), max_size=len(pairs)))
+    g = WeightedGraph.from_edges(n, [(u, v, w) for (u, v), w in zip(pairs, weights) if w is not None])
+    k = draw(st.integers(0, 12))
+    bits = draw(st.lists(st.booleans(), min_size=k * n, max_size=k * n))
+    return g, np.array(bits, dtype=bool).reshape(k, n).copy(order=draw(st.sampled_from("CF")))
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, graph.SCORE_CHUNK_BYTES])
+@settings(deadline=None)
+@given(graphs_with_assignments())
+def test_cut_value_batch_matches_per_edge_sum(chunk_bytes, case):
+    # one chunk byte gives chunks of two rows: k > 2 spans several chunks and
+    # an odd k ends on a chunk of one row
+    g, a = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "SCORE_CHUNK_BYTES", chunk_bytes)
+        batch = cut_value_batch(g, a)
+        alone = [cut_value_batch(g, row[None, :])[0] for row in a]
+    expected = [sum(w for u, v, w in g.edges if row[u] != row[v]) for row in a.tolist()]
+    assert batch.shape == (len(a),)
+    np.testing.assert_allclose(batch, expected, rtol=0, atol=1e-12 * sum(abs(w) for _, _, w in g.edges))
+    # a row scores the same bits alone as in a batch
+    assert np.array_equal(batch, alone)
 
 
 def test_brute_force_unit_triangle():
@@ -485,3 +517,23 @@ def test_constructor_copies_its_inputs():
     assert u.flags.writeable and w.flags.writeable
     assert g != WeightedGraph(3, [0, 1], [1, 2], [1.0, 2.0])
     assert g != WeightedGraph(4, [0, 1], [1, 2], [1.0, -2.0])
+
+
+def test_pickle_round_trip_rebuilds_a_read_only_graph():
+    g = WeightedGraph.from_edges(4, [(0, 1, 1.5), (3, 2, -2.0), (1, 3, 0.0)])
+    assert g.weight_matrix.shape == (4, 4)  # the cached matrix is not pickled
+    copy = pickle.loads(pickle.dumps(g))
+    assert copy == g
+    assert type(copy.vertex_count) is int
+    for a in (copy.u, copy.v, copy.w):
+        assert not a.flags.writeable
+    assert np.array_equal(copy.weight_matrix, g.weight_matrix)
+
+
+def test_vertex_count_must_be_an_integer():
+    for bad in (2.5, 3.0, np.float64(3), "3", None):
+        with pytest.raises(ValueError, match="vertex_count must be an integer"):
+            WeightedGraph(bad, [0], [1], [1.0])
+    for count in (np.int64(3), np.uint8(3)):
+        g = WeightedGraph.from_edges(count, [(0, 1, 1.0)])
+        assert type(g.vertex_count) is int and g.vertex_count == 3

@@ -22,6 +22,7 @@ from shrinkcut import (
 )
 from shrinkcut.instances import build, grid_pairs, random_weighted_graph, sign_weights
 from shrinkcut.pipeline import SweepCell, _solve_reduced
+from shrinkcut.shrink import ShrinkState
 
 
 def grid_instance(rows, cols, seed):
@@ -193,6 +194,42 @@ def test_sweep_rejects_oversized_instances():
     g = random_weighted_graph(30, 0.1, rng)
     with pytest.raises(ValueError):
         sweep_shrink_counts(g)
+
+
+def test_sweep_matches_per_count_shrinks_in_the_callers_order():
+    g = random_weighted_graph(7, 0.7, np.random.default_rng(5))
+    counts = [5, 0, 5, 3]  # unsorted, with a repeat
+    modes = {"relaxation": correlations_from_relaxation(solve_cycle_relaxation(g)),
+             "zero": zero_correlations(g.vertex_count)}
+    subsolvers = ("exact", "coin")
+    contractions = []
+    with pytest.MonkeyPatch.context() as mp:
+        contract = ShrinkState.contract
+        mp.setattr(ShrinkState, "contract", lambda state, *args: contractions.append(args) or contract(state, *args))
+        cells = sweep_shrink_counts(g, counts, subsolvers, tuple(modes), n_samples=300, seed=8)
+    # one pass per mode down to the largest count
+    assert len(contractions) == len(modes) * max(counts)
+
+    summary = brute_force(g)
+    master = np.random.default_rng(8)
+    expected = []
+    for mode, correlations in modes.items():
+        for deleted in counts:
+            state = shrink_to_target(g, correlations, g.vertex_count - deleted)
+            for subsolver in subsolvers:
+                samples, _ = _solve_reduced(state.reduced, subsolver, 300, int(master.integers(2**63)))
+                values = cut_value_batch(g, state.reconstruct(samples))
+                mean = float(values.mean())
+                ratio = approximation_ratio(mean, summary.min_value, summary.max_value)
+                expected.append(SweepCell(deleted, mode, subsolver, mean, float(values.max()), ratio))
+    assert cells == expected
+    # each occurrence of the repeated count draws its own samples
+    coin_at_5 = [c for c in cells if c.deleted_vertices == 5 and c.subsolver == "coin"]
+    assert len(coin_at_5) == 4 and coin_at_5[0] != coin_at_5[1]
+
+    for bad in ([7], [-1], [0, 3, 7]):
+        with pytest.raises(ValueError, match=f"deleted count {bad[-1]} outside"):
+            sweep_shrink_counts(g, bad, subsolvers, n_samples=10)
 
 
 def lift_and_score_per_row(g, state, samples):
