@@ -137,9 +137,10 @@ def _low_degree_message(g: WeightedGraph, correlations: CorrelationSet, reduced:
 
 
 def _lift_and_score(state: ShrinkState, samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every reduced sample lifted to the original graph, and its cut value there."""
+    """Every reduced sample lifted to the original graph, and its cut value
+    there, scored on the edges a lift can cut."""
     lifted = state.reconstruct(samples)
-    return lifted, cut_value_batch(state.original, lifted)
+    return lifted, cut_value_batch(state.cuttable, lifted)
 
 
 def run_pipeline(

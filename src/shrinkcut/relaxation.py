@@ -102,11 +102,15 @@ def separate_odd_cycles(
         a, even, odd = u + p * n, v + p * n, v + (1 - p) * n
         dist[a, even] = dist[even, a] = x
         dist[a, odd] = dist[odd, a] = 1.0 - x
+    # in place: pivot m changes neither row m nor column m (dist[m, m] == 0),
+    # so the pivot's row and column read below stay as they were
+    via = np.empty_like(dist)
+    better = np.empty(dist.shape, dtype=bool)
     for m in range(size):
-        via = dist[:, m, None] + dist[m]
-        better = via < dist
-        dist = np.where(better, via, dist)
-        hop = np.where(better, hop[:, m, None], hop)
+        np.add(dist[:, m, None], dist[m], out=via)
+        np.less(via, dist, out=better)
+        np.copyto(dist, via, where=better)
+        np.copyto(hop, hop[:, m, None], where=better)
 
     length = dist[np.arange(n), np.arange(n) + n]
     start = np.flatnonzero(length < 1.0 - tol)

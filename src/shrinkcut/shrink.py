@@ -20,6 +20,9 @@ import numpy as np
 from .graph import WeightedGraph
 from .relaxation import FractionalSolution
 
+# Pairs CorrelationSet.ordered_pairs turns into Python tuples at a time.
+ORDER_CHUNK = 512
+
 
 def correlation_sign(b: float) -> int:
     """+1 for equal sides, -1 for opposite sides; zero correlations pair up."""
@@ -49,10 +52,16 @@ class CorrelationSet:
         return cls(tuple(sorted(entries.items())))
 
     def _set(self, pairs, values) -> None:
-        self.pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        ends = np.array(pairs).reshape(-1, 2)
+        with np.errstate(invalid="ignore"):  # a nan or inf id fails the comparison below
+            self.pairs = ends.astype(np.int64)
         self.values = np.array(values, dtype=float)
         if self.values.shape != (len(self.pairs),):
             raise ValueError(f"{len(self.pairs)} pairs but {self.values.size} values")
+        # an id such as 1.5 is rejected, not truncated by the cast
+        bad = np.flatnonzero(self.pairs != ends) // 2
+        if bad.size:
+            raise ValueError(f"pair ({ends[bad[0], 0]}, {ends[bad[0], 1]}) needs integer ids")
         u, v = self.pairs.T
         magnitude = np.abs(self.values)
         bad = np.flatnonzero((u >= v) | ~(magnitude <= 1.0 + 1e-9))
@@ -62,7 +71,12 @@ class CorrelationSet:
                 raise ValueError(f"pair ({bu}, {bv}) must be ordered u < v")
             raise ValueError(f"correlation {b} for ({bu}, {bv}) outside [-1, 1]")
         self.pairs.flags.writeable = self.values.flags.writeable = False
-        self._order = np.lexsort((v, u, -magnitude))
+        if np.all((u[1:] > u[:-1]) | (u[1:] == u[:-1]) & (v[1:] >= v[:-1])):
+            # pairs already in lexicographic order, as _all_pairs gives them:
+            # a stable sort on |b| alone keeps that order among ties
+            self._order = np.argsort(-magnitude, kind="stable")
+        else:
+            self._order = np.lexsort((v, u, -magnitude))
 
     @property
     def entries(self) -> tuple[tuple[tuple[int, int], float], ...]:
@@ -70,9 +84,12 @@ class CorrelationSet:
 
     def ordered_pairs(self) -> Iterator[tuple[tuple[int, int], float]]:
         """Pairs by decreasing |correlation|, ties in lexicographic pair order
-        (repeated entries keep their order), yielded lazily."""
-        u, v = self.pairs[self._order].T
-        return zip(zip(u.tolist(), v.tolist()), self.values[self._order].tolist())
+        (repeated entries keep their order), yielded lazily: a shrink reads a
+        few hundred of n(n-1)/2 pairs, so they become tuples ORDER_CHUNK at a time."""
+        for start in range(0, self._order.size, ORDER_CHUNK):
+            chunk = self._order[start : start + ORDER_CHUNK]
+            u, v = self.pairs[chunk].T
+            yield from zip(zip(u.tolist(), v.tolist()), self.values[chunk].tolist())
 
 
 def _all_pairs(n: int, values: np.ndarray) -> CorrelationSet:
@@ -129,6 +146,7 @@ class ShrinkState:
         self._flip = np.zeros(n, dtype=bool)
         self.records: list[ShrinkRecord] = []
         self.offset = 0.0
+        self._cuttable: tuple[int, WeightedGraph] = (0, graph)
 
     @property
     def reduced_size(self) -> int:
@@ -187,6 +205,22 @@ class ShrinkState:
             self._flip[moved] ^= True
         self.offset += delta
         self.records.append(ShrinkRecord(kept, removed, sign, pair_weight, delta))
+
+    @property
+    def cuttable(self) -> WeightedGraph:
+        """The original graph without the edges no lift can cut: those inside
+        one super-vertex with both ends on the same side of it. Each of them
+        adds 0.0 * w = ±0.0 to a cut value, and a sum that starts at +0.0 never
+        is -0.0, so this graph scores every lift bit for bit as the original
+        does. Built once per contraction count; the original itself while
+        nothing drops."""
+        count, graph = self._cuttable
+        if count != len(self.records):
+            g = self.original
+            keep = (self._root[g.u] != self._root[g.v]) | (self._flip[g.u] != self._flip[g.v])
+            graph = g if keep.all() else g.edge_subgraph(keep)
+            self._cuttable = (len(self.records), graph)
+        return graph
 
     def reconstruct(self, reduced_assignment: np.ndarray) -> np.ndarray:
         """Lift a reduced-graph assignment, or a (k, reduced_size) matrix of

@@ -519,6 +519,20 @@ def test_constructor_copies_its_inputs():
     assert g != WeightedGraph(4, [0, 1], [1, 2], [1.0, -2.0])
 
 
+def test_edge_subgraph_matches_the_constructor():
+    g = WeightedGraph.from_edges(5, [(0, 1, 1.5), (3, 2, -2.0), (1, 3, 0.0), (0, 4, 4.0)])
+    for keep in itertools.product([False, True], repeat=g.edge_count):
+        keep = np.array(keep)
+        expected = WeightedGraph(5, g.u[keep], g.v[keep], g.w[keep])
+        sub = g.edge_subgraph(keep)
+        assert sub == expected
+        assert np.array_equal(sub.weight_matrix, expected.weight_matrix)
+        assert not any(getattr(sub, name).flags.writeable for name in "uvw")
+    for bad in (np.ones(3, dtype=bool), np.ones(4), [1, 0, 1, 0]):
+        with pytest.raises(ValueError, match="boolean mask of shape"):
+            g.edge_subgraph(bad)
+
+
 def test_pickle_round_trip_rebuilds_a_read_only_graph():
     g = WeightedGraph.from_edges(4, [(0, 1, 1.5), (3, 2, -2.0), (1, 3, 0.0)])
     assert g.weight_matrix.shape == (4, 4)  # the cached matrix is not pickled

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shrinkcut import (
@@ -21,9 +21,10 @@ from shrinkcut import (
     solve_cycle_relaxation,
     zero_correlations,
 )
+from shrinkcut import shrink
 from shrinkcut.graph import index_to_assignment
 from shrinkcut.instances import random_weighted_graph
-from shrinkcut.shrink import ShrinkState
+from shrinkcut.shrink import ShrinkState, _contractions
 
 
 def random_correlations(n, rng):
@@ -338,6 +339,9 @@ def test_batched_lift_rejects_wrong_width(case):
     st.tuples(st.integers(0, 5), st.integers(1, 6), st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0])),
     max_size=30,
 ))
+# one step out of lexicographic order, in v or in u, takes the lexsort path
+@example([(0, 2, 0.5), (0, 1, 0.5)])
+@example([(1, 2, 0.5), (0, 3, 0.5)])
 def test_ordered_pairs_match_stable_sort(raw):
     entries = tuple(((u, v), b) for u, v, b in raw if u < v)
     corr = CorrelationSet(entries)
@@ -355,6 +359,10 @@ def test_correlation_set_rejects_bad_entries():
         ((((1, 0), 2.0),), "pair (1, 0) must be ordered u < v"),
         ((((0, 1), 0.5), ((1, 2), -1.5)), "correlation -1.5 for (1, 2) outside [-1, 1]"),
         ((((0, 1), float("nan")),), "correlation nan for (0, 1) outside [-1, 1]"),
+        # an id such as 1.5 is rejected, not truncated to 1
+        ((((0, 1.5), 0.3),), "pair (0.0, 1.5) needs integer ids"),
+        ((((0, 1), 0.3), ((float("nan"), 2), 0.3)), "pair (nan, 2.0) needs integer ids"),
+        ((((0, float("inf")), 0.3),), "pair (0.0, inf) needs integer ids"),
     ]
     for entries, message in cases:
         with pytest.raises(ValueError) as err:
@@ -362,6 +370,13 @@ def test_correlation_set_rejects_bad_entries():
         assert str(err.value) == message
     with pytest.raises(ValueError, match="2 pairs but 1 values"):
         CorrelationSet.from_arrays(np.array([[0, 1], [1, 2]]), np.array([0.0]))
+    with pytest.raises(ValueError) as err:
+        CorrelationSet.from_arrays(np.array([[0.0, 2.7]]), np.array([0.1]))
+    assert str(err.value) == "pair (0.0, 2.7) needs integer ids"
+    # numpy integer ids and integral float ids are ids
+    assert CorrelationSet([((np.int64(0), np.int32(2)), 0.5)]).entries == (((0, 2), 0.5),)
+    assert CorrelationSet.from_arrays(np.array([[1, 3]], dtype=np.uint8), np.array([0.5])).entries == (((1, 3), 0.5),)
+    assert CorrelationSet.from_arrays(np.array([[1.0, 3.0]]), np.array([0.5])).entries == (((1, 3), 0.5),)
 
 
 def test_zero_correlations_cover_every_pair_in_order():
@@ -370,3 +385,52 @@ def test_zero_correlations_cover_every_pair_in_order():
     assert corr.entries == tuple(((u, v), 0.0) for u, v in itertools.combinations(range(n), 2))
     assert list(corr.ordered_pairs()) == list(corr.entries)
     assert zero_correlations(1).entries == ()
+
+
+@pytest.mark.parametrize("shuffle", [False, True])
+def test_ordered_pairs_span_chunks(shuffle):
+    # more pairs than one chunk of the lazy order, with ties in |b| across
+    # chunk boundaries; in lexicographic order (the stable-argsort path) or not
+    rng = np.random.default_rng(5)
+    pairs = list(itertools.combinations(range(40), 2))
+    values = rng.choice([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0], size=len(pairs)).tolist()
+    entries = list(zip(pairs, values))
+    if shuffle:
+        entries = [entries[i] for i in rng.permutation(len(entries))]
+    corr = CorrelationSet(entries)
+    assert len(entries) > shrink.ORDER_CHUNK
+    assert list(corr.ordered_pairs()) == sorted(entries, key=lambda kv: (-abs(kv[1]), kv[0]))
+
+
+@st.composite
+def graphs_with_signed_correlations(draw):
+    """A graph on 1-8 vertices with a random edge subset (none at all
+    included) weighted from a pool with +0.0 and -0.0, and signed correlations
+    on every pair, so shrinking reaches every target and merges opposite sides."""
+    n = draw(st.integers(1, 8))
+    pairs = list(itertools.combinations(range(n), 2))
+    kept = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    weight = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-10, 10))
+    u, v = np.array([p for p, keep in zip(pairs, kept) if keep], dtype=np.int64).reshape(-1, 2).T
+    w = [draw(weight) for _ in u]
+    corr = draw(st.lists(st.floats(-1, 1), min_size=len(pairs), max_size=len(pairs)))
+    # the constructor keeps a -0.0 weight, which from_edges's sum from 0.0 would not
+    return WeightedGraph(n, u, v, w), CorrelationSet(tuple(zip(pairs, corr)))
+
+
+@settings(deadline=None)
+@given(graphs_with_signed_correlations())
+def test_cuttable_graph_scores_every_lift_bit_for_bit(case):
+    g, corr = case
+    # one state walked down to a single vertex, so the per-count cache is read
+    # after every contraction
+    for state in _contractions(g, corr, 1):
+        size = state.reduced_size
+        lifted = state.reconstruct(np.stack([index_to_assignment(i, size) for i in range(1 << size)]))
+        # exactly the edges no lift cuts are dropped: an edge inside one
+        # super-vertex with its ends on opposite sides is cut by every lift
+        cut_somewhere = np.any(lifted[:, g.u] ^ lifted[:, g.v], axis=0)
+        expected = WeightedGraph(g.vertex_count, g.u[cut_somewhere], g.v[cut_somewhere], g.w[cut_somewhere])
+        assert state.cuttable == expected
+        assert (state.cuttable is g) == bool(cut_somewhere.all())
+        assert cut_value_batch(state.cuttable, lifted).tobytes() == cut_value_batch(g, lifted).tobytes()
