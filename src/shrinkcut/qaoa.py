@@ -18,8 +18,10 @@ import numpy as np
 from .graph import WeightedGraph, cut_values_for_indices
 
 STATEVECTOR_CAP = 24
-# qubits one X-mixer matrix product acts on: a 32x32 block
-MIXER_BLOCK_QUBITS = 5
+# qubits one X-mixer matrix product acts on: a 16x16 real block
+MIXER_BLOCK_QUBITS = 4
+# floats of the scratch each mixer product writes through (256 KB, cache-sized)
+MIXER_SCRATCH = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -49,29 +51,34 @@ class QaoaState:
 
 
 def _probabilities(amp: np.ndarray) -> np.ndarray:
+    """re^2 + im^2 per amplitude, the imaginary squares chunked through a small scratch."""
     probs = np.square(amp.real)
-    probs += np.square(amp.imag)
+    square = np.empty(min(amp.size, MIXER_SCRATCH))
+    for a in range(0, amp.size, square.size):
+        part = square[: amp.size - a]
+        probs[a : a + part.size] += np.square(amp.imag[a : a + part.size], out=part)
     return probs
 
 
 def qaoa_state(g: WeightedGraph, params: QaoaParams) -> QaoaState:
     """Statevector of the depth-1 circuit: phase by cut value, then one X
     rotation of angle 2*beta on every qubit, starting from the uniform state."""
-    return QaoaState(_evolve(_phase(g, params.gamma), g.vertex_count, params.beta), g.vertex_count)
+    return QaoaState(_evolve(_phase(g, params.gamma, -1j), g.vertex_count, params.beta), g.vertex_count)
 
 
-def _phase(g: WeightedGraph, gamma: float) -> np.ndarray:
+def _phase(g: WeightedGraph, gamma: float, unit: complex = 1.0) -> np.ndarray:
     """2^(-n/2) exp(-i gamma C(x)) for every x whose top qubit is 0, built by
     graph._cut_block's per-vertex doubling, multiplying unit phases where it
     adds cut gains: the factor for setting bit k starts at
-    exp(-i gamma sum_j w[k, j]) and doubles by exp(2i gamma w[k, j]) per lower
-    bit j. Trigonometry runs on the O(n^2) weights only."""
+    unit * exp(-i gamma sum_j w[k, j]) and doubles by exp(2i gamma w[k, j]) per
+    lower bit j. So entry x carries unit^popcount(x): unit = -1j gives the
+    phase in _evolve's frame. Trigonometry runs on the O(n^2) weights only."""
     n = g.vertex_count
     if n > STATEVECTOR_CAP:
         raise ValueError(f"{n} qubits exceeds the statevector cap of {STATEVECTOR_CAP}")
     out = np.empty(1 << max(n - 1, 0), dtype=complex)
     step = np.exp(2j * gamma * g.weight_matrix)
-    start = np.exp(-1j * gamma * g.weight_matrix.sum(axis=1))
+    start = unit * np.exp(-1j * gamma * g.weight_matrix.sum(axis=1))
     out[0] = 2.0 ** (-n / 2.0)
     for k in range(n - 1):
         d = out[1 << k : 2 << k]
@@ -82,36 +89,65 @@ def _phase(g: WeightedGraph, gamma: float) -> np.ndarray:
     return out
 
 
-def _evolve(amp: np.ndarray, n: int, beta: float) -> np.ndarray:
-    """The X mixer on amp, the phased half with the top qubit 0 (overwritten).
+def _evolve(y: np.ndarray, n: int, beta: float) -> np.ndarray:
+    """The X mixer on y, the phased half with the top qubit 0 in the mixer's
+    frame, _phase(g, gamma, -1j) (overwritten in place); returns the half in
+    the true frame.
 
     The uniform start state, the phase by cut value and the X mixer all
     commute with the global flip X^n, so amp[x] = amp[~x] throughout
     (Shaydulin, Hadfield, Hogg & Safro, QIP 20, 359, 2021) and the half h
-    with the top qubit 0 is the whole state. On such a state X_{n-1} acts as
-    X_0...X_{n-2}, which reverses h, so the top qubit's rotation is
-    c h - i s h[::-1]. The n - 1 low qubits rotate MIXER_BLOCK_QUBITS at a
-    time: for the k qubits from qubit q up, the k-fold tensor power of the
-    one-qubit rotation multiplies the middle axis of h reshaped to
-    (rest, 2^k, 2^q), one matrix product per block into the one other buffer.
+    with the top qubit 0 is the whole state. With D = diag(1, i),
+    D [[c, s], [-s, c]] D^-1 = exp(-i beta X), so in the frame
+    y[x] = (-i)^popcount(x) amp[x] every qubit rotates by that real matrix, and
+    its Kronecker powers act on the float view of y. Qubits low..n-2 rotate
+    MIXER_BLOCK_QUBITS at a time: for the k qubits from qubit q up, the k-fold
+    power multiplies the middle axis of the view reshaped to
+    (rest, 2^k, 2^(q+1)), each product written to a MIXER_SCRATCH-float
+    (256 KB) scratch and copied back. One last pass over mirrored chunk pairs
+    of that scratch's size rotates the low = MIXER_BLOCK_QUBITS - 1 lowest
+    qubits, whose power, times the identity on (re, im), is as wide as a
+    block; multiplies by i^popcount(x) back to the true frame; and rotates the
+    top qubit. X_{n-1} acts on h as X_0...X_{n-2}, which reverses h, so that
+    rotation is c h - i s h[::-1] (in the frame, c y - i^n (-1)^popcount(x) s y[::-1]).
     """
     c, s = math.cos(beta), math.sin(beta)
-    buf = np.empty_like(amp)
-    if n:
-        np.multiply(amp[::-1], -1j * s, out=buf)
-        amp *= c
-        amp += buf
-    rotation = np.array([[c, -1j * s], [-1j * s, c]])
-    for q in range(0, n - 1, MIXER_BLOCK_QUBITS):
+    rotation = np.array([[c, s], [-s, c]])
+    scratch = np.empty(MIXER_SCRATCH)
+    low = min(MIXER_BLOCK_QUBITS - 1, max(n - 1, 0))
+    for q in range(low, n - 1, MIXER_BLOCK_QUBITS):
         k = min(MIXER_BLOCK_QUBITS, n - 1 - q)
         block = functools.reduce(np.kron, [rotation] * k)
-        if q:
-            shape = (-1, 1 << k, 1 << q)
-            np.matmul(block, amp.reshape(shape), out=buf.reshape(shape))
-        else:  # block is symmetric: one product from the right
-            np.matmul(amp.reshape(-1, 1 << k), block, out=buf.reshape(-1, 1 << k))
-        amp, buf = buf, amp
-    return amp
+        width = min(2 << q, MIXER_SCRATCH >> k)
+        rows = max(1, MIXER_SCRATCH // (2 << q + k))
+        view = y.view(float).reshape(-1, 1 << k, (2 << q) // width, width)
+        for r in range(0, view.shape[0], rows):
+            for j in range(view.shape[2]):
+                x = view[r : r + rows, :, j]
+                out = scratch[: x.size].reshape(x.shape)
+                np.matmul(block, x, out=out)
+                x[...] = out
+    if not n:
+        return y
+    size = min(y.size, MIXER_SCRATCH // 8)
+    lowest = functools.reduce(np.kron, [rotation.T] * low + [np.eye(2)])
+    # i^popcount(x) for x < size: the way back to the true frame, times i^popcount(a) per chunk
+    back = functools.reduce(np.kron, [np.array([1, 1j])] * (size.bit_length() - 1), np.ones(1))
+    lo, hi, t = scratch[: 6 * size].view(complex).reshape(3, size)
+    for a in range(0, max(y.size // 2, 1), size):
+        b = y.size - a - size
+        for z, i in (lo, a), (hi, b):
+            f = y[i : i + size].view(float).reshape(-1, len(lowest))
+            np.matmul(f, lowest, out=z.view(float).reshape(f.shape))
+            z *= back
+        ua, ub = ((1, 1j, -1, -1j)[i.bit_count() % 4] for i in (a, b))
+        np.multiply(hi[::-1], -1j * s * ub, out=t)
+        np.multiply(lo[::-1], -1j * s * ua, out=y[b : b + size])
+        hi *= c * ub
+        y[b : b + size] += hi
+        np.multiply(lo, c * ua, out=y[a : a + size])
+        y[a : a + size] += t
+    return y
 
 
 def _expectation(phase: np.ndarray, spectrum: np.ndarray, n: int, beta: float) -> float:
@@ -122,7 +158,7 @@ def _expectation(phase: np.ndarray, spectrum: np.ndarray, n: int, beta: float) -
 
 def expectation_statevector(g: WeightedGraph, params: QaoaParams) -> float:
     """Exact expected cut value, sum_x |amp(x)|^2 C(x)."""
-    phase = _phase(g, params.gamma)
+    phase = _phase(g, params.gamma, -1j)
     return _expectation(phase, cut_values_for_indices(g, np.arange(phase.size)), g.vertex_count, params.beta)
 
 
@@ -271,8 +307,9 @@ def grid_search(g: WeightedGraph, step: float, evaluator: str = "analytic") -> L
     elif evaluator == "statevector":
         values = np.empty((points.size, points.size))
         for i, gamma in enumerate(points):
-            phase = _phase(g, gamma)
-            spectrum = cut_values_for_indices(g, np.arange(phase.size))
+            phase = _phase(g, gamma, -1j)
+            if not i:  # once, after _phase has checked the qubit cap
+                spectrum = cut_values_for_indices(g, np.arange(phase.size))
             for j, beta in enumerate(points):
                 values[i, j] = _expectation(phase.copy(), spectrum, g.vertex_count, beta)
     else:

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shrinkcut import (
+    STATEVECTOR_CAP,
     QaoaParams,
     QaoaState,
     WeightedGraph,
@@ -101,6 +103,33 @@ def test_phase_and_state_at_20_qubits():
     assert np.abs(half - full[: half.size]).max() <= 1e-12 * np.abs(full).max()
 
 
+@pytest.mark.parametrize("n", range(13, 21))
+def test_blocked_mixer_matches_butterfly_from_13_qubits(n):
+    # the property above stops at n = 12; from here on the mixer's products are
+    # split into rows and then columns of its scratch, its last pass runs over
+    # several chunk pairs, and n = 13..15 and 17..19 end on a partial block
+    rng = np.random.default_rng(n)
+    g = WeightedGraph.from_edges(n, random_edges(n, 3.0, rng))
+    p = QaoaParams(*rng.uniform(0.0, math.pi / 2, 2))
+    half = qaoa_state(g, p).amplitudes
+    full = butterfly_state(g, p)
+    assert np.abs(half - full[: half.size]).max() <= 1e-12 * np.abs(full).max()
+
+
+def test_state_memory_at_20_qubits():
+    # the mixer runs in place through a cache-sized scratch: no second
+    # state-sized buffer beside the half state it returns
+    g = WeightedGraph.from_edges(20, random_edges(20, 3.0, np.random.default_rng(20)))
+    p = estimate_parameters(g)
+    tracemalloc.start()
+    try:
+        state = qaoa_state(g, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * state.amplitudes.nbytes
+
+
 @settings(deadline=None)
 @given(random_graphs(10), angles, angles)
 def test_analytic_equals_statevector(g, gamma, beta):
@@ -140,6 +169,9 @@ def test_statevector_cap():
     g = WeightedGraph.from_edges(30, [(0, 1, 1.0)])
     with pytest.raises(ValueError):
         qaoa_state(g, QaoaParams(0.1, 0.1))
+    # checked before the statevector grid builds its 2^(n-1)-entry spectrum
+    with pytest.raises(ValueError, match="statevector cap"):
+        grid_search(WeightedGraph.from_edges(STATEVECTOR_CAP + 1, [(0, 1, 1.0)]), 0.5, "statevector")
 
 
 def test_k2_concentrates_on_optimal_cuts():
