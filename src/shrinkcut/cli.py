@@ -97,6 +97,7 @@ def cmd_shrink(args) -> int:
             "reduced_edges": str(reduced.edge_count),
             "offset": f"{state.offset:.12g}",
             "contractions": str(len(state.records)),
+            "opposite_merges": str(sum(r.sign == -1 for r in state.records)),
         },
         None,
     )

@@ -239,26 +239,43 @@ def cut_value(g: WeightedGraph, assignment: np.ndarray) -> float:
     return float(cut_value_batch(g, a[None])[0])
 
 
-def cut_value_batch(g: WeightedGraph, assignments: np.ndarray) -> np.ndarray:
+def cut_value_batch(
+    g: WeightedGraph, assignments: np.ndarray, lift: tuple[np.ndarray, np.ndarray] | None = None
+) -> np.ndarray:
     """Cut values for a (k, n) boolean matrix of assignments, one row each.
 
     A row's value is the sum of the weights it cuts, in edge order from 0.0,
     whatever rows it is scored with. Rows are scored in chunks with about
     SCORE_CHUNK_BYTES of temporaries, all edges at once on the transpose.
+
+    With lift = (columns, flip), two (n,) arrays, a row a of any width stands
+    for the assignment a[columns] ^ flip and scores bit for bit as it, without
+    it being built: each edge reads its ends' columns, XORed with its ends'
+    flips when any edge's ends differ in flip (ShrinkState.lift_map).
     """
     a = np.asarray(assignments, dtype=bool)
-    if a.ndim != 2 or a.shape[1] != g.vertex_count:
-        raise ValueError(f"expected shape (k, {g.vertex_count})")
+    u, v, width, flips = g.u, g.v, g.vertex_count, None
+    if lift is not None:
+        columns, flip = lift
+        u, v, width = columns[g.u], columns[g.v], a.shape[-1] if a.ndim else 0
+        if np.any(columns >= width):
+            raise ValueError(f"lift reads column {columns.max()} of assignments of width {width}")
+        flips = flip[g.u] ^ flip[g.v]
+        flips = flips[:, None] if flips.any() else None
+    if a.ndim != 2 or a.shape[1] != width:
+        raise ValueError(f"expected shape (k, {width})")
     # bytes per row: its sides, the two gathered endpoint sides, their XOR, its value
-    step = max(2, SCORE_CHUNK_BYTES // (g.vertex_count + 3 * g.edge_count + 8))
+    step = max(2, SCORE_CHUNK_BYTES // (width + 3 * g.edge_count + 8))
     vals = np.empty(a.shape[0])
     for start in range(0, a.shape[0], step):
         rows = a[start : start + step]
         # two columns at least: einsum sums a lone column with several
         # accumulators, not in edge order, so a row alone would score differently
-        sides = np.zeros((g.vertex_count, max(2, len(rows))), dtype=bool)
+        sides = np.zeros((width, max(2, len(rows))), dtype=bool)
         sides[:, : len(rows)] = rows.T
-        cut = sides[g.u] ^ sides[g.v]
+        cut = sides[u] ^ sides[v]
+        if flips is not None:
+            cut ^= flips
         vals[start : start + len(rows)] = np.einsum("ek,e->k", cut, g.w)[: len(rows)]
     return vals
 

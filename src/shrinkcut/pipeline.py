@@ -2,9 +2,10 @@
 
 The reduced instance is solved by one of three subsolvers: exact enumeration,
 the depth-1 QAOA simulator with estimated parameters, or coin flipping. Every
-sampled reduced assignment is reconstructed and scored on the original graph;
-reports carry the sample mean and the best value, plus oracle-based
-approximation ratios when the instance is small enough to enumerate.
+sampled reduced assignment is scored on the original graph without being
+lifted, and the best one is reconstructed; reports carry the sample mean and
+the best value, plus oracle-based approximation ratios when the instance is
+small enough to enumerate.
 """
 
 from __future__ import annotations
@@ -129,18 +130,23 @@ def _low_degree_message(g: WeightedGraph, correlations: CorrelationSet, reduced:
         "so the QAOA parameter estimate is undefined"
     )
     limit = min(g.vertex_count, STATEVECTOR_CAP)
-    for target in range(size + 1, limit + 1):
-        degree = average_degree(shrink_to_target(g, correlations, target).reduced)
-        if degree > 1.0:
-            return f"{message}; target {target} reduces to average degree {degree:.3g}"
+    # the walk toward size + 1 passes every larger target's reduction on its
+    # way, largest first, so the last one that works is the smallest
+    works = None
+    if size < limit:
+        for state in _contractions(g, correlations, size + 1):
+            degree = average_degree(state.reduced) if state.reduced_size <= limit else 0.0
+            if degree > 1.0:
+                works = (state.reduced_size, degree)
+    if works:
+        return f"{message}; target {works[0]} reduces to average degree {works[1]:.3g}"
     return f"{message}; no target up to {limit} reduces to average degree > 1"
 
 
-def _lift_and_score(state: ShrinkState, samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every reduced sample lifted to the original graph, and its cut value
-    there, scored on the edges a lift can cut."""
-    lifted = state.reconstruct(samples)
-    return lifted, cut_value_batch(state.cuttable, lifted)
+def _score(state: ShrinkState, samples: np.ndarray) -> np.ndarray:
+    """Every reduced sample's cut value on the original graph, scored on the
+    edges a lift can cut, from the sample's own columns: nothing is lifted."""
+    return cut_value_batch(state.cuttable, samples, state.lift_map)
 
 
 def run_pipeline(
@@ -201,8 +207,9 @@ def run_pipeline(
 
     tic = time.perf_counter()
     try:
-        lifted, values = _lift_and_score(state, samples)
+        values = _score(state, samples)
         best_idx = int(np.argmax(values))
+        best_assignment = state.reconstruct(samples[best_idx])
     except Exception as exc:
         raise PipelineError("reconstruct", exc) from exc
     timings["reconstruct"] = time.perf_counter() - tic
@@ -231,7 +238,7 @@ def run_pipeline(
         offset=state.offset,
         best_cut_value=float(values[best_idx]),
         mean_cut_value=float(values.mean()),
-        best_assignment=lifted[best_idx],
+        best_assignment=best_assignment,
         c_min=c_min,
         c_max=c_max,
         approximation_ratio=ratio,
@@ -312,7 +319,7 @@ def sweep_shrink_counts(
             for i in at_size[state.reduced_size]:
                 for subsolver, cell_seed in zip(subsolvers, seeds[i]):
                     samples, _ = _solve_reduced(reduced, subsolver, n_samples, cell_seed)
-                    _, values = _lift_and_score(state, samples)
+                    values = _score(state, samples)
                     mean = float(values.mean())
                     ratio = approximation_ratio(mean, summary.min_value, summary.max_value)
                     rows[i].append(SweepCell(deleted_counts[i], mode, subsolver, mean, float(values.max()), ratio))

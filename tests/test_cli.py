@@ -60,6 +60,21 @@ def test_shrink_command_uses_the_relaxation(tmp_path, capsys):
     assert record_of(capsys.readouterr().out)["offset"] == f"{state.offset:.12g}"
 
 
+def test_shrink_command_counts_opposite_merges(tmp_path, capsys):
+    path, g = write_instance(tmp_path, rows=3, cols=3)
+    for mode, correlations in (
+        ("relaxation", correlations_from_relaxation(solve_cycle_relaxation(g))),
+        ("zero", zero_correlations(g.vertex_count)),
+    ):
+        assert main(["shrink", str(path), "--target", "2", "--mode", mode]) == 0
+        rec = record_of(capsys.readouterr().out)
+        signs = [r.sign for r in shrink_to_target(g, correlations, 2).records]
+        assert rec["opposite_merges"] == str(signs.count(-1))
+        assert rec["contractions"] == str(len(signs))
+        # the grid's relaxation puts some pairs on opposite sides; zero mode never does
+        assert (signs.count(-1) > 0) == (mode == "relaxation")
+
+
 def test_shrink_command_outputs(tmp_path, capsys):
     path, g = write_instance(tmp_path)
     trace = tmp_path / "trace.txt"

@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import shrinkcut.pipeline
 from shrinkcut import (
     PipelineError,
     approximation_ratio,
@@ -277,6 +279,74 @@ def test_batched_lift_reproduces_per_row_reference():
                 ratio = approximation_ratio(mean, summary.min_value, summary.max_value)
                 expected.append(SweepCell(deleted, mode, subsolver, mean, float(values.max()), ratio))
     assert cells == expected
+
+
+@pytest.mark.parametrize("mode", ["relaxation", "zero"])
+@pytest.mark.parametrize("subsolver", ["coin", "exact"])
+def test_reduced_column_scoring_matches_full_lift(mode, subsolver):
+    # run_pipeline and the sweep score reduced samples through the lift map
+    # and lift only the best row; the reference lifts every sample and scores
+    # it on the whole graph, and the values must agree to the last bit
+    rng = np.random.default_rng(31)
+    for trial in range(4):
+        n = int(rng.integers(5, 10))
+        g = random_weighted_graph(n, 0.7, rng)
+        target = int(rng.integers(2, n))
+        if mode == "relaxation":
+            correlations = correlations_from_relaxation(solve_cycle_relaxation(g))
+        else:
+            correlations = zero_correlations(n)
+        state = shrink_to_target(g, correlations, target)
+
+        def reference(seed):
+            samples, _ = _solve_reduced(state.reduced, subsolver, 200, seed)
+            lifted = state.reconstruct(samples)
+            return lifted, cut_value_batch(g, lifted)
+
+        report = run_pipeline(g, target, subsolver=subsolver, correlation_mode=mode, n_samples=200, seed=trial)
+        lifted, values = reference(trial)
+        best = int(np.argmax(values))
+        assert np.float64(report.mean_cut_value).tobytes() == values.mean().tobytes()
+        assert np.float64(report.best_cut_value).tobytes() == values[best].tobytes()
+        assert np.array_equal(report.best_assignment, lifted[best])
+
+        [cell] = sweep_shrink_counts(g, [n - target], (subsolver,), (mode,), n_samples=200, seed=trial)
+        _, values = reference(int(np.random.default_rng(trial).integers(2**63)))
+        assert np.float64(cell.mean_cut_value).tobytes() == values.mean().tobytes()
+        assert np.float64(cell.best_cut_value).tobytes() == values.max().tobytes()
+        # a lift map must not read past the samples it is given
+        with pytest.raises(ValueError, match="lift reads column"):
+            cut_value_batch(g, np.zeros((3, target - 1), dtype=bool), state.lift_map)
+
+
+def test_trace_boundaries_resolve():
+    # the benchmark's tracer rebinds names the program looks up at run time
+    # and skips the ones it no longer has, whose metrics would then read 0.
+    # Only the two stale names the benchmark itself still lists may be missing.
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+
+    def bound():
+        names = ("cut_value_batch", "shrink_to_target", "zero_correlations")
+        return [getattr(shrinkcut.pipeline, name) for name in names] + [ShrinkState.reconstruct, ShrinkState.reduced]
+
+    before = bound()
+    tracer = tracing.Tracer()
+    roots = tracer.install()
+    try:
+        assert set(tracer.missing) <= {"shrinkcut.relaxation.separate_triangles", "shrinkcut.pipeline.dense_closure"}
+        tracer.active = True
+        roots["run_pipeline"](grid_instance(3, 4, 2), 5, subsolver="coin", correlation_mode="zero", n_samples=50)
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    spans, _ = tracer.take()
+    called = {name for name, *_ in spans}
+    assert {"shrink.correlations", "shrink.shrink_to_target", "shrink.reduced"} <= called
+    assert {"graph.cut_value_batch", "shrink.reconstruct"} <= called
+    assert bound() == before
 
 
 def test_relaxation_pipeline_leaves_scipy_unloaded():

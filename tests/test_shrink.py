@@ -387,6 +387,31 @@ def test_zero_correlations_cover_every_pair_in_order():
     assert zero_correlations(1).entries == ()
 
 
+@settings(deadline=None)
+@given(st.integers(0, 12).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.sampled_from(list(itertools.combinations(range(n), 2)) or [(0, 1)]),
+                       st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0])), max_size=20),
+)))
+def test_implicit_zero_tail_reads_as_every_pair(case):
+    n, raw = case
+    stored = dict(pair for pair in raw if pair[0][1] < n)
+    pairs = sorted(stored)
+    corr = CorrelationSet.from_arrays(np.array(pairs).reshape(-1, 2), np.array([stored[p] for p in pairs]), n)
+    # every pair reads its stored value or 0; only the nonzero ones are kept
+    everything = tuple((p, stored.get(p, 0.0) + 0.0) for p in itertools.combinations(range(n), 2))
+    assert corr.entries == everything
+    assert len(corr.pairs) == sum(b != 0 for b in stored.values())
+    # the same order as a set that lists every pair explicitly
+    assert list(corr.ordered_pairs()) == sorted(everything, key=lambda kv: (-abs(kv[1]), kv[0]))
+
+
+def test_implicit_zero_tail_rejects_pairs_it_cannot_order():
+    for pairs in ([[0, 2], [0, 1]], [[0, 1], [0, 1]], [[1, 4]]):
+        with pytest.raises(ValueError, match="pairs must be sorted, unique and below 4 when the others read 0"):
+            CorrelationSet.from_arrays(np.array(pairs), np.full(len(pairs), 0.5), 4)
+
+
 @pytest.mark.parametrize("shuffle", [False, True])
 def test_ordered_pairs_span_chunks(shuffle):
     # more pairs than one chunk of the lazy order, with ties in |b| across
@@ -434,3 +459,63 @@ def test_cuttable_graph_scores_every_lift_bit_for_bit(case):
         assert state.cuttable == expected
         assert (state.cuttable is g) == bool(cut_somewhere.all())
         assert cut_value_batch(state.cuttable, lifted).tobytes() == cut_value_batch(g, lifted).tobytes()
+
+
+class DenseShrink:
+    """Reference: the dense contraction ShrinkState ran before it kept
+    adjacency dicts. An n x n weight matrix whose kept row and column absorb
+    the removed ones, and a flat root and flip per original vertex."""
+
+    def __init__(self, g):
+        self.w = np.array(g.weight_matrix)
+        self.root, self.flip = np.arange(g.vertex_count), np.zeros(g.vertex_count, dtype=bool)
+        self.records, self.offset = [], 0.0
+
+    def active(self):
+        return np.flatnonzero(self.root == np.arange(self.root.size))
+
+    def contract(self, removed, kept, sign):
+        pair_weight = float(self.w[removed, kept])
+        delta = float(self.w[removed, self.active()].sum()) if sign == -1 else 0.0
+        self.w[kept] += sign * self.w[removed]
+        self.w[kept, kept] = 0.0
+        self.w[:, kept] = self.w[kept]
+        self.w[removed] = self.w[:, removed] = 0.0
+        moved = self.root == removed
+        self.root[moved] = kept
+        self.flip[moved] ^= sign == -1
+        self.offset += delta
+        self.records.append(shrink.ShrinkRecord(kept, removed, sign, pair_weight, delta))
+
+    def reduced(self):
+        active = self.active()
+        upper = np.triu(self.w[np.ix_(active, active)], 1)
+        u, v = np.nonzero(upper)
+        return WeightedGraph(active.size, u, v, upper[u, v])
+
+
+@settings(deadline=None)
+@given(graphs_with_signed_correlations())
+def test_adjacency_contraction_matches_dense_reference(case):
+    g, corr = case
+    dense = DenseShrink(g)
+    states = _contractions(g, corr, 1)
+    state = next(states)
+    for (u, v), b in corr.ordered_pairs():
+        if len(dense.records) == g.vertex_count - 1:
+            break
+        if dense.root[u] == dense.root[v]:
+            continue
+        sign = correlation_sign(b) * (-1 if dense.flip[u] != dense.flip[v] else 1)
+        dense.contract(int(dense.root[u]), int(dense.root[v]), sign)
+        state = next(states)
+        assert state.records == dense.records
+        assert state.offset.hex() == dense.offset.hex()
+        reduced = dense.reduced()
+        assert state.reduced == reduced and state.reduced.w.tobytes() == reduced.w.tobytes()
+        cut = (dense.root[g.u] != dense.root[g.v]) | (dense.flip[g.u] != dense.flip[g.v])
+        assert state.cuttable == g.edge_subgraph(cut)
+    assert next(states, None) is None
+    replayed = replay_trace(g, parse_trace(format_trace(state)))
+    assert replayed.records == state.records and replayed.offset.hex() == state.offset.hex()
+    assert replayed.reduced == state.reduced
