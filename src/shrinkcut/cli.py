@@ -23,6 +23,7 @@ from .pipeline import (
     SUBSOLVERS,
     DEFAULT_SAMPLES,
     PipelineError,
+    correlations_for_mode,
     run_pipeline,
     sweep_shrink_counts,
     sweep_to_csv,
@@ -36,12 +37,7 @@ from .qaoa import (
     grid_search,
 )
 from .relaxation import format_solution, solve_cycle_relaxation
-from .shrink import (
-    correlations_from_relaxation,
-    format_trace,
-    shrink_to_target,
-    zero_correlations,
-)
+from .shrink import format_trace, shrink_to_target
 from .simplex import SimplexError
 
 
@@ -83,10 +79,7 @@ def cmd_relax(args) -> int:
 
 def cmd_shrink(args) -> int:
     g = _load(args.instance)
-    if args.mode == "relaxation":
-        correlations = correlations_from_relaxation(solve_cycle_relaxation(g, args.tol))
-    else:
-        correlations = zero_correlations(g.vertex_count)
+    correlations, _ = correlations_for_mode(g, args.mode, args.tol)
     state = shrink_to_target(g, correlations, args.target)
     reduced = state.reduced
     _emit(

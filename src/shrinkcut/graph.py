@@ -6,18 +6,16 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 BRUTE_FORCE_CAP = 24
-# Index bits one cut_values_for_indices block covers: 2^20 cut values per prefix.
-ENUM_BLOCK_BITS = 20
+# Index bits one block of cut values covers: 2^16 values, 512 KB, which stay
+# in cache while the block is built and read.
+ENUM_BLOCK_BITS = 16
 # Bytes of temporaries one cut_value_batch chunk of rows may hold.
 SCORE_CHUNK_BYTES = 1 << 21
-# Index bits one brute_force block covers: 2^16 cut values, 512 KB, which stay
-# in cache while the block is built and scanned.
-ORACLE_BLOCK_BITS = 16
 
 
 class ParseError(ValueError):
@@ -281,56 +279,75 @@ def cut_value_batch(
 
 
 def cut_values_for_indices(g: WeightedGraph, indices: np.ndarray) -> np.ndarray:
-    """Cut values for assignments encoded as integers (vertex i = bit i).
-
-    Indices are grouped by their bits from b = min(n, ENUM_BLOCK_BITS) up.
-    Each group is read from one block of cut values over its low b bits,
-    built by per-vertex doubling in O(2^b) adds whatever the edge count.
-    Raises ValueError for an index outside [0, 2^n).
-    """
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.size == 0:
+    """Cut values, in the shape of indices, for assignments encoded as integers
+    (vertex i = bit i). Each prefix of the bits from b = min(n, ENUM_BLOCK_BITS)
+    up that the indices touch has its block (_blocks) read straight into its
+    slice of the output. Raises ValueError for an index that is not an
+    integer or is outside [0, 2^n)."""
+    idx = np.asarray(indices)
+    with np.errstate(invalid="ignore"):  # a nan or inf index fails the comparison below
+        flat = idx.astype(np.int64, copy=False).ravel()
+    bad = np.flatnonzero(flat != idx.ravel()) if idx.dtype.kind not in "iu" else ()
+    if len(bad):
+        raise ValueError(f"assignment index {idx.flat[bad[0]]} is not an integer")
+    if flat.size == 0:
         return np.zeros(idx.shape)
-    smallest, largest = int(idx.min()), int(idx.max())
+    unsorted = bool(np.any(flat[1:] < flat[:-1]))
+    smallest, largest = (int(flat.min()), int(flat.max())) if unsorted else (int(flat[0]), int(flat[-1]))
     if smallest < 0 or largest >> g.vertex_count:
         bad = smallest if smallest < 0 else largest
         raise ValueError(f"assignment index {bad} is outside [0, 2^{g.vertex_count})")
     b = min(g.vertex_count, ENUM_BLOCK_BITS)
-    low = idx & ((1 << b) - 1)
-    top = int(low.max()).bit_length()
-    first = smallest >> b
-    if first == largest >> b:
-        return _cut_block(g.weight_matrix, b, first, top)[low]
-    high = idx >> b
-    vals = np.empty(idx.shape)
-    for prefix in np.unique(high):
-        sel = high == prefix
-        vals[sel] = _cut_block(g.weight_matrix, b, int(prefix), top)[low[sel]]
-    return vals
+    order = None
+    if unsorted and smallest >> b != largest >> b:
+        order = np.argsort(flat)
+        flat = flat[order]
+    # flat is sorted wherever its prefixes differ: each prefix spans one slice
+    starts = [0]
+    while starts[-1] < flat.size:
+        starts.append(int(np.searchsorted(flat, ((int(flat[starts[-1]]) >> b) + 1) << b)))
+    vals = np.empty(flat.size)
+    blocks = _blocks(g.weight_matrix, b, [int(flat[i]) >> b for i in starts[:-1]])
+    for start, end, block in zip(starts, starts[1:], blocks):
+        # "wrap" reads index x at x mod 2^b, its low bits
+        np.take(block, flat[start:end], out=vals[start:end], mode="wrap")
+    if order is not None:
+        vals[order] = vals.copy()
+    return vals.reshape(idx.shape)
 
 
-def _cut_block(w: np.ndarray, b: int, prefix: int, top: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Cut values of the 2^top assignments x whose bits from b up spell prefix
-    and whose bits top..b-1 are 0, indexed by their low bits.
+def _blocks(w: np.ndarray, b: int, prefixes: Iterable[int]) -> Iterator[np.ndarray]:
+    """Yield, per prefix in turn, the cut values of the 2^b assignments whose
+    bits from b up spell it, indexed by their low b bits: prefix 0's block
+    (_cut_block), or that block plus an affine term (_prefix_block) in one
+    reused buffer, valid until the next block is drawn."""
+    base = _cut_block(w, b)
+    buffer = None
+    for prefix in prefixes:
+        if prefix and buffer is None:
+            buffer = np.empty_like(base)
+        yield _prefix_block(w, b, prefix, base, buffer) if prefix else base
 
-    Setting bit k of x (bits k..b-1 clear) gains d_k[x] = sum_j w[k, j] (1 - 2 x_j),
-    so out[2^k + x] = out[x] + d_k[x] for x < 2^k, and d_k itself doubles bit by
-    bit: d_k[x + 2^j] = d_k[x] - 2 w[k, j] for x < 2^j and j < k. d_k is built
-    in the half of out it then fills, so a block allocates nothing else; a
-    given out (at least 2^top long) is reused.
-    """
-    n = w.shape[0]
-    side = np.zeros(n)
-    side[b:] = [(prefix >> k) & 1 for k in range(n - b)]
-    gain = w[:b] @ (1.0 - 2.0 * side)
-    out = np.empty(1 << top) if out is None else out[: 1 << top]
-    out[0] = side @ w @ (1.0 - side)
-    for k in range(top):
+
+def _cut_block(w: np.ndarray, b: int) -> np.ndarray:
+    """Cut values of the 2^b assignments x whose bits from b up are 0: setting
+    bit k of x (bits k..b-1 clear) gains sum_j w[k, j] (1 - 2 x_j), which
+    _double_by_vertex builds with np.add in O(2^b) adds whatever the edge count."""
+    out = np.empty(1 << b)
+    out[0] = 0.0
+    return _double_by_vertex(out, w[:b] @ np.ones(w.shape[0]), -2.0 * w, np.add)
+
+
+def _double_by_vertex(out: np.ndarray, start: np.ndarray, step: np.ndarray, op: Callable) -> np.ndarray:
+    """Fill out (2^t long, out[0] given) one vertex k < t at a time: out[2^k + x]
+    = op(d_k[x], out[x]) for x < 2^k, with d_k[0] = start[k] and d_k[x + 2^j] =
+    op(d_k[x], step[k, j]) for x < 2^j < 2^k, built in the half it then fills."""
+    for k in range(out.size.bit_length() - 1):
         d = out[1 << k : 2 << k]
-        d[0] = gain[k]
+        d[0] = start[k]
         for j in range(k):
-            np.subtract(d[: 1 << j], 2.0 * w[k, j], out=d[1 << j : 2 << j])
-        np.add(out[: 1 << k], d, out=d)
+            op(d[: 1 << j], step[k, j], out=d[1 << j : 2 << j])
+        op(d, out[: 1 << k], out=d)
     return out
 
 
@@ -344,27 +361,17 @@ def brute_force(g: WeightedGraph, max_vertices: int = BRUTE_FORCE_CAP) -> ExactC
     Complement symmetry halves the search: only assignments with the top
     vertex on the False side are visited, which also makes the reported
     argmax the optimum with the lowest binary encoding. The empty bipartition
-    is included, so max_value >= 0 >= min_value always holds.
+    is included, so max_value >= 0 >= min_value always holds. The blocks
+    (_blocks) are scanned in index order, with no index array.
     """
     n = g.vertex_count
     if n > max_vertices:
         raise ValueError(f"{n} vertices exceeds the enumeration cap of {max_vertices}")
     if n == 0:
         return ExactCutSummary(0.0, 0.0, np.zeros(0, dtype=bool), 1)
-    # Blocks of 2^bits assignments, in index order, one per prefix of the bits
-    # from `bits` up: the block of prefix 0 is one _cut_block, every other one
-    # that block plus an affine term (_prefix_block) in a second buffer. The
-    # two buffers are all the call allocates, and they stay in cache.
-    bits = min(n - 1, ORACLE_BLOCK_BITS)
-    prefixes = 1 << (n - 1 - bits)
-    base = _cut_block(g.weight_matrix, bits, 0, bits)
-    block = np.empty(base.size) if prefixes > 1 else None
-    best = -np.inf
-    worst = np.inf
-    arg = 0
-    count = 0
-    for prefix in range(prefixes):
-        vals = _prefix_block(g.weight_matrix, bits, prefix, base, block) if prefix else base
+    bits = min(n - 1, ENUM_BLOCK_BITS)
+    best, worst, arg, count = -np.inf, np.inf, 0, 0
+    for prefix, vals in enumerate(_blocks(g.weight_matrix, bits, range(1 << (n - 1 - bits)))):
         i = int(np.argmax(vals))
         if vals[i] > best:
             best = float(vals[i])
@@ -384,7 +391,7 @@ def _prefix_block(w: np.ndarray, b: int, prefix: int, base: np.ndarray, out: np.
     the high vertices add their own cut C_HH(y), and an edge (k, h) from a low
     vertex to a high vertex with y_h = 1 is cut iff x_k is 0 instead of iff it
     is 1. So out[x] = base[x] + C_HH(y) + sum(g) - 2 g.x, whose affine term
-    doubles bit by bit like _cut_block's: term[2^k + x] = term[x] - 2 g_k.
+    doubles bit by bit: term[2^k + x] = term[x] - 2 g_k.
     """
     y = ((prefix >> np.arange(w.shape[0] - b)) & 1).astype(float)
     g = w[:b, b:] @ y

@@ -149,6 +149,23 @@ def _score(state: ShrinkState, samples: np.ndarray) -> np.ndarray:
     return cut_value_batch(state.cuttable, samples, state.lift_map)
 
 
+def _check_modes(modes) -> None:
+    for mode in modes:
+        if mode not in CORRELATION_MODES:
+            raise ValueError(f"correlation mode must be one of {CORRELATION_MODES}, got {mode!r}")
+
+
+def correlations_for_mode(g: WeightedGraph, mode: str, lp_tol: float = 1e-6) -> tuple[CorrelationSet, float | None]:
+    """The correlations a shrink in correlation mode `mode` follows, and the
+    relaxation's objective, an upper bound on the maximum cut (None in zero
+    mode). Raises ValueError for a mode outside CORRELATION_MODES."""
+    _check_modes((mode,))
+    if mode == "zero":
+        return zero_correlations(g.vertex_count), None
+    solution = solve_cycle_relaxation(g, lp_tol)
+    return correlations_from_relaxation(solution), solution.objective_value
+
+
 def run_pipeline(
     g: WeightedGraph,
     target_size: int,
@@ -165,8 +182,7 @@ def run_pipeline(
     """
     if subsolver not in SUBSOLVERS:
         raise ValueError(f"subsolver must be one of {SUBSOLVERS}")
-    if correlation_mode not in CORRELATION_MODES:
-        raise ValueError(f"correlation_mode must be one of {CORRELATION_MODES}")
+    _check_modes((correlation_mode,))
     n = g.vertex_count
     if not 1 <= target_size <= n:
         raise ValueError(f"target size {target_size} outside [1, {n}]")
@@ -174,15 +190,9 @@ def run_pipeline(
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
 
     timings: dict[str, float] = {}
-    upper_bound = None
     tic = time.perf_counter()
     try:
-        if correlation_mode == "relaxation":
-            solution = solve_cycle_relaxation(g, lp_tol)
-            upper_bound = solution.objective_value
-            correlations: CorrelationSet = correlations_from_relaxation(solution)
-        else:
-            correlations = zero_correlations(n)
+        correlations, upper_bound = correlations_for_mode(g, correlation_mode, lp_tol)
     except Exception as exc:
         raise PipelineError("relax", exc) from exc
     timings["relax"] = time.perf_counter() - tic
@@ -283,6 +293,7 @@ def sweep_shrink_counts(
     for s in subsolvers:
         if s not in SUBSOLVERS:
             raise ValueError(f"unknown subsolver {s!r}")
+    _check_modes(correlation_modes)
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     if deleted_counts is None:
@@ -295,14 +306,7 @@ def sweep_shrink_counts(
         raise ValueError("degenerate instance: every bipartition has the same value")
     master = np.random.default_rng(seed)
 
-    per_mode: dict[str, CorrelationSet] = {}
-    for mode in correlation_modes:
-        if mode == "relaxation":
-            per_mode[mode] = correlations_from_relaxation(solve_cycle_relaxation(g, lp_tol))
-        elif mode == "zero":
-            per_mode[mode] = zero_correlations(n)
-        else:
-            raise ValueError(f"unknown correlation mode {mode!r}")
+    per_mode = {mode: correlations_for_mode(g, mode, lp_tol)[0] for mode in correlation_modes}
 
     # positions in deleted_counts by the reduced size they ask for
     at_size: dict[int, list[int]] = {}

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import WeightedGraph, cut_values_for_indices
+from .graph import WeightedGraph, _double_by_vertex, cut_values_for_indices
 
 STATEVECTOR_CAP = 24
 # qubits one X-mixer matrix product acts on: a 16x16 real block
@@ -68,8 +68,9 @@ def qaoa_state(g: WeightedGraph, params: QaoaParams) -> QaoaState:
 
 def _phase(g: WeightedGraph, gamma: float, unit: complex = 1.0) -> np.ndarray:
     """2^(-n/2) exp(-i gamma C(x)) for every x whose top qubit is 0, built by
-    graph._cut_block's per-vertex doubling, multiplying unit phases where it
-    adds cut gains: the factor for setting bit k starts at
+    graph._double_by_vertex with np.multiply, the per-vertex doubling that
+    graph._cut_block runs with np.add: where it adds cut gains, this multiplies
+    unit phases. The factor for setting bit k starts at
     unit * exp(-i gamma sum_j w[k, j]) and doubles by exp(2i gamma w[k, j]) per
     lower bit j. So entry x carries unit^popcount(x): unit = -1j gives the
     phase in _evolve's frame. Trigonometry runs on the O(n^2) weights only."""
@@ -77,16 +78,10 @@ def _phase(g: WeightedGraph, gamma: float, unit: complex = 1.0) -> np.ndarray:
     if n > STATEVECTOR_CAP:
         raise ValueError(f"{n} qubits exceeds the statevector cap of {STATEVECTOR_CAP}")
     out = np.empty(1 << max(n - 1, 0), dtype=complex)
+    out[0] = 2.0 ** (-n / 2.0)
     step = np.exp(2j * gamma * g.weight_matrix)
     start = unit * np.exp(-1j * gamma * g.weight_matrix.sum(axis=1))
-    out[0] = 2.0 ** (-n / 2.0)
-    for k in range(n - 1):
-        d = out[1 << k : 2 << k]
-        d[0] = start[k]
-        for j in range(k):
-            np.multiply(d[: 1 << j], step[k, j], out=d[1 << j : 2 << j])
-        d *= out[: 1 << k]
-    return out
+    return _double_by_vertex(out, start, step, np.multiply)
 
 
 def _evolve(y: np.ndarray, n: int, beta: float) -> np.ndarray:

@@ -1,5 +1,6 @@
 import itertools
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -64,16 +65,18 @@ def assert_matches_per_edge(g, indices):
     np.testing.assert_allclose(got, per_edge_cut_values(g, indices), rtol=0, atol=tol)
 
 
-@pytest.mark.parametrize("block_bits", [3, graph.ENUM_BLOCK_BITS])
+@pytest.mark.parametrize("block_bits", [0, 1, 3, graph.ENUM_BLOCK_BITS])
 @settings(deadline=None)
 @given(graphs_with_indices())
 def test_cut_values_for_indices_match_per_edge_sum(block_bits, case):
-    # at 3 block bits, graphs above 3 vertices spread over several prefixes
+    # at 0 to 3 block bits, graphs above that many vertices spread over several prefixes
     g, indices = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graph, "ENUM_BLOCK_BITS", block_bits)
         assert_matches_per_edge(g, indices)
         assert_matches_per_edge(g, np.arange(1 << g.vertex_count))
+        # the output takes the indices' shape, here (len // 2, 2) in reverse order
+        assert_matches_per_edge(g, indices[: indices.size // 2 * 2][::-1].reshape(-1, 2))
 
 
 def test_cut_values_for_indices_tiny_graphs():
@@ -84,11 +87,18 @@ def test_cut_values_for_indices_tiny_graphs():
     assert cut_values_for_indices(k2, np.array([], dtype=np.int64)).shape == (0,)
 
 
-@pytest.mark.parametrize("n, index", [(3, 8), (3, -1), (0, 1), (21, 1 << 21)])
+@pytest.mark.parametrize(
+    "n, index",
+    [(3, 8), (3, -1), (0, 1), (21, 1 << 21), (3, 1.5), (3, -0.5), (3, np.nan), (3, np.inf), (3, -np.inf), (3, 2.0**70)],
+)
 def test_cut_values_for_indices_reject_out_of_range(n, index):
     g = WeightedGraph.from_edges(n, [(0, 1, 1.0)] if n > 1 else [])
-    with pytest.raises(ValueError, match=f"index {index} is outside"):
+    # a float index is rejected, not truncated or wrapped by the cast to int64
+    reason = "is outside" if isinstance(index, int) else "is not an integer"
+    with pytest.raises(ValueError, match=re.escape(f"index {index} {reason}")):
         cut_values_for_indices(g, np.array([0, index]))
+    if not isinstance(index, int):  # an integral float reads as its integer
+        assert cut_values_for_indices(g, np.array([0.0, 1.0])).tolist() == [0.0, 1.0]
 
 
 def test_parse_single_edge():
@@ -289,14 +299,13 @@ def integer_weight_graphs(draw, max_n):
     return WeightedGraph.from_edges(n, [(u, v, float(w)) for (u, v), w, k in zip(pairs, weights, keep) if k])
 
 
-def assert_brute_force_matches_half_space(g):
-    """brute_force against every cut value of the half-space, read at once."""
+def assert_brute_force_matches(g, vals):
+    """brute_force against vals, every cut value of the half-space at once."""
     n = g.vertex_count
     s = brute_force(g)
     if n == 0:
         assert (s.max_value, s.min_value, s.optimum_count, s.argmax.shape) == (0.0, 0.0, 1, (0,))
         return
-    vals = cut_values_for_indices(g, np.arange(1 << (n - 1), dtype=np.int64))
     assert s.max_value == vals.max()
     assert s.min_value == vals.min()
     assert s.optimum_count == np.count_nonzero(vals == vals.max())
@@ -307,17 +316,20 @@ def assert_brute_force_matches_half_space(g):
 @given(integer_weight_graphs(22))
 def test_brute_force_matches_half_space_enumeration(g):
     # from n = 18 the half-space spans several 2^16 blocks
-    assert_brute_force_matches_half_space(g)
+    half = np.arange(1 << max(g.vertex_count - 1, 0), dtype=np.int64)
+    assert_brute_force_matches(g, cut_values_for_indices(g, half))
 
 
 @pytest.mark.parametrize("block_bits", [0, 1, 3])
 @settings(deadline=None)
 @given(integer_weight_graphs(12))
 def test_brute_force_matches_half_space_with_small_blocks(block_bits, g):
-    # small blocks take the multi-prefix path at small n
+    # small blocks take the multi-prefix path at small n; the values come
+    # from the per-edge oracle, not from the block walk brute_force uses
+    half = np.arange(1 << max(g.vertex_count - 1, 0), dtype=np.int64)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graph, "ORACLE_BLOCK_BITS", block_bits)
-        assert_brute_force_matches_half_space(g)
+        mp.setattr(graph, "ENUM_BLOCK_BITS", block_bits)
+        assert_brute_force_matches(g, per_edge_cut_values(g, half))
 
 
 def test_brute_force_cap():

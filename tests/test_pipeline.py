@@ -198,6 +198,22 @@ def test_sweep_rejects_oversized_instances():
         sweep_shrink_counts(g)
 
 
+def test_unknown_correlation_mode_is_rejected_before_any_work(monkeypatch):
+    g = grid_instance(2, 3, 7)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("ran before the mode was checked")
+
+    for name in ("brute_force", "solve_cycle_relaxation", "zero_correlations"):
+        monkeypatch.setattr(shrinkcut.pipeline, name, unreachable)
+    with pytest.raises(ValueError, match="correlation mode must be one of .* got 'bogus'"):
+        sweep_shrink_counts(g, correlation_modes=("relaxation", "bogus"))
+    with pytest.raises(ValueError, match="got 'bogus'"):
+        run_pipeline(g, 3, subsolver="exact", correlation_mode="bogus")
+    with pytest.raises(ValueError, match="got 'bogus'"):
+        shrinkcut.pipeline.correlations_for_mode(g, "bogus")
+
+
 def test_sweep_matches_per_count_shrinks_in_the_callers_order():
     g = random_weighted_graph(7, 0.7, np.random.default_rng(5))
     counts = [5, 0, 5, 3]  # unsorted, with a repeat
