@@ -14,6 +14,9 @@ BRUTE_FORCE_CAP = 24
 # Index bits one block of cut values covers: 2^16 values, 512 KB, which stay
 # in cache while the block is built and read.
 ENUM_BLOCK_BITS = 16
+# Doubling levels _double_by_vertex builds for all vertices at once: a table
+# of 2^8 entries per vertex, 48 KB for 24 float vertices.
+DOUBLING_TABLE_BITS = 8
 # Bytes of temporaries one cut_value_batch chunk of rows may hold.
 SCORE_CHUNK_BYTES = 1 << 21
 
@@ -300,9 +303,12 @@ def cut_values_for_indices(g: WeightedGraph, indices: np.ndarray) -> np.ndarray:
     b = min(g.vertex_count, ENUM_BLOCK_BITS)
     order = None
     if unsorted and smallest >> b != largest >> b:
-        order = np.argsort(flat)
+        # grouping by prefix is enough: a stable sort of the prefixes alone, in
+        # the narrowest unsigned type that holds them
+        order = np.argsort((flat >> b).astype(np.min_scalar_type(largest >> b)), kind="stable")
         flat = flat[order]
-    # flat is sorted wherever its prefixes differ: each prefix spans one slice
+    # flat's prefixes never decrease: each prefix spans one slice, whose end
+    # searchsorted finds, since x < (p + 1) << b is true before it and false after
     starts = [0]
     while starts[-1] < flat.size:
         starts.append(int(np.searchsorted(flat, ((int(flat[starts[-1]]) >> b) + 1) << b)))
@@ -341,11 +347,28 @@ def _cut_block(w: np.ndarray, b: int) -> np.ndarray:
 def _double_by_vertex(out: np.ndarray, start: np.ndarray, step: np.ndarray, op: Callable) -> np.ndarray:
     """Fill out (2^t long, out[0] given) one vertex k < t at a time: out[2^k + x]
     = op(d_k[x], out[x]) for x < 2^k, with d_k[0] = start[k] and d_k[x + 2^j] =
-    op(d_k[x], step[k, j]) for x < 2^j < 2^k, built in the half it then fills."""
-    for k in range(out.size.bit_length() - 1):
+    op(d_k[x], step[k, j]) for x < 2^j < 2^k.
+
+    The first DOUBLING_TABLE_BITS levels of every d_k are built together, one
+    op per level over all vertices, as the columns of a table; a vertex k past
+    them copies its column into the half it fills and doubles on from there.
+    Each entry is the same op on the same operands as one vertex at a time,
+    in far fewer numpy calls."""
+    t = out.size.bit_length() - 1
+    # at t = 2 the one level would be a 1x1 op, which numpy 2.4's complex
+    # multiply rounds unfused, unlike the 1-long op it replaces
+    levels = min(DOUBLING_TABLE_BITS, t - 1) if t > 2 else 0
+    table = np.empty((1 << levels, t), dtype=out.dtype)
+    table[0] = start[:t]
+    for j in range(levels):
+        op(table[: 1 << j, j + 1 :], step[j + 1 : t, j], out=table[1 << j : 2 << j, j + 1 :])
+    for k in range(t):
         d = out[1 << k : 2 << k]
-        d[0] = start[k]
-        for j in range(k):
+        if k <= levels:
+            op(table[: 1 << k, k], out[: 1 << k], out=d)
+            continue
+        d[: 1 << levels] = table[:, k]
+        for j in range(levels, k):
             op(d[: 1 << j], step[k, j], out=d[1 << j : 2 << j])
         op(d, out[: 1 << k], out=d)
     return out

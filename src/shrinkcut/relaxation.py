@@ -89,19 +89,42 @@ def separate_odd_cycles(
     violated walk is a simple cycle and rows come back whenever x violates
     an odd-cycle inequality by more than tol; should every path found repeat
     a vertex, SimplexError is raised instead of reporting no violation.
+
+    Raises ValueError, naming the first bad entry, when ends is not a (k, 2)
+    integer array of distinct pairs of distinct ends in [0, n) or x is not k
+    finite values.
     """
+    ends, x = np.asarray(ends), np.asarray(x, dtype=float)
+    if ends.ndim != 2 or ends.shape[1] != 2 or ends.dtype.kind not in "iu":
+        raise ValueError(f"ends must be a (k, 2) integer array, got {ends.dtype} {ends.shape}")
     k = len(ends)
-    x = np.clip(x, 0.0, 1.0)
+    if x.shape != (k,):
+        raise ValueError(f"x must hold one value per edge, shape ({k},), got {x.shape}")
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise ValueError(f"x[{bad[0]}] = {x[bad[0]]} is not finite")
     u, v = ends.T
+    bad = np.flatnonzero((u < 0) | (u >= n) | (v < 0) | (v >= n) | (u == v))
+    if bad.size:
+        raise ValueError(f"edge {bad[0]} ({u[bad[0]]}, {v[bad[0]]}) needs two distinct ends in [0, {n})")
+    # a repeated pair would share one edge id below, and its rows would miss the other copy
+    key = np.minimum(u, v) * n + np.maximum(u, v)
+    order = np.argsort(key, kind="stable")
+    bad = order[1:][key[order[1:]] == key[order[:-1]]]
+    if bad.size:
+        raise ValueError(f"edge {bad.min()} ({u[bad.min()]}, {v[bad.min()]}) repeats an earlier edge")
+    x = np.clip(x, 0.0, 1.0)
     # node v + p * n is (v, p); hop[i, j] is the node after i on a shortest i-j path
     size = 2 * n
     dist = np.full((size, size), np.inf)
     np.fill_diagonal(dist, 0.0)
     hop = np.tile(np.arange(size), (size, 1))
-    for p in (0, 1):
-        a, even, odd = u + p * n, v + p * n, v + (1 - p) * n
-        dist[a, even] = dist[even, a] = x
-        dist[a, odd] = dist[odd, a] = 1.0 - x
+    # both ways: the even copies (u, p)-(v, p) at x and the odd copies
+    # (u, p)-(v, 1 - p) at 1 - x, copy 0 then copy 1
+    y = 1.0 - x
+    tails = np.concatenate((u, v, u, v + n, u + n, v + n, u + n, v))
+    heads = np.concatenate((v, u, v + n, u, v + n, u + n, v, u + n))
+    dist[tails, heads] = np.concatenate((x, x, y, y, x, x, y, y))
     # in place: pivot m changes neither row m nor column m (dist[m, m] == 0),
     # so the pivot's row and column read below stay as they were
     via = np.empty_like(dist)
@@ -115,29 +138,28 @@ def separate_odd_cycles(
     length = dist[np.arange(n), np.arange(n) + n]
     start = np.flatnonzero(length < 1.0 - tol)
     start = start[np.argsort(length[start], kind="stable")]
-    stop = start + n
-    walk = [start]
-    while np.any(walk[-1] != stop):
-        walk.append(hop[walk[-1], stop])  # hop[j, j] == j, so finished walks stay put
-    walk = np.column_stack(walk)
-    moved = walk[:, 1:] != walk[:, :-1]
-    # a walk is a simple cycle when the vertices it leaves are distinct; padding
-    # gets labels n, n + 1, ... that never collide
-    labels = np.sort(np.where(moved, walk[:, :-1] % n, n + np.arange(moved.shape[1])), axis=1)
-    simple = ~np.any(labels[:, 1:] == labels[:, :-1], axis=1)
-    if start.size and not simple.any():
-        raise SimplexError("separation found violated closed walks but no simple cycle among them")
-    walk, moved = walk[simple], moved[simple]
-
     edge_id = np.full((n, n), -1)
     edge_id[u, v] = edge_id[v, u] = np.arange(k)
-    r, step = np.nonzero(moved)
-    tail, head = walk[r, step], walk[r, step + 1]
-    rows = np.zeros((len(walk), k))
-    # an odd-copy step changes the copy: +1; an even-copy step: -1
-    rows[r, edge_id[tail % n, head % n]] = np.where((tail >= n) != (head >= n), 1.0, -1.0)
-    rows, first = np.unique(rows, axis=0, return_index=True)
-    rows = rows[np.argsort(first)]
+    edge_id = edge_id.tolist()
+    # each simple cycle keyed by its sorted (edge id, sign) pairs, in the order
+    # of its first walk
+    cycles: dict[tuple, None] = {}
+    for first, hops in zip(start.tolist(), hop[:, start + n].T.tolist()):
+        walk = [first]
+        while walk[-1] != first + n:
+            walk.append(hops[walk[-1]])
+        # a walk is a simple cycle when the vertices it leaves are distinct
+        if len({node % n for node in walk[:-1]}) == len(walk) - 1:
+            # an odd-copy step changes the copy: +1; an even-copy step: -1
+            row = {edge_id[a % n][b % n]: 1.0 if (a >= n) != (b >= n) else -1.0 for a, b in zip(walk, walk[1:])}
+            cycles.setdefault(tuple(sorted(row.items())), None)
+    if start.size and not cycles:
+        raise SimplexError("separation found violated closed walks but no simple cycle among them")
+    rows = np.zeros((len(cycles), k))
+    if cycles:
+        row_of = np.repeat(np.arange(len(cycles)), [len(cycle) for cycle in cycles])
+        columns, values = zip(*(pair for cycle in cycles for pair in cycle))
+        rows[row_of, columns] = values
     return rows, (rows > 0).sum(axis=1) - 1.0
 
 

@@ -101,6 +101,21 @@ def test_cut_values_for_indices_reject_out_of_range(n, index):
         assert cut_values_for_indices(g, np.array([0.0, 1.0])).tolist() == [0.0, 1.0]
 
 
+@pytest.mark.parametrize("n, block_bits", [(10, 3), (12, 1), (12, 0)])
+def test_cut_values_for_indices_group_unsorted_prefixes(n, block_bits):
+    # shuffled indices with repeats over every prefix; 2^11 and 2^12 prefixes
+    # need a 16-bit sort key. Each value is the one its index reads in order.
+    rng = np.random.default_rng(n + block_bits)
+    g = random_weighted_graph(n, 0.6, rng)
+    indices = rng.permutation(np.concatenate((np.arange(1 << n), rng.integers(0, 1 << n, 500))))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "ENUM_BLOCK_BITS", block_bits)
+        in_order = cut_values_for_indices(g, np.arange(1 << n))
+        got = cut_values_for_indices(g, indices)
+    assert np.array_equal(got, in_order[indices])
+    np.testing.assert_allclose(got, per_edge_cut_values(g, indices), rtol=0, atol=1e-9 * (1 + np.abs(g.w).sum()))
+
+
 def test_parse_single_edge():
     g = parse_instance("2 1\n1 2 5")
     assert g.vertex_count == 2
@@ -330,6 +345,51 @@ def test_brute_force_matches_half_space_with_small_blocks(block_bits, g):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graph, "ENUM_BLOCK_BITS", block_bits)
         assert_brute_force_matches(g, per_edge_cut_values(g, half))
+
+
+def double_by_vertex_reference(out, start, step, op):
+    """_double_by_vertex one op per vertex k and level j, vertex after vertex."""
+    for k in range(out.size.bit_length() - 1):
+        d = out[1 << k : 2 << k]
+        d[0] = start[k]
+        for j in range(k):
+            op(d[: 1 << j], step[k, j], out=d[1 << j : 2 << j])
+        op(d, out[: 1 << k], out=d)
+    return out
+
+
+def double_both_ways(t, table_bits, dtype, seed):
+    rng = np.random.default_rng(seed)
+    if dtype is complex:  # as qaoa._phase: a real first entry, unit phases on t + 1 vertices
+        phases = np.exp(1j * rng.normal(size=(t + 1) * (t + 2)))
+        first, start, step, op = 2.0 ** (-(t + 1) / 2), phases[: t + 1], phases[t + 1 :].reshape(t + 1, t + 1), np.multiply
+    else:
+        first, start, step, op = rng.normal(), rng.normal(size=t), rng.normal(size=(t, t)), np.add
+    ref = np.empty(1 << t, dtype=dtype)
+    ref[0] = first
+    got = ref.copy()
+    double_by_vertex_reference(ref, start, step, op)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "DOUBLING_TABLE_BITS", table_bits)
+        graph._double_by_vertex(got, start, step, op)
+    return got, ref
+
+
+@pytest.mark.parametrize("table_bits", [0, 1, 3, 8])
+@pytest.mark.parametrize("t", range(14))
+def test_double_by_vertex_adds_as_the_per_vertex_loop(t, table_bits):
+    # the table changes how many numpy calls build each entry, not its sum
+    got, ref = double_both_ways(t, table_bits, float, seed=t)
+    assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("table_bits", [0, 1, 3, 8])
+@pytest.mark.parametrize("t", range(14))
+def test_double_by_vertex_multiplies_as_the_per_vertex_loop(t, table_bits):
+    # numpy may round a complex product with or without a fused multiply-add
+    # depending on the loop it picks, so the products agree to a few ulp
+    got, ref = double_both_ways(t, table_bits, complex, seed=100 + t)
+    assert np.all(np.abs(got - ref) <= 4 * np.spacing(np.abs(ref)))
 
 
 def test_brute_force_cap():

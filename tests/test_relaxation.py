@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from shrinkcut import (
     LpProblem,
+    SimplexError,
     WeightedGraph,
     brute_force,
     dense_closure,
@@ -155,6 +157,90 @@ def test_cycle_rows_are_violated_simple_odd_cycles(case):
         assert vertex == ends[support[0], 0]
     assert len({row.tobytes() for row in rows}) == len(rows)
     assert np.all(np.diff(violations) <= 1e-12)
+
+
+def separate_with_unique(x, ends, n, tol):
+    """Reference separator: the same Floyd-Warshall, walks padded into one
+    matrix, rows deduplicated with np.unique(axis=0) and put back in order of
+    their first walk."""
+    k = len(ends)
+    x = np.clip(x, 0.0, 1.0)
+    u, v = ends.T
+    size = 2 * n
+    dist = np.full((size, size), np.inf)
+    np.fill_diagonal(dist, 0.0)
+    hop = np.tile(np.arange(size), (size, 1))
+    for p in (0, 1):
+        a, even, odd = u + p * n, v + p * n, v + (1 - p) * n
+        dist[a, even] = dist[even, a] = x
+        dist[a, odd] = dist[odd, a] = 1.0 - x
+    via = np.empty_like(dist)
+    better = np.empty(dist.shape, dtype=bool)
+    for m in range(size):
+        np.add(dist[:, m, None], dist[m], out=via)
+        np.less(via, dist, out=better)
+        np.copyto(dist, via, where=better)
+        np.copyto(hop, hop[:, m, None], where=better)
+    length = dist[np.arange(n), np.arange(n) + n]
+    start = np.flatnonzero(length < 1.0 - tol)
+    start = start[np.argsort(length[start], kind="stable")]
+    stop = start + n
+    walk = [start]
+    while np.any(walk[-1] != stop):
+        walk.append(hop[walk[-1], stop])
+    walk = np.column_stack(walk)
+    moved = walk[:, 1:] != walk[:, :-1]
+    labels = np.sort(np.where(moved, walk[:, :-1] % n, n + np.arange(moved.shape[1])), axis=1)
+    simple = ~np.any(labels[:, 1:] == labels[:, :-1], axis=1)
+    if start.size and not simple.any():
+        raise SimplexError("separation found violated closed walks but no simple cycle among them")
+    walk, moved = walk[simple], moved[simple]
+    edge_id = np.full((n, n), -1)
+    edge_id[u, v] = edge_id[v, u] = np.arange(k)
+    r, step = np.nonzero(moved)
+    tail, head = walk[r, step], walk[r, step + 1]
+    rows = np.zeros((len(walk), k))
+    rows[r, edge_id[tail % n, head % n]] = np.where((tail >= n) != (head >= n), 1.0, -1.0)
+    rows, first = np.unique(rows, axis=0, return_index=True)
+    rows = rows[np.argsort(first)]
+    return rows, (rows > 0).sum(axis=1) - 1.0
+
+
+@settings(deadline=None, max_examples=300)
+@given(graph_points(max_n=9))
+def test_separation_matches_the_padded_unique_reference(case):
+    # the same rows and right-hand sides, bit for bit and in the same order
+    rows, rhs = separate_odd_cycles(*case)
+    ref_rows, ref_rhs = separate_with_unique(*case)
+    assert rows.shape == ref_rows.shape and rows.tobytes() == ref_rows.tobytes()
+    assert rhs.dtype == ref_rhs.dtype and rhs.tobytes() == ref_rhs.tobytes()
+
+
+K3_ENDS = [[0, 1], [0, 2], [1, 2]]
+
+
+@pytest.mark.parametrize(
+    "x, ends, message",
+    [
+        ([1.0, np.nan, 1.0], K3_ENDS, "x[1] = nan is not finite"),
+        ([1.0, 1.0, -np.inf], K3_ENDS, "x[2] = -inf is not finite"),
+        ([1.0, 1.0], K3_ENDS, "x must hold one value per edge, shape (3,), got (2,)"),
+        ([[1.0, 1.0, 1.0]], K3_ENDS, "x must hold one value per edge, shape (3,), got (1, 3)"),
+        ([1.0, 1.0, 1.0], [[0, 1], [1, 1], [0, 2]], "edge 1 (1, 1) needs two distinct ends in [0, 3)"),
+        ([1.0, 1.0, 1.0], [[0, 1], [0, 2], [1, 3]], "edge 2 (1, 3) needs two distinct ends in [0, 3)"),
+        ([1.0, 1.0, 1.0], [[-1, 1], [0, 2], [1, 2]], "edge 0 (-1, 1) needs two distinct ends in [0, 3)"),
+        ([1.0, 1.0, 1.0], [[0, 1], [0, 2], [1, 0]], "edge 2 (1, 0) repeats an earlier edge"),
+        ([1.0, 1.0, 1.0], [[1, 2], [0, 2], [0, 2]], "edge 2 (0, 2) repeats an earlier edge"),
+        ([1.0, 1.0, 1.0], [[0.0, 1.0], [0.0, 2.0], [1.0, 2.0]], "ends must be a (k, 2) integer array, got float64 (3, 2)"),
+        ([1.0, 1.0, 1.0], [0, 1, 2], "ends must be a (k, 2) integer array, got int64 (3,)"),
+    ],
+)
+def test_separation_rejects_bad_input(x, ends, message):
+    # before, nan read as "no violated cycle", a self-loop as a simplex error,
+    # an id past n or a short x as numpy indexing errors, and a repeated pair
+    # hid the triangle it closes
+    with pytest.raises(ValueError, match=re.escape(message)):
+        separate_odd_cycles(np.array(x), np.array(ends), 3)
 
 
 def per_triple_violated(m, n, tol):
