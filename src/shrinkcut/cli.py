@@ -149,6 +149,8 @@ def cmd_sweep(args) -> int:
     if args.deleted:
         deleted = [int(x) for x in args.deleted.split(",")]
     elif args.max_deleted is not None:
+        if args.max_deleted < 0:
+            raise ValueError(f"--max-deleted must be at least 0, got {args.max_deleted}")
         deleted = list(range(args.max_deleted + 1))
     cells = sweep_shrink_counts(
         g,

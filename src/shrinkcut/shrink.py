@@ -1,13 +1,13 @@
 """Correlation-driven graph contraction and solution reconstruction.
 
 A contraction identifies two current super-vertices, either on equal sides
-(sign +1) or on opposite sides (sign -1) of the cut. Weights of parallel
-edges combine as w_kept,t + sign * w_removed,t, so pairs that share no edge
-stay contractible. Every cut of the contracted graph lifts back to a cut of
-the original graph whose value exceeds the contracted one by a constant
-offset; the offset grows, at each sign -1 contraction, by the removed
-super-vertex's total incident weight at contraction time (those edges are
-forcibly cut or uncut regardless of the remaining assignment).
+(sign +1) or on opposite sides (sign -1) of the cut; it is one union in a
+union-find forest with parities over the original vertices, so every vertex
+has a super-vertex and a flip, its side relative to that super-vertex. Each
+original edge between two super-vertices joins them with its weight, negated
+where its ends' flips differ. Every cut of the contracted graph lifts back to
+a cut of the original graph whose value exceeds the contracted one by a
+constant offset, the total weight of the edges whose ends' flips differ.
 """
 
 from __future__ import annotations
@@ -125,18 +125,11 @@ def zero_correlations(n: int) -> CorrelationSet:
 
 
 class ShrinkRecord(NamedTuple):
-    """One contraction: removed merged into kept with the given sign.
-
-    pair_weight is the weight between the two super-vertices at contraction
-    time; offset_delta is the constant this contraction added to the
-    reconstruction offset (0 for sign +1).
-    """
+    """One contraction: removed merged into kept with the given sign."""
 
     kept: int
     removed: int
     sign: int
-    pair_weight: float
-    offset_delta: float
 
 
 class ShrinkState:
@@ -147,58 +140,66 @@ class ShrinkState:
 
         cut_value(original, reconstruct(a)) == cut_value(reduced, a) + offset.
 
-    Each super-vertex keeps its weights in an adjacency slot, a dict keyed by
-    its neighbours' slots and mirrored in theirs. The slots are the roots of a
-    union-find forest over the original vertices: each vertex holds its side
-    relative to its parent, a root relative to its super-vertex.
+    The state is a union-find forest over the original vertices and nothing
+    else: each tree's root is the vertex its super-vertex is labelled by, and
+    each vertex holds its side relative to its parent. The reduced graph, the
+    offset and the cuttable graph are read off the lift map, each in one pass
+    over the original edges.
     """
 
     def __init__(self, graph: WeightedGraph):
         self.original = graph
         n = graph.vertex_count
-        self._adj: list[dict[int, float]] = [{} for _ in range(n)]
-        for u, v, w in zip(graph.u.tolist(), graph.v.tolist(), graph.w.tolist()):
-            self._adj[u][v] = self._adj[v][u] = w
         self._parent, self._parity = list(range(n)), [False] * n
-        self._slot, self._label = list(range(n)), list(range(n))  # label -> slot, slot -> label
-        self._active = bytearray(b"\1" * n)  # 1 at each current super-vertex's label
         self.records: list[ShrinkRecord] = []
-        self.offset = 0.0
         self._lift: tuple[int, tuple[np.ndarray, np.ndarray] | None] = (-1, None)
         self._cuttable: tuple[int, WeightedGraph] = (0, graph)
 
     @property
     def reduced_size(self) -> int:
-        return len(self._active) - len(self.records)
+        return len(self._parent) - len(self.records)
 
     def _check_super_vertex(self, *vertices: int) -> None:
         for v in vertices:
-            if not (0 <= v < len(self._active) and self._active[v]):
+            if not (0 <= v < len(self._parent) and self._parent[v] == v):
                 raise ValueError(f"vertex {v} is not a current super-vertex")
 
     def active_vertices(self) -> np.ndarray:
         """Current super-vertex labels, ascending; their order defines the
         reduced graph's vertex numbering."""
-        return np.flatnonzero(np.frombuffer(self._active, dtype=bool))
+        parent = np.array(self._parent, dtype=np.int64)
+        return np.flatnonzero(parent == np.arange(parent.size))
 
     @property
     def reduced(self) -> WeightedGraph:
-        """The contracted instance; zero-weight pairs are dropped."""
-        slots = [self._slot[label] for label in self.active_vertices().tolist()]
-        rows, vertex = [self._adj[s] for s in slots], np.empty(len(self._active), dtype=np.int64)
-        vertex[slots] = np.arange(len(slots))
-        u = np.repeat(np.arange(len(slots)), [len(row) for row in rows])
-        v = vertex[np.fromiter(itertools.chain.from_iterable(rows), np.int64, u.size)]
-        w = np.fromiter(itertools.chain.from_iterable(row.values() for row in rows), float, u.size)
-        keep = np.flatnonzero((u < v) & (w != 0.0))
-        keep = keep[np.lexsort((v[keep], u[keep]))]
-        return WeightedGraph(len(slots), u[keep], v[keep], w[keep])
+        """The contracted instance. The original edges between two super-vertices
+        are negated where their ends sit on opposite sides of them, then summed
+        per pair in edge order; pairs that sum to 0.0 are dropped."""
+        g, size = self.original, self.reduced_size
+        columns, flip = self.lift_map
+        a, b = columns[g.u], columns[g.v]
+        between = a != b
+        w = np.where(flip[g.u] != flip[g.v], -g.w, g.w)[between]
+        pairs, index = np.unique(np.minimum(a, b)[between] * size + np.maximum(a, b)[between], return_inverse=True)
+        w = np.bincount(index, weights=w, minlength=pairs.size)
+        keep = w != 0.0
+        return WeightedGraph(size, pairs[keep] // size, pairs[keep] % size, w[keep])
+
+    @property
+    def offset(self) -> float:
+        """Σ w over the original edges whose ends sit on opposite sides of their
+        super-vertices: a lift cuts such an edge exactly when the reduced
+        assignment leaves its pair uncut, or always inside one super-vertex.
+        Adding to 0.0 keeps a sum of -0.0 weights from reading -0.0."""
+        g = self.original
+        _, flip = self.lift_map
+        return 0.0 + float(g.w[flip[g.u] != flip[g.v]].sum())
 
     def find(self, vertex: int) -> tuple[int, int]:
-        """Super-vertex representative of an original vertex, with relative
-        sign; compresses the path walked."""
-        if not 0 <= vertex < len(self._active):
-            raise ValueError(f"vertex {vertex} outside [0, {len(self._active)})")
+        """Super-vertex label of an original vertex, with relative sign;
+        compresses the path walked."""
+        if not 0 <= vertex < len(self._parent):
+            raise ValueError(f"vertex {vertex} outside [0, {len(self._parent)})")
         parent, parity, path = self._parent, self._parity, []
         while parent[vertex] != vertex:
             path.append(vertex)
@@ -207,60 +208,37 @@ class ShrinkState:
         for node in reversed(path):
             opposite ^= parity[node]
             parent[node], parity[node] = vertex, opposite
-        return self._label[vertex], -1 if opposite ^ parity[vertex] else 1
+        return vertex, -1 if opposite else 1
 
     def current_weight(self, u: int, v: int) -> float:
-        """Weight between two current super-vertices; 0.0 when they share no edge."""
+        """Weight between two current super-vertices, read from the reduced
+        graph; 0.0 when they share no edge."""
         self._check_super_vertex(u, v)
-        return self._adj[self._slot[u]].get(self._slot[v], 0.0)
+        i, j = sorted(np.searchsorted(self.active_vertices(), (u, v)).tolist())
+        g = self.reduced
+        return float(g.w[(g.u == i) & (g.v == j)].sum())
 
     def contract(self, removed: int, kept: int, sign: int) -> None:
-        """Merge super-vertex `removed` into `kept` (equal sides for sign +1,
-        opposite for -1), adjusting weights and the offset."""
+        """Merge super-vertex `removed` into `kept`, on equal sides for sign +1
+        and opposite for -1: removed's root goes under kept's."""
         if sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {sign}")
         if removed == kept:
             raise ValueError("cannot contract a super-vertex with itself")
         self._check_super_vertex(removed, kept)
-        adj, r, k = self._adj, self._slot[removed], self._slot[kept]
-        pair_weight = adj[k].pop(r, 0.0)
-        adj[r].pop(k, None)
-        delta = 0.0
-        if sign == -1:
-            # removed's row over the current super-vertices in ascending order,
-            # zeros included: numpy's pairwise sum then groups as it always has
-            row = np.zeros(len(self._active))
-            row[[self._label[t] for t in adj[r]]] = list(adj[r].values())
-            row[kept] = pair_weight
-            delta = float(row[np.frombuffer(self._active, dtype=bool)].sum())
-        elif len(adj[r]) > len(adj[k]):
-            # union by size: the larger dict keeps its slot, relabelled kept, so
-            # a growing super-vertex is not re-keyed (sign -1 read removed's anyway)
-            r, k = k, r
-        for t, x in adj[r].items():
-            # w_kept,t + sign * w_removed,t in either order: IEEE addition commutes
-            adj[k][t] = adj[t][k] = adj[k].get(t, 0.0) + sign * x
-            del adj[t][r]
-        adj[r] = {}
-        # r's tree goes under k's, and removed's vertices turn over for sign -1
-        self._parity[r] ^= self._parity[k] ^ (sign == -1)
-        self._parent[r], self._label[k], self._slot[kept] = k, kept, k
-        self._active[removed] = 0
-        self.offset += delta
-        self.records.append(ShrinkRecord(kept, removed, sign, pair_weight, delta))
+        self._parent[removed], self._parity[removed] = kept, sign == -1
+        self.records.append(ShrinkRecord(kept, removed, int(sign)))
 
     @property
     def lift_map(self) -> tuple[np.ndarray, np.ndarray]:
         """Each original vertex's column in the reduced graph, and whether it
         sits opposite its super-vertex: reconstruct(a) is a[..., columns] ^ flip."""
         if self._lift[0] != len(self.records):
-            up, side = np.array(self._parent, dtype=np.int64), np.array(self._parity, dtype=bool)
-            opposite = side & (up != np.arange(up.size))  # relative to the parent
+            up, opposite = np.array(self._parent, dtype=np.int64), np.array(self._parity, dtype=bool)
             while not np.array_equal(up[up], up):  # pointer doubling halves every path
                 opposite ^= opposite[up]
                 up = up[up]
-            columns = np.searchsorted(self.active_vertices(), np.array(self._label, dtype=np.int64)[up])
-            self._lift = (len(self.records), (columns, opposite ^ side[up]))
+            self._lift = (len(self.records), (np.searchsorted(self.active_vertices(), up), opposite))
         return self._lift[1]
 
     @property
@@ -335,12 +313,13 @@ def _contractions(g: WeightedGraph, correlations: CorrelationSet, target: int) -
 
 
 def format_trace(state: ShrinkState) -> str:
-    """One line per contraction: "kept removed sign pair_weight"."""
-    lines = [
-        f"{r.kept} {r.removed} {r.sign} "
-        f"{int(r.pair_weight) if r.pair_weight == int(r.pair_weight) else repr(r.pair_weight)}"
-        for r in state.records
-    ]
+    """One line per contraction: "kept removed sign pair_weight", the pair
+    weight read just before it by replaying the records on a fresh state."""
+    replay, lines = ShrinkState(state.original), []
+    for kept, removed, sign in state.records:
+        w = replay.current_weight(removed, kept)
+        lines.append(f"{kept} {removed} {sign} {int(w) if w == int(w) else repr(w)}")
+        replay.contract(removed, kept, sign)
     return "\n".join(lines) + ("\n" if lines else "")
 
 

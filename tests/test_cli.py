@@ -139,6 +139,13 @@ def test_sweep_command(tmp_path, capsys):
     assert len(out.read_text().strip().splitlines()) == 1 + 2 * 3
 
 
+def test_negative_max_deleted_fails(tmp_path, capsys):
+    path, _ = write_instance(tmp_path)
+    assert main(["sweep", str(path), "--max-deleted", "-1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "--max-deleted must be at least 0, got -1" in err
+
+
 def test_missing_file_fails(tmp_path, capsys):
     assert main(["oracle", str(tmp_path / "nope.txt")]) == 1
     assert "error:" in capsys.readouterr().err
