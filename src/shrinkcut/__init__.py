@@ -10,7 +10,6 @@ from .graph import (
     brute_force,
     cut_value,
     cut_value_batch,
-    cut_values_for_indices,
     dense_closure,
     format_instance,
     format_summary,

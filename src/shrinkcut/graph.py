@@ -1,4 +1,4 @@
-"""Weighted MaxCut instances: parsing, cut evaluation, exact enumeration, QUBO mapping."""
+"""Weighted MaxCut instances: parsing, cut evaluation, exact enumeration and spectrum, QUBO mapping."""
 
 from __future__ import annotations
 
@@ -281,58 +281,30 @@ def cut_value_batch(
     return vals
 
 
-def cut_values_for_indices(g: WeightedGraph, indices: np.ndarray) -> np.ndarray:
-    """Cut values, in the shape of indices, for assignments encoded as integers
-    (vertex i = bit i). Each prefix of the bits from b = min(n, ENUM_BLOCK_BITS)
-    up that the indices touch has its block (_blocks) read straight into its
-    slice of the output. Raises ValueError for an index that is not an
-    integer or is outside [0, 2^n)."""
-    idx = np.asarray(indices)
-    with np.errstate(invalid="ignore"):  # a nan or inf index fails the comparison below
-        flat = idx.astype(np.int64, copy=False).ravel()
-    bad = np.flatnonzero(flat != idx.ravel()) if idx.dtype.kind not in "iu" else ()
-    if len(bad):
-        raise ValueError(f"assignment index {idx.flat[bad[0]]} is not an integer")
-    if flat.size == 0:
-        return np.zeros(idx.shape)
-    unsorted = bool(np.any(flat[1:] < flat[:-1]))
-    smallest, largest = (int(flat.min()), int(flat.max())) if unsorted else (int(flat[0]), int(flat[-1]))
-    if smallest < 0 or largest >> g.vertex_count:
-        bad = smallest if smallest < 0 else largest
-        raise ValueError(f"assignment index {bad} is outside [0, 2^{g.vertex_count})")
-    b = min(g.vertex_count, ENUM_BLOCK_BITS)
-    order = None
-    if unsorted and smallest >> b != largest >> b:
-        # grouping by prefix is enough: a stable sort of the prefixes alone, in
-        # the narrowest unsigned type that holds them
-        order = np.argsort((flat >> b).astype(np.min_scalar_type(largest >> b)), kind="stable")
-        flat = flat[order]
-    # flat's prefixes never decrease: each prefix spans one slice, whose end
-    # searchsorted finds, since x < (p + 1) << b is true before it and false after
-    starts = [0]
-    while starts[-1] < flat.size:
-        starts.append(int(np.searchsorted(flat, ((int(flat[starts[-1]]) >> b) + 1) << b)))
-    vals = np.empty(flat.size)
-    blocks = _blocks(g.weight_matrix, b, [int(flat[i]) >> b for i in starts[:-1]])
-    for start, end, block in zip(starts, starts[1:], blocks):
-        # "wrap" reads index x at x mod 2^b, its low bits
-        np.take(block, flat[start:end], out=vals[start:end], mode="wrap")
-    if order is not None:
-        vals[order] = vals.copy()
-    return vals.reshape(idx.shape)
+def _spectrum(g: WeightedGraph) -> np.ndarray:
+    """Cut values of the 2^(n-1) assignments whose top vertex is on the False
+    side (one for n = 0), in index order: brute_force's blocks (_blocks), each
+    copied into its slice before the reused buffer is overwritten."""
+    out = np.empty(1 << max(g.vertex_count - 1, 0))
+    for prefix, block in enumerate(_blocks(g.weight_matrix)):
+        out[prefix * block.size : (prefix + 1) * block.size] = block
+    return out
 
 
-def _blocks(w: np.ndarray, b: int, prefixes: Iterable[int]) -> Iterator[np.ndarray]:
-    """Yield, per prefix in turn, the cut values of the 2^b assignments whose
-    bits from b up spell it, indexed by their low b bits: prefix 0's block
-    (_cut_block), or that block plus an affine term (_prefix_block) in one
+def _blocks(w: np.ndarray) -> Iterator[np.ndarray]:
+    """Yield, prefix by prefix, the cut values of the assignments of the top
+    vertex's False half whose bits from b = min(n - 1, ENUM_BLOCK_BITS) up
+    spell the prefix, indexed by their low b bits: prefix 0's block
+    (_cut_block), then that block plus an affine term (_prefix_block) in one
     reused buffer, valid until the next block is drawn."""
+    half = max(w.shape[0] - 1, 0)
+    b = min(half, ENUM_BLOCK_BITS)
     base = _cut_block(w, b)
-    buffer = None
-    for prefix in prefixes:
-        if prefix and buffer is None:
-            buffer = np.empty_like(base)
-        yield _prefix_block(w, b, prefix, base, buffer) if prefix else base
+    yield base
+    if half > b:
+        buffer = np.empty_like(base)
+        for prefix in range(1, 1 << (half - b)):
+            yield _prefix_block(w, b, prefix, base, buffer)
 
 
 def _cut_block(w: np.ndarray, b: int) -> np.ndarray:
@@ -390,15 +362,12 @@ def brute_force(g: WeightedGraph, max_vertices: int = BRUTE_FORCE_CAP) -> ExactC
     n = g.vertex_count
     if n > max_vertices:
         raise ValueError(f"{n} vertices exceeds the enumeration cap of {max_vertices}")
-    if n == 0:
-        return ExactCutSummary(0.0, 0.0, np.zeros(0, dtype=bool), 1)
-    bits = min(n - 1, ENUM_BLOCK_BITS)
     best, worst, arg, count = -np.inf, np.inf, 0, 0
-    for prefix, vals in enumerate(_blocks(g.weight_matrix, bits, range(1 << (n - 1 - bits)))):
+    for prefix, vals in enumerate(_blocks(g.weight_matrix)):
         i = int(np.argmax(vals))
         if vals[i] > best:
             best = float(vals[i])
-            arg = (prefix << bits) + i
+            arg = prefix * vals.size + i
             count = 0
         if vals[i] == best:
             count += int(np.count_nonzero(vals == best))

@@ -1,9 +1,10 @@
 """Depth-1 QAOA for weighted MaxCut.
 
 Two interchangeable expectation routes: an exact statevector simulation
-(capped at 24 qubits) and a closed-form per-edge evaluation with no qubit or
-neighborhood cap, whose cost per edge and per gamma is linear in the size of
-the edge's neighborhood. The closed form also powers fast landscape grids, and
+(capped at 24 qubits) weighing graph._spectrum, brute_force's block walk,
+and a closed-form per-edge evaluation with no qubit or neighborhood cap,
+whose cost per edge and per gamma is linear in the size of the edge's
+neighborhood. The closed form also powers fast landscape grids, and
 a degree/weight-based parameter estimate replaces the usual optimization loop.
 """
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import WeightedGraph, _double_by_vertex, cut_values_for_indices
+from .graph import WeightedGraph, _double_by_vertex, _spectrum
 
 STATEVECTOR_CAP = 24
 # qubits one X-mixer matrix product acts on: a 16x16 real block
@@ -152,9 +153,9 @@ def _expectation(phase: np.ndarray, spectrum: np.ndarray, n: int, beta: float) -
 
 
 def expectation_statevector(g: WeightedGraph, params: QaoaParams) -> float:
-    """Exact expected cut value, sum_x |amp(x)|^2 C(x)."""
-    phase = _phase(g, params.gamma, -1j)
-    return _expectation(phase, cut_values_for_indices(g, np.arange(phase.size)), g.vertex_count, params.beta)
+    """Exact expected cut value, sum_x |amp(x)|^2 C(x), with C from graph._spectrum."""
+    phase = _phase(g, params.gamma, -1j)  # checks the qubit cap before the spectrum is built
+    return _expectation(phase, _spectrum(g), g.vertex_count, params.beta)
 
 
 def sample_cuts(state: QaoaState, n_samples: int, seed=None) -> np.ndarray:
@@ -304,7 +305,7 @@ def grid_search(g: WeightedGraph, step: float, evaluator: str = "analytic") -> L
         for i, gamma in enumerate(points):
             phase = _phase(g, gamma, -1j)
             if not i:  # once, after _phase has checked the qubit cap
-                spectrum = cut_values_for_indices(g, np.arange(phase.size))
+                spectrum = _spectrum(g)
             for j, beta in enumerate(points):
                 values[i, j] = _expectation(phase.copy(), spectrum, g.vertex_count, beta)
     else:

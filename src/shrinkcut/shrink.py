@@ -47,7 +47,7 @@ class CorrelationSet:
     @classmethod
     def from_arrays(cls, pairs: np.ndarray, values: np.ndarray, vertex_count: int | None = None) -> "CorrelationSet":
         """Build from a (k, 2) array of pairs and a (k,) array of values; with a
-        vertex_count, every pair not given reads 0 and the pairs must be sorted."""
+        vertex_count, every pair not given reads 0 and those given must be sorted, in [0, vertex_count)."""
         correlations = cls.__new__(cls)
         correlations._set(pairs, values, vertex_count)
         return correlations
@@ -79,8 +79,8 @@ class CorrelationSet:
         if vertex_count is not None:
             # only the nonzero pairs are kept, with their index u * n + v
             index = u * vertex_count + v
-            if np.any(v >= vertex_count) or np.any(index[1:] <= index[:-1]):
-                raise ValueError(f"pairs must be sorted, unique and below {vertex_count} when the others read 0")
+            if np.any((u < 0) | (v >= vertex_count)) or np.any(index[1:] <= index[:-1]):
+                raise ValueError(f"pairs must be sorted, unique and in [0, {vertex_count}) when the others read 0")
             nonzero = magnitude > 0
             self.pairs, self.values, self._index = self.pairs[nonzero], self.values[nonzero], index[nonzero]
             u, v, magnitude = u[nonzero], v[nonzero], magnitude[nonzero]

@@ -101,6 +101,24 @@ def test_landscape_command(tmp_path, capsys):
     assert len(lines) == 1 + 6 * 6
 
 
+def test_landscape_statevector_matches_analytic(tmp_path, capsys):
+    path, _ = write_instance(tmp_path)
+    rows, records = {}, {}
+    for evaluator in ("analytic", "statevector"):
+        out = tmp_path / f"{evaluator}.csv"
+        assert main(["qaoa-landscape", str(path), "--evaluator", evaluator, "--step", "0.3", "--out", str(out)]) == 0
+        records[evaluator] = record_of(capsys.readouterr().out)
+        rows[evaluator] = [line.split(",") for line in out.read_text().splitlines()]
+    analytic, statevector = rows["analytic"], rows["statevector"]
+    assert len(statevector) == len(analytic) == 1 + 6 * 6
+    assert statevector[0] == analytic[0] == ["gamma", "beta", "value"]
+    for want, got in zip(analytic[1:], statevector[1:]):
+        assert got[:2] == want[:2]
+        assert abs(float(got[2]) - float(want[2])) <= 1e-9
+    at_estimate = [float(records[e]["value_at_estimate"]) for e in ("analytic", "statevector")]
+    assert abs(at_estimate[0] - at_estimate[1]) <= 1e-9
+
+
 def test_pipeline_command(tmp_path, capsys):
     path, _ = write_instance(tmp_path)
     report_path = tmp_path / "report.txt"

