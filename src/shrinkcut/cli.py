@@ -36,7 +36,7 @@ from .qaoa import (
     export_landscape_csv,
     grid_search,
 )
-from .relaxation import format_solution, solve_cycle_relaxation
+from .relaxation import DEFAULT_TOL, format_solution, solve_cycle_relaxation
 from .shrink import format_trace, shrink_to_target
 from .simplex import SimplexError
 
@@ -182,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("relax", help="solve the odd-cycle relaxation on the instance's edges")
     p.add_argument("instance")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--solution-out", help="write the fractional point as one 'u v value' line per edge")
     p.set_defaults(func=cmd_relax)
 
@@ -190,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--target", type=int, required=True)
     p.add_argument("--mode", choices=CORRELATION_MODES, default="relaxation")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--trace-out", help="write contraction trace lines")
     p.add_argument("--reduced-out", help="write the reduced instance file")
     p.set_defaults(func=cmd_shrink)
@@ -209,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=CORRELATION_MODES, default="relaxation")
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--out", help="also write the report to this path")
     p.set_defaults(func=cmd_pipeline)
 
@@ -221,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modes", default="relaxation,zero")
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--out", help="CSV output path")
     p.set_defaults(func=cmd_sweep)
 

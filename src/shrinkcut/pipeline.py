@@ -11,6 +11,7 @@ small enough to enumerate.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +23,7 @@ from .graph import (
     cut_value_batch,
 )
 from .qaoa import STATEVECTOR_CAP, QaoaParams, average_degree, estimate_parameters, qaoa_state, sample_cuts
-from .relaxation import solve_cycle_relaxation
+from .relaxation import DEFAULT_TOL, solve_cycle_relaxation
 from .shrink import (
     CorrelationSet, ShrinkState, _contractions, correlations_from_relaxation, shrink_to_target, zero_correlations
 )
@@ -149,17 +150,38 @@ def _score(state: ShrinkState, samples: np.ndarray) -> np.ndarray:
     return cut_value_batch(state.cuttable, samples, state.lift_map)
 
 
-def _check_modes(modes) -> None:
+def _check_inputs(modes, subsolvers=(), n_samples: int = 1) -> None:
+    """Raise ValueError for the first correlation mode or subsolver the
+    pipeline does not know, or for a sample count below 1."""
     for mode in modes:
         if mode not in CORRELATION_MODES:
             raise ValueError(f"correlation mode must be one of {CORRELATION_MODES}, got {mode!r}")
+    for subsolver in subsolvers:
+        if subsolver not in SUBSOLVERS:
+            raise ValueError(f"subsolver must be one of {SUBSOLVERS}, got {subsolver!r}")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
 
 
-def correlations_for_mode(g: WeightedGraph, mode: str, lp_tol: float = 1e-6) -> tuple[CorrelationSet, float | None]:
+@contextmanager
+def _stage(name: str, timings: dict[str, float]):
+    """Time the block into timings[name]; an exception in it leaves as
+    PipelineError(name)."""
+    tic = time.perf_counter()
+    try:
+        yield
+    except Exception as exc:
+        raise PipelineError(name, exc) from exc
+    timings[name] = time.perf_counter() - tic
+
+
+def correlations_for_mode(
+    g: WeightedGraph, mode: str, lp_tol: float = DEFAULT_TOL
+) -> tuple[CorrelationSet, float | None]:
     """The correlations a shrink in correlation mode `mode` follows, and the
     relaxation's objective, an upper bound on the maximum cut (None in zero
     mode). Raises ValueError for a mode outside CORRELATION_MODES."""
-    _check_modes((mode,))
+    _check_inputs((mode,))
     if mode == "zero":
         return zero_correlations(g.vertex_count), None
     solution = solve_cycle_relaxation(g, lp_tol)
@@ -173,68 +195,47 @@ def run_pipeline(
     correlation_mode: str = "relaxation",
     n_samples: int = DEFAULT_SAMPLES,
     seed: int | None = 0,
-    lp_tol: float = 1e-6,
+    lp_tol: float = DEFAULT_TOL,
     oracle_cap: int = BRUTE_FORCE_CAP,
 ) -> PipelineReport:
     """Relax (unless correlation_mode is "zero"), shrink to target_size, solve
     the reduced instance, reconstruct each sample, and score on the original
     graph. Identical inputs and seed give an identical report (timings aside).
+    Each stage is timed under its name, which a PipelineError from it carries.
     """
-    if subsolver not in SUBSOLVERS:
-        raise ValueError(f"subsolver must be one of {SUBSOLVERS}")
-    _check_modes((correlation_mode,))
+    _check_inputs((correlation_mode,), (subsolver,), n_samples)
     n = g.vertex_count
     if not 1 <= target_size <= n:
         raise ValueError(f"target size {target_size} outside [1, {n}]")
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
 
     timings: dict[str, float] = {}
-    tic = time.perf_counter()
-    try:
+    with _stage("relax", timings):
         correlations, upper_bound = correlations_for_mode(g, correlation_mode, lp_tol)
-    except Exception as exc:
-        raise PipelineError("relax", exc) from exc
-    timings["relax"] = time.perf_counter() - tic
 
-    tic = time.perf_counter()
-    try:
+    with _stage("shrink", timings):
         state = shrink_to_target(g, correlations, target_size)
         reduced = state.reduced
-    except Exception as exc:
-        raise PipelineError("shrink", exc) from exc
-    timings["shrink"] = time.perf_counter() - tic
 
-    tic = time.perf_counter()
-    try:
-        samples, params = _solve_reduced(reduced, subsolver, n_samples, seed)
-    except Exception as exc:
-        cause = exc
-        if subsolver == "qaoa-sim" and reduced.vertex_count <= STATEVECTOR_CAP and average_degree(reduced) <= 1.0:
-            cause = ValueError(_low_degree_message(g, correlations, reduced))
-        raise PipelineError("solve", cause) from exc
-    timings["solve"] = time.perf_counter() - tic
+    with _stage("solve", timings):
+        try:
+            samples, params = _solve_reduced(reduced, subsolver, n_samples, seed)
+        except Exception as exc:
+            if subsolver == "qaoa-sim" and reduced.vertex_count <= STATEVECTOR_CAP and average_degree(reduced) <= 1.0:
+                raise ValueError(_low_degree_message(g, correlations, reduced)) from exc
+            raise
 
-    tic = time.perf_counter()
-    try:
+    with _stage("reconstruct", timings):
         values = _score(state, samples)
         best_idx = int(np.argmax(values))
         best_assignment = state.reconstruct(samples[best_idx])
-    except Exception as exc:
-        raise PipelineError("reconstruct", exc) from exc
-    timings["reconstruct"] = time.perf_counter() - tic
 
     c_min = c_max = ratio = None
-    tic = time.perf_counter()
-    if n <= oracle_cap:
-        try:
+    with _stage("bounds", timings):
+        if n <= oracle_cap:
             summary = brute_force(g, oracle_cap)
-        except Exception as exc:
-            raise PipelineError("bounds", exc) from exc
-        c_min, c_max = summary.min_value, summary.max_value
-        if c_max > c_min:
-            ratio = approximation_ratio(float(values.mean()), c_min, c_max)
-    timings["bounds"] = time.perf_counter() - tic
+            c_min, c_max = summary.min_value, summary.max_value
+            if c_max > c_min:
+                ratio = approximation_ratio(float(values.mean()), c_min, c_max)
 
     return PipelineReport(
         vertex_count=n,
@@ -275,33 +276,25 @@ def sweep_shrink_counts(
     correlation_modes: tuple[str, ...] = ("relaxation", "zero"),
     n_samples: int = DEFAULT_SAMPLES,
     seed: int | None = 0,
-    lp_tol: float = 1e-6,
-    oracle_cap: int = BRUTE_FORCE_CAP,
+    lp_tol: float = DEFAULT_TOL,
 ) -> list[SweepCell]:
     """Approximation ratio versus number of deleted vertices: one cell per
     mode, deleted count (a repeat included) and subsolver, in the given order,
     each with its own seed drawn from `seed` in that order. All cells share
     one oracle bound; the relaxation is solved once per mode, and one pass
     over each mode's contractions scores every count as it reaches it.
-    Raises ValueError for a count outside [0, n). The qaoa-sim subsolver needs
-    reduced average degree > 1, so keep deleted counts away from n - 1 and
-    n - 2 when using it.
+    Raises ValueError for a count outside [0, n) or past brute_force's cap.
+    The qaoa-sim subsolver needs reduced average degree > 1, so keep deleted
+    counts away from n - 1 and n - 2 when using it.
     """
+    _check_inputs(correlation_modes, subsolvers, n_samples)
     n = g.vertex_count
-    if n > oracle_cap:
-        raise ValueError(f"sweep needs oracle bounds; {n} vertices exceeds cap {oracle_cap}")
-    for s in subsolvers:
-        if s not in SUBSOLVERS:
-            raise ValueError(f"unknown subsolver {s!r}")
-    _check_modes(correlation_modes)
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     if deleted_counts is None:
         deleted_counts = list(range(n))
     for deleted in deleted_counts:
         if not 0 <= deleted < n:
             raise ValueError(f"deleted count {deleted} outside [0, {n})")
-    summary = brute_force(g, oracle_cap)
+    summary = brute_force(g)
     if not summary.max_value > summary.min_value:
         raise ValueError("degenerate instance: every bipartition has the same value")
     master = np.random.default_rng(seed)

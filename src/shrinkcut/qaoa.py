@@ -178,10 +178,10 @@ def sample_cuts(state: QaoaState, n_samples: int, seed=None) -> np.ndarray:
     rng = np.random.default_rng(seed)
     uniform = rng.random(n_samples)
     order = np.argsort(uniform)
-    draws = np.empty(n_samples, dtype=np.int64)
+    draws = np.empty(n_samples, dtype="<i8")  # little-endian: its bytes unpack in bit order
     draws[order] = cdf.searchsorted(uniform[order], side="right")
     draws[rng.random(n_samples) < 0.5] ^= (1 << state.n) - 1
-    return ((draws[:, None] >> np.arange(state.n)) & 1).astype(bool)
+    return np.unpackbits(draws.view(np.uint8).reshape(-1, 8), axis=1, count=state.n, bitorder="little").view(bool)
 
 
 class AnalyticExpectation:

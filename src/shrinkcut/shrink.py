@@ -211,12 +211,13 @@ class ShrinkState:
         return vertex, -1 if opposite else 1
 
     def current_weight(self, u: int, v: int) -> float:
-        """Weight between two current super-vertices, read from the reduced
-        graph; 0.0 when they share no edge."""
+        """Weight between two current super-vertices, summed from the lift map
+        bit for bit as `reduced` sums it; 0.0 when they share no edge."""
         self._check_super_vertex(u, v)
-        i, j = sorted(np.searchsorted(self.active_vertices(), (u, v)).tolist())
-        g = self.reduced
-        return float(g.w[(g.u == i) & (g.v == j)].sum())
+        g, (columns, flip) = self.original, self.lift_map
+        a, b, i, j = columns[g.u], columns[g.v], columns[u], columns[v]
+        between = (a != b) & ((a == i) & (b == j) | (a == j) & (b == i))
+        return float(np.bincount(between, weights=np.where(flip[g.u] != flip[g.v], -g.w, g.w), minlength=2)[1])
 
     def contract(self, removed: int, kept: int, sign: int) -> None:
         """Merge super-vertex `removed` into `kept`, on equal sides for sign +1

@@ -133,8 +133,49 @@ def test_stage_errors_are_labeled():
     run_pipeline(g, 3, subsolver="qaoa-sim", n_samples=10, seed=0)
     with pytest.raises(ValueError):
         run_pipeline(g, 0, subsolver="exact")
-    with pytest.raises(ValueError):
-        run_pipeline(g, 3, subsolver="annealer")
+
+
+STAGES = ["relax", "shrink", "solve", "reconstruct", "bounds"]
+
+
+@pytest.mark.parametrize("stage, name", [
+    ("relax", None),  # a real fault: lp_tol=0 is below the simplex's tolerance
+    ("shrink", "shrink_to_target"),
+    ("solve", "_solve_reduced"),
+    ("reconstruct", "_score"),
+    ("bounds", "brute_force"),
+])
+def test_a_fault_in_each_stage_carries_its_label(monkeypatch, stage, name):
+    g = grid_instance(2, 3, 7)
+    lp_tol = 0.0 if name is None else 1e-6
+
+    def fault(*args, **kwargs):
+        raise RuntimeError(f"fault in {name}")
+
+    if name is not None:
+        monkeypatch.setattr(shrinkcut.pipeline, name, fault)
+    with pytest.raises(PipelineError) as err:
+        run_pipeline(g, 4, subsolver="coin", n_samples=10, lp_tol=lp_tol)
+    assert err.value.stage == stage
+    cause = "tol must be finite" if name is None else f"fault in {name}"
+    assert str(err.value).startswith(f"stage '{stage}': {cause}")
+
+
+@pytest.mark.parametrize("entry", ["run_pipeline", "sweep_shrink_counts"])
+def test_unknown_subsolver_is_rejected_with_one_message_before_any_work(monkeypatch, entry):
+    g = grid_instance(2, 3, 7)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("ran before the subsolver was checked")
+
+    for name in ("brute_force", "solve_cycle_relaxation", "zero_correlations"):
+        monkeypatch.setattr(shrinkcut.pipeline, name, unreachable)
+    message = r"subsolver must be one of \('exact', 'qaoa-sim', 'coin'\), got 'annealer'"
+    with pytest.raises(ValueError, match=message):
+        if entry == "run_pipeline":
+            run_pipeline(g, 3, subsolver="annealer")
+        else:
+            sweep_shrink_counts(g, subsolvers=("exact", "annealer"))
 
 
 def test_low_degree_error_says_when_no_target_works():
@@ -156,11 +197,13 @@ def test_sample_count_must_be_positive(n_samples):
 
 def test_report_record_keys():
     g = grid_instance(2, 3, 8)
-    rec = run_pipeline(g, 4, subsolver="exact", n_samples=1, seed=0).as_record()
+    report = run_pipeline(g, 4, subsolver="exact", n_samples=1, seed=0)
+    assert list(report.timings) == STAGES
+    rec = report.as_record()
     for key in ("vertices", "reduced_size", "offset", "best_cut_value", "mean_cut_value",
                 "upper_bound", "c_min", "c_max", "approximation_ratio", "best_assignment"):
         assert key in rec
-    assert any(k.startswith("time_") for k in rec)
+    assert [k for k in rec if k.startswith("time_")] == [f"time_{stage}" for stage in STAGES]
 
 
 def test_sweep_shapes_and_shared_bounds():
@@ -191,10 +234,15 @@ def test_sweep_relaxation_exact_stays_optimal_on_grids():
             assert late.ratio <= early.ratio + 1e-9
 
 
-def test_sweep_rejects_oversized_instances():
+def test_sweep_rejects_oversized_instances(monkeypatch):
     rng = np.random.default_rng(12)
-    g = random_weighted_graph(30, 0.1, rng)
-    with pytest.raises(ValueError):
+    g = random_weighted_graph(25, 0.1, rng)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("relaxed an instance the oracle cannot bound")
+
+    monkeypatch.setattr(shrinkcut.pipeline, "solve_cycle_relaxation", unreachable)
+    with pytest.raises(ValueError, match="^25 vertices exceeds the enumeration cap of 24$"):
         sweep_shrink_counts(g)
 
 

@@ -477,6 +477,20 @@ def test_cuttable_graph_scores_every_lift_bit_for_bit(case):
         assert cut_value_batch(state.cuttable, lifted).tobytes() == cut_value_batch(g, lifted).tobytes()
 
 
+@settings(deadline=None)
+@given(graphs_with_signed_correlations())
+# K12 with float weights: the last pair holds at least 11 edges, past the
+# length at which a pairwise sum stops adding in edge order
+@example((random_weighted_graph(12, 1.0, np.random.default_rng(4)), random_correlations(12, np.random.default_rng(5))))
+def test_current_weight_is_the_reduced_entry_bit_for_bit(case):
+    g, corr = case
+    for state in _contractions(g, corr, 1):
+        matrix = state.reduced.weight_matrix
+        active = state.active_vertices().tolist()
+        for (i, a), (j, b) in itertools.product(enumerate(active), repeat=2):
+            assert state.current_weight(a, b).hex() == matrix[i, j].hex()
+
+
 class DenseShrink:
     """Reference: contraction as a dense row merge. An n x n weight matrix
     whose kept row and column absorb the removed ones, a flat root and flip
