@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator
@@ -19,6 +20,9 @@ ENUM_BLOCK_BITS = 16
 DOUBLING_TABLE_BITS = 8
 # Bytes of temporaries one cut_value_batch chunk of rows may hold.
 SCORE_CHUNK_BYTES = 1 << 21
+# Largest total absolute weight Σ|w| brute_force_matrix enumerates: _cut_block and _prefix_block form
+# cut values and row sums within Σ|w|, and their -2w and 2g steps within 2Σ|w|, with 2x left for rounding.
+CUT_WEIGHT_LIMIT = sys.float_info.max / 4
 
 
 class ParseError(ValueError):
@@ -129,6 +133,11 @@ class WeightedGraph:
         m[self.u, self.v] = m[self.v, self.u] = self.w
         m.setflags(write=False)
         return m
+
+    @cached_property
+    def absolute_weight(self) -> float:
+        """Σ|w|, which no cut value exceeds in size; a Python sum overflows to inf quietly."""
+        return float(sum(map(abs, self.w.tolist())))
 
     def total_weight(self) -> float:
         return float(sum(self.w.tolist()))
@@ -356,14 +365,25 @@ def brute_force(g: WeightedGraph, max_vertices: int = BRUTE_FORCE_CAP) -> ExactC
     Complement symmetry halves the search: only assignments with the top
     vertex on the False side are visited, which also makes the reported
     argmax the optimum with the lowest binary encoding. The empty bipartition
-    is included, so max_value >= 0 >= min_value always holds. The blocks
-    (_blocks) are scanned in index order, with no index array.
+    is included, so max_value >= 0 >= min_value always holds. Raises
+    ValueError past max_vertices or where a cut value could overflow.
     """
-    n = g.vertex_count
+    check_enumerable(g.vertex_count, max_vertices)
+    return brute_force_matrix(g.weight_matrix, g.absolute_weight)
+
+
+def check_enumerable(n: int, max_vertices: int = BRUTE_FORCE_CAP) -> None:
     if n > max_vertices:
         raise ValueError(f"{n} vertices exceeds the enumeration cap of {max_vertices}")
+
+
+def brute_force_matrix(w: np.ndarray, total: float) -> ExactCutSummary:
+    """brute_force on a symmetric weight matrix whose pairs' Σ|w| is total: its
+    blocks (_blocks) are scanned in index order, with no index array."""
+    if not total <= CUT_WEIGHT_LIMIT:
+        raise ValueError(f"total absolute weight {total!r} exceeds {CUT_WEIGHT_LIMIT:.6g}; cut values could overflow")
     best, worst, arg, count = -np.inf, np.inf, 0, 0
-    for prefix, vals in enumerate(_blocks(g.weight_matrix)):
+    for prefix, vals in enumerate(_blocks(w)):
         i = int(np.argmax(vals))
         if vals[i] > best:
             best = float(vals[i])
@@ -372,7 +392,7 @@ def brute_force(g: WeightedGraph, max_vertices: int = BRUTE_FORCE_CAP) -> ExactC
         if vals[i] == best:
             count += int(np.count_nonzero(vals == best))
         worst = min(worst, float(np.min(vals)))
-    return ExactCutSummary(best, worst, index_to_assignment(arg, n), count)
+    return ExactCutSummary(best, worst, index_to_assignment(arg, w.shape[0]), count)
 
 
 def _prefix_block(w: np.ndarray, b: int, prefix: int, base: np.ndarray, out: np.ndarray) -> np.ndarray:

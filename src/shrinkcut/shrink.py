@@ -142,9 +142,9 @@ class ShrinkState:
 
     The state is a union-find forest over the original vertices and nothing
     else: each tree's root is the vertex its super-vertex is labelled by, and
-    each vertex holds its side relative to its parent. The reduced graph, the
-    offset and the cuttable graph are read off the lift map, each in one pass
-    over the original edges.
+    each vertex holds its side relative to its parent. The reduced graph, its
+    weight matrix, the offset and the cuttable graph are read off the lift map,
+    each in one pass over the original edges.
     """
 
     def __init__(self, graph: WeightedGraph):
@@ -152,7 +152,8 @@ class ShrinkState:
         n = graph.vertex_count
         self._parent, self._parity = list(range(n)), [False] * n
         self.records: list[ShrinkRecord] = []
-        self._lift: tuple[int, tuple[np.ndarray, np.ndarray] | None] = (-1, None)
+        self._lift = (0, np.arange(n), np.zeros(n, dtype=bool), np.arange(n))
+        self._reduced: tuple[int, WeightedGraph | None] = (-1, None)
         self._cuttable: tuple[int, WeightedGraph] = (0, graph)
 
     @property
@@ -164,26 +165,35 @@ class ShrinkState:
             if not (0 <= v < len(self._parent) and self._parent[v] == v):
                 raise ValueError(f"vertex {v} is not a current super-vertex")
 
-    def active_vertices(self) -> np.ndarray:
-        """Current super-vertex labels, ascending; their order defines the
-        reduced graph's vertex numbering."""
-        parent = np.array(self._parent, dtype=np.int64)
-        return np.flatnonzero(parent == np.arange(parent.size))
-
-    @property
-    def reduced(self) -> WeightedGraph:
-        """The contracted instance. The original edges between two super-vertices
-        are negated where their ends sit on opposite sides of them, then summed
-        per pair in edge order; pairs that sum to 0.0 are dropped."""
-        g, size = self.original, self.reduced_size
-        columns, flip = self.lift_map
+    def _between(self) -> tuple[np.ndarray, np.ndarray]:
+        """The edges between two super-vertices in edge order: their columns i < j
+        keyed i * reduced_size + j, and their weights negated where their ends' flips differ."""
+        g, size, (columns, flip) = self.original, self.reduced_size, self.lift_map
         a, b = columns[g.u], columns[g.v]
         between = a != b
         w = np.where(flip[g.u] != flip[g.v], -g.w, g.w)[between]
-        pairs, index = np.unique(np.minimum(a, b)[between] * size + np.maximum(a, b)[between], return_inverse=True)
-        w = np.bincount(index, weights=w, minlength=pairs.size)
-        keep = w != 0.0
-        return WeightedGraph(size, pairs[keep] // size, pairs[keep] % size, w[keep])
+        return np.minimum(a, b)[between] * size + np.maximum(a, b)[between], w
+
+    @property
+    def reduced(self) -> WeightedGraph:
+        """The contracted instance: _between's weights summed per pair in edge
+        order, pairs that sum to 0.0 dropped; built once per contraction count."""
+        count, graph = self._reduced
+        if count != len(self.records):
+            size, (pairs, w) = self.reduced_size, self._between()
+            pairs, index = np.unique(pairs, return_inverse=True)
+            w = np.bincount(index, weights=w, minlength=pairs.size)
+            keep = w != 0.0
+            graph = WeightedGraph(size, pairs[keep] // size, pairs[keep] % size, w[keep])
+            self._reduced = (len(self.records), graph)
+        return graph
+
+    def reduced_matrix(self) -> tuple[np.ndarray, float]:
+        """reduced.weight_matrix, bit for bit, summed from _between without building
+        the reduced graph, and the Σ|w| of the edges summed, which bounds its pairs'."""
+        size, (pairs, w) = self.reduced_size, self._between()
+        upper = np.bincount(pairs, weights=w, minlength=size * size).reshape(size, size)
+        return np.add(upper, upper.T, dtype=float), sum(map(abs, w.tolist()))  # float with no edge left too
 
     @property
     def offset(self) -> float:
@@ -191,8 +201,7 @@ class ShrinkState:
         super-vertices: a lift cuts such an edge exactly when the reduced
         assignment leaves its pair uncut, or always inside one super-vertex.
         Adding to 0.0 keeps a sum of -0.0 weights from reading -0.0."""
-        g = self.original
-        _, flip = self.lift_map
+        g, (_, flip) = self.original, self.lift_map
         return 0.0 + float(g.w[flip[g.u] != flip[g.v]].sum())
 
     def find(self, vertex: int) -> tuple[int, int]:
@@ -214,10 +223,9 @@ class ShrinkState:
         """Weight between two current super-vertices, summed from the lift map
         bit for bit as `reduced` sums it; 0.0 when they share no edge."""
         self._check_super_vertex(u, v)
-        g, (columns, flip) = self.original, self.lift_map
-        a, b, i, j = columns[g.u], columns[g.v], columns[u], columns[v]
-        between = (a != b) & ((a == i) & (b == j) | (a == j) & (b == i))
-        return float(np.bincount(between, weights=np.where(flip[g.u] != flip[g.v], -g.w, g.w), minlength=2)[1])
+        (columns, _), (pairs, w) = self.lift_map, self._between()
+        i, j = sorted((columns[u], columns[v]))
+        return float(np.bincount(pairs == i * self.reduced_size + j, weights=w, minlength=2)[1])
 
     def contract(self, removed: int, kept: int, sign: int) -> None:
         """Merge super-vertex `removed` into `kept`, on equal sides for sign +1
@@ -233,14 +241,21 @@ class ShrinkState:
     @property
     def lift_map(self) -> tuple[np.ndarray, np.ndarray]:
         """Each original vertex's column in the reduced graph, and whether it
-        sits opposite its super-vertex: reconstruct(a) is a[..., columns] ^ flip."""
-        if self._lift[0] != len(self.records):
-            up, opposite = np.array(self._parent, dtype=np.int64), np.array(self._parity, dtype=bool)
-            while not np.array_equal(up[up], up):  # pointer doubling halves every path
+        sits opposite its super-vertex: reconstruct(a) is a[..., columns] ^ flip.
+        Kept as each vertex's (count, root, flip, column) and caught up by pointer
+        doubling over the links new records add; returned arrays are never written."""
+        count, roots, flip, columns = self._lift
+        if count != len(self.records):
+            kept, removed, sign = np.fromiter(itertools.chain(*self.records[count:]), np.int64).reshape(-1, 3).T
+            up, opposite = np.arange(roots.size), np.zeros(roots.size, dtype=bool)
+            up[removed], opposite[removed] = kept, sign == -1
+            while ((hop := up[up]) != up).any():  # each round halves every chain
                 opposite ^= opposite[up]
-                up = up[up]
-            self._lift = (len(self.records), (np.searchsorted(self.active_vertices(), up), opposite))
-        return self._lift[1]
+                up = hop
+            roots, flip = up[roots], flip ^ opposite[roots]
+            columns = (np.cumsum(roots == np.arange(roots.size)) - 1)[roots]  # the roots below each root
+            self._lift = (len(self.records), roots, flip, columns)
+        return columns, flip
 
     @property
     def cuttable(self) -> WeightedGraph:
@@ -252,8 +267,7 @@ class ShrinkState:
         nothing drops."""
         count, graph = self._cuttable
         if count != len(self.records):
-            g = self.original
-            columns, flip = self.lift_map
+            g, (columns, flip) = self.original, self.lift_map
             keep = (columns[g.u] != columns[g.v]) | (flip[g.u] != flip[g.v])
             graph = g if keep.all() else g.edge_subgraph(keep)
             self._cuttable = (len(self.records), graph)

@@ -178,6 +178,14 @@ def test_malformed_instance_fails(tmp_path, capsys):
         assert "line 2" in err and message in err
 
 
+def test_oracle_rejects_weights_whose_cut_values_overflow(tmp_path, capsys):
+    path = tmp_path / "big.txt"
+    path.write_text("3 2\n1 2 1e308\n2 3 1\n")
+    assert main(["oracle", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "total absolute weight 1e+308 exceeds" in err
+
+
 def test_stage_error_exit_code(tmp_path, capsys):
     path, _ = write_instance(tmp_path)
     # target 2 with qaoa-sim: reduced average degree 1, estimate undefined

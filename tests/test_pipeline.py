@@ -1,6 +1,7 @@
 import importlib.util
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +23,7 @@ from shrinkcut import (
     sweep_to_csv,
     zero_correlations,
 )
+from shrinkcut.graph import WeightedGraph
 from shrinkcut.instances import build, grid_pairs, random_weighted_graph, sign_weights
 from shrinkcut.pipeline import SweepCell, _solve_reduced
 from shrinkcut.shrink import ShrinkState
@@ -246,6 +248,48 @@ def test_sweep_rejects_oversized_instances(monkeypatch):
         sweep_shrink_counts(g)
 
 
+@pytest.mark.parametrize("edges", [
+    [(0, 1, 1e308), (1, 2, 1.0)],
+    [(0, 2, 1e308), (1, 2, 1e308), (2, 3, 1.0), (0, 1, -1.0)],
+])
+def test_weights_whose_cut_values_overflow_fail_loudly(edges):
+    # the oracle reported c_min=inf, c_max=-inf, and the sweep a degenerate instance
+    g = WeightedGraph.from_edges(1 + max(v for _, v, _ in edges), edges)
+    with pytest.raises(PipelineError, match="total absolute weight .* exceeds") as err:
+        run_pipeline(g, 2, subsolver="exact", correlation_mode="zero")
+    assert err.value.stage == "bounds"
+    with pytest.raises(ValueError, match="total absolute weight .* exceeds"):
+        sweep_shrink_counts(g, subsolvers=("exact", "coin"), correlation_modes=("zero",), n_samples=10)
+
+
+def test_an_overflowing_reduced_pair_fails_the_exact_solve():
+    # 0 and 1 merge on equal sides, so their edges to 2 sum to 1e308: a finite
+    # reduced weight whose -2w step overflows
+    g = WeightedGraph.from_edges(3, [(0, 2, 5e307), (1, 2, 5e307)])
+    with pytest.raises(PipelineError, match=re.escape("total absolute weight 1e+308 exceeds")) as err:
+        run_pipeline(g, 2, subsolver="exact", correlation_mode="zero", oracle_cap=0)
+    assert err.value.stage == "solve"
+
+
+def test_sweep_solves_the_unshrunk_exact_cell_with_the_oracle(monkeypatch):
+    # a 0.0 edge and a -0.0 edge, both of which the reduced graph drops: the
+    # deleted-0 exact cell takes the oracle enumeration's argmax and must read
+    # as the cell solved on the unshrunk reduced graph by its own brute_force
+    g = WeightedGraph(5, [0, 0, 0, 1, 2, 3], [1, 2, 4, 3, 4, 4], [0.0, 1.5, 0.5, -0.0, 2.0, -1.0])
+    enumerations = []
+    matrix_enumeration = shrinkcut.graph.brute_force_matrix
+    for module in (shrinkcut.graph, shrinkcut.pipeline):
+        monkeypatch.setattr(module, "brute_force_matrix", lambda w, t: enumerations.append(len(w)) or matrix_enumeration(w, t))
+    cells = sweep_shrink_counts(g, [0, 1], ("exact",), ("zero",), n_samples=10, seed=2)
+    assert enumerations == [5, 4]  # the oracle and the deleted-1 cell
+    state = ShrinkState(g)
+    assert state.reduced.edge_count == 4
+    summary = brute_force(g)
+    values = cut_value_batch(g, brute_force(state.reduced).argmax[None, :])
+    mean = float(values.mean())
+    assert cells[0] == SweepCell(0, "zero", "exact", mean, mean, approximation_ratio(mean, summary.min_value, summary.max_value))
+
+
 def test_unknown_correlation_mode_is_rejected_before_any_work(monkeypatch):
     g = grid_instance(2, 3, 7)
 
@@ -283,7 +327,7 @@ def test_sweep_matches_per_count_shrinks_in_the_callers_order():
         for deleted in counts:
             state = shrink_to_target(g, correlations, g.vertex_count - deleted)
             for subsolver in subsolvers:
-                samples, _ = _solve_reduced(state.reduced, subsolver, 300, int(master.integers(2**63)))
+                samples, _ = _solve_reduced(state, subsolver, 300, int(master.integers(2**63)))
                 values = cut_value_batch(g, state.reconstruct(samples))
                 mean = float(values.mean())
                 ratio = approximation_ratio(mean, summary.min_value, summary.max_value)
@@ -319,7 +363,7 @@ def test_batched_lift_reproduces_per_row_reference():
     for subsolver in ("qaoa-sim", "coin"):
         report = run_pipeline(g, 5, subsolver=subsolver, correlation_mode="zero", n_samples=300, seed=4)
         state = shrink_to_target(g, zero_correlations(g.vertex_count), 5)
-        samples, _ = _solve_reduced(state.reduced, subsolver, 300, 4)
+        samples, _ = _solve_reduced(state, subsolver, 300, 4)
         lifted, values = lift_and_score_per_row(g, state, samples)
         best = int(np.argmax(values))
         assert report.mean_cut_value == float(values.mean())
@@ -337,7 +381,7 @@ def test_batched_lift_reproduces_per_row_reference():
         for deleted in (0, 1, 2):
             state = shrink_to_target(g, correlations, g.vertex_count - deleted)
             for subsolver in subsolvers:
-                samples, _ = _solve_reduced(state.reduced, subsolver, 300, int(master.integers(2**63)))
+                samples, _ = _solve_reduced(state, subsolver, 300, int(master.integers(2**63)))
                 _, values = lift_and_score_per_row(g, state, samples)
                 mean = float(values.mean())
                 ratio = approximation_ratio(mean, summary.min_value, summary.max_value)
@@ -363,7 +407,7 @@ def test_reduced_column_scoring_matches_full_lift(mode, subsolver):
         state = shrink_to_target(g, correlations, target)
 
         def reference(seed):
-            samples, _ = _solve_reduced(state.reduced, subsolver, 200, seed)
+            samples, _ = _solve_reduced(state, subsolver, 200, seed)
             lifted = state.reconstruct(samples)
             return lifted, cut_value_batch(g, lifted)
 

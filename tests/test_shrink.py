@@ -23,7 +23,7 @@ from shrinkcut import (
     zero_correlations,
 )
 from shrinkcut import shrink
-from shrinkcut.graph import index_to_assignment
+from shrinkcut.graph import brute_force_matrix, index_to_assignment
 from shrinkcut.instances import random_weighted_graph
 from shrinkcut.shrink import ShrinkState, _contractions
 
@@ -32,6 +32,11 @@ def random_correlations(n, rng):
     return CorrelationSet.from_dict(
         {(u, v): float(rng.uniform(-1, 1)) for u in range(n) for v in range(u + 1, n)}
     )
+
+
+def super_vertices(state):
+    """Current super-vertex labels, ascending: the reduced graph's vertex order."""
+    return sorted({state.find(v)[0] for v in range(state.original.vertex_count)})
 
 
 def assert_conservation(g, state, tol=1e-9):
@@ -325,7 +330,7 @@ def test_batched_lift_matches_per_row_lift(case):
 @given(shrunk_with_samples())
 def test_reduced_matches_pair_loop(case):
     _, state, _ = case
-    active = state.active_vertices().tolist()
+    active = super_vertices(state)
     weights = [(i, j, state.current_weight(a, active[j])) for i, a in enumerate(active) for j in range(i + 1, len(active))]
     assert state.reduced == WeightedGraph.from_edges(len(active), [e for e in weights if e[2] != 0.0])
 
@@ -486,7 +491,7 @@ def test_current_weight_is_the_reduced_entry_bit_for_bit(case):
     g, corr = case
     for state in _contractions(g, corr, 1):
         matrix = state.reduced.weight_matrix
-        active = state.active_vertices().tolist()
+        active = super_vertices(state)
         for (i, a), (j, b) in itertools.product(enumerate(active), repeat=2):
             assert state.current_weight(a, b).hex() == matrix[i, j].hex()
 
@@ -561,3 +566,58 @@ def test_adjacency_contraction_matches_dense_reference(case):
     replayed = replay_trace(g, parse_trace(format_trace(state)))
     assert replayed.records == state.records and replayed.offset.hex() == state.offset.hex()
     assert replayed.reduced == state.reduced
+
+
+@st.composite
+def walks_with_finds(draw):
+    """A graph and signed correlations (graphs_with_signed_correlations), and
+    the vertices to find after each state of the walk down to one vertex."""
+    g, corr = draw(graphs_with_signed_correlations())
+    vertex = st.integers(0, g.vertex_count - 1)
+    finds = draw(st.lists(st.lists(vertex, max_size=4), min_size=g.vertex_count, max_size=g.vertex_count))
+    return g, corr, finds
+
+
+@settings(deadline=None)
+@given(walks_with_finds())
+def test_caught_up_lift_map_matches_a_fresh_replay(case):
+    # the walked state's lift map catches up one record per read, between
+    # path-compressing finds; a fresh state catches up on every record at once
+    g, corr, finds = case
+    returned = []
+    for state, vertices in zip(_contractions(g, corr, 1), finds):
+        columns, flip = state.lift_map
+        fresh = ShrinkState(g)
+        for kept, removed, sign in state.records:
+            fresh.contract(removed, kept, sign)
+        fresh_columns, fresh_flip = fresh.lift_map
+        assert columns.dtype == fresh_columns.dtype and columns.tobytes() == fresh_columns.tobytes()
+        assert flip.dtype == fresh_flip.dtype == bool and flip.tobytes() == fresh_flip.tobytes()
+        roots, signs = np.array([fresh.find(v) for v in range(g.vertex_count)]).reshape(-1, 2).T
+        assert np.array_equal(columns, np.searchsorted(np.unique(roots), roots))
+        assert np.array_equal(flip, signs == -1)
+        returned.append((columns, columns.copy(), flip, flip.copy()))
+        for v in vertices:
+            state.find(v)
+    # arrays once returned are never written by a later catch-up
+    assert all(np.array_equal(a, b) and np.array_equal(f, h) for a, b, f, h in returned)
+
+
+@settings(deadline=None)
+@given(graphs_with_signed_correlations())
+# merging 0 and 1 on equal sides cancels their edges to 2, and on opposite
+# sides the -0.0 edge's negation meets a 0.0 edge: both pairs sum to 0.0
+@example((WeightedGraph(3, [0, 1], [2, 2], [1.5, -1.5]), CorrelationSet((((0, 1), 1.0), ((0, 2), 0.0), ((1, 2), 0.0)))))
+@example((WeightedGraph(3, [0, 1], [2, 2], [-0.0, 0.0]), CorrelationSet((((0, 1), -1.0), ((0, 2), 0.0), ((1, 2), 0.0)))))
+def test_reduced_matrix_enumerates_as_the_reduced_graph(case):
+    g, corr = case
+    for state in _contractions(g, corr, 1):
+        matrix, total = state.reduced_matrix()
+        reduced = state.reduced
+        assert matrix.dtype == float and matrix.tobytes() == reduced.weight_matrix.tobytes()
+        between = state.lift_map[0][g.u] != state.lift_map[0][g.v]
+        # the Σ|w| of the summed edges bounds the reduced pairs' own, rounding aside
+        assert total == sum(map(abs, g.w[between].tolist())) >= float(np.abs(reduced.w).sum()) * (1 - 1e-12)
+        got, want = brute_force_matrix(matrix, total), brute_force(reduced)
+        assert (got.max_value.hex(), got.min_value.hex()) == (want.max_value.hex(), want.min_value.hex())
+        assert np.array_equal(got.argmax, want.argmax) and got.optimum_count == want.optimum_count
