@@ -64,7 +64,7 @@ def cmd_relax(args) -> int:
     sol = solve_cycle_relaxation(_load(args.instance), args.tol)
     _emit(
         {
-            "vertices": str(sol.n),
+            "vertices": str(sol.graph.vertex_count),
             "objective_value": f"{sol.objective_value:.12g}",
             "rounds": str(sol.rounds),
             "pivots": str(sum(sol.round_pivots)),
@@ -147,7 +147,10 @@ def cmd_sweep(args) -> int:
     g = _load(args.instance)
     deleted = None
     if args.deleted:
-        deleted = [int(x) for x in args.deleted.split(",")]
+        try:
+            deleted = [int(x) for x in args.deleted.split(",")]
+        except ValueError:
+            raise ValueError(f"--deleted must be comma-separated integers, got {args.deleted!r}") from None
     elif args.max_deleted is not None:
         if args.max_deleted < 0:
             raise ValueError(f"--max-deleted must be at least 0, got {args.max_deleted}")

@@ -20,8 +20,9 @@ ENUM_BLOCK_BITS = 16
 DOUBLING_TABLE_BITS = 8
 # Bytes of temporaries one cut_value_batch chunk of rows may hold.
 SCORE_CHUNK_BYTES = 1 << 21
-# Largest total absolute weight Σ|w| brute_force_matrix enumerates: _cut_block and _prefix_block form
+# Largest total absolute weight Σ|w| a WeightedGraph may have: _cut_block and _prefix_block form
 # cut values and row sums within Σ|w|, and their -2w and 2g steps within 2Σ|w|, with 2x left for rounding.
+# Reduced, cuttable and dense-closure graphs sum or subset the original's weights, so they stay within it.
 CUT_WEIGHT_LIMIT = sys.float_info.max / 4
 
 
@@ -37,9 +38,10 @@ class ParseError(ValueError):
 class WeightedGraph:
     """Undirected weighted graph on vertices 0..vertex_count-1.
 
-    Edge i joins u[i] < v[i] with weight w[i], sorted by (u, v) and unique. The
-    arrays are read-only copies of the constructor's inputs, so instances are
-    immutable and safe to share across threads.
+    Edge i joins u[i] < v[i] with finite weight w[i], sorted by (u, v) and
+    unique, and Σ|w| is at most CUT_WEIGHT_LIMIT. The arrays are read-only
+    copies of the constructor's inputs, so instances are immutable and safe to
+    share across threads.
     """
 
     vertex_count: int
@@ -67,6 +69,9 @@ class WeightedGraph:
         bad = np.flatnonzero(~np.isfinite(w))
         if bad.size:
             raise ValueError(f"edge ({u[bad[0]]}, {v[bad[0]]}) has non-finite weight {w[bad[0]]}")
+        total = sum(map(abs, w.tolist()))  # a Python sum overflows to inf quietly, where np.sum warns
+        if not total <= CUT_WEIGHT_LIMIT:
+            raise ValueError(f"total absolute weight {total!r} exceeds {CUT_WEIGHT_LIMIT:.6g}; cut values could overflow")
         ids.setflags(write=False)
         w.setflags(write=False)
         for name, value in zip(("vertex_count", "u", "v", "w"), (n, ids[0], ids[1], w)):
@@ -98,10 +103,10 @@ class WeightedGraph:
 
     def edge_subgraph(self, keep: np.ndarray) -> "WeightedGraph":
         """The graph on the same vertices with the edges where the boolean
-        mask keep is True. A subset of sorted, unique, finite edges is all of
-        those too, so it skips the constructor's checks, which cost a sweep
-        more than scoring on fewer edges saves it when it builds one subgraph
-        per shrink count."""
+        mask keep is True. A subset of sorted, unique, finite edges within the
+        weight limit is all of those too, so it skips the constructor's
+        checks, which cost a sweep more than scoring on fewer edges saves it
+        when it builds one subgraph per shrink count."""
         keep = np.asarray(keep)
         if keep.dtype != bool or keep.shape != self.w.shape:
             raise ValueError(f"keep must be a boolean mask of shape {self.w.shape}, got {keep.dtype} {keep.shape}")
@@ -133,11 +138,6 @@ class WeightedGraph:
         m[self.u, self.v] = m[self.v, self.u] = self.w
         m.setflags(write=False)
         return m
-
-    @cached_property
-    def absolute_weight(self) -> float:
-        """Σ|w|, which no cut value exceeds in size; a Python sum overflows to inf quietly."""
-        return float(sum(map(abs, self.w.tolist())))
 
     def total_weight(self) -> float:
         return float(sum(self.w.tolist()))
@@ -366,10 +366,10 @@ def brute_force(g: WeightedGraph, max_vertices: int = BRUTE_FORCE_CAP) -> ExactC
     vertex on the False side are visited, which also makes the reported
     argmax the optimum with the lowest binary encoding. The empty bipartition
     is included, so max_value >= 0 >= min_value always holds. Raises
-    ValueError past max_vertices or where a cut value could overflow.
+    ValueError past max_vertices.
     """
     check_enumerable(g.vertex_count, max_vertices)
-    return brute_force_matrix(g.weight_matrix, g.absolute_weight)
+    return brute_force_matrix(g.weight_matrix)
 
 
 def check_enumerable(n: int, max_vertices: int = BRUTE_FORCE_CAP) -> None:
@@ -377,11 +377,10 @@ def check_enumerable(n: int, max_vertices: int = BRUTE_FORCE_CAP) -> None:
         raise ValueError(f"{n} vertices exceeds the enumeration cap of {max_vertices}")
 
 
-def brute_force_matrix(w: np.ndarray, total: float) -> ExactCutSummary:
-    """brute_force on a symmetric weight matrix whose pairs' Σ|w| is total: its
-    blocks (_blocks) are scanned in index order, with no index array."""
-    if not total <= CUT_WEIGHT_LIMIT:
-        raise ValueError(f"total absolute weight {total!r} exceeds {CUT_WEIGHT_LIMIT:.6g}; cut values could overflow")
+def brute_force_matrix(w: np.ndarray) -> ExactCutSummary:
+    """brute_force on a symmetric weight matrix whose pairs' Σ|w| is within
+    CUT_WEIGHT_LIMIT, a graph's or one summed from it: its blocks (_blocks) are
+    scanned in index order, with no index array."""
     best, worst, arg, count = -np.inf, np.inf, 0, 0
     for prefix, vals in enumerate(_blocks(w)):
         i = int(np.argmax(vals))

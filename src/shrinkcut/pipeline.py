@@ -110,7 +110,7 @@ def _solve_reduced(
     sampled at (None unless subsolver is qaoa-sim)."""
     if subsolver == "exact":
         check_enumerable(state.reduced_size)
-        return brute_force_matrix(*state.reduced_matrix()).argmax[None, :], None
+        return brute_force_matrix(state.reduced_matrix()).argmax[None, :], None
     if subsolver == "qaoa-sim":
         if state.reduced_size > STATEVECTOR_CAP:
             raise ValueError(f"reduced size {state.reduced_size} exceeds the {STATEVECTOR_CAP}-qubit simulator cap")
@@ -148,6 +148,14 @@ def _score(state: ShrinkState, samples: np.ndarray) -> np.ndarray:
     """Every reduced sample's cut value on the original graph, scored on the
     edges a lift can cut, from the sample's own columns: nothing is lifted."""
     return cut_value_batch(state.cuttable, samples, state.lift_map)
+
+
+def _mean(values: np.ndarray) -> float:
+    """values.mean(); where their sum overflows, the mean of the cut values, each at most
+    CUT_WEIGHT_LIMIT in size, scaled down exactly by a power of two past their count."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan sum is caught below
+        mean, scale = values.mean(), 2.0 ** values.size.bit_length()
+    return float(mean if np.isfinite(mean) else (values / scale).mean() * scale)
 
 
 def _check_inputs(modes, subsolvers=(), n_samples: int = 1) -> None:
@@ -226,6 +234,7 @@ def run_pipeline(
 
     with _stage("reconstruct", timings):
         values = _score(state, samples)
+        mean = _mean(values)
         best_idx = int(np.argmax(values))
         best_assignment = state.reconstruct(samples[best_idx])
 
@@ -235,7 +244,7 @@ def run_pipeline(
             summary = brute_force(g, oracle_cap)
             c_min, c_max = summary.min_value, summary.max_value
             if c_max > c_min:
-                ratio = approximation_ratio(float(values.mean()), c_min, c_max)
+                ratio = approximation_ratio(mean, c_min, c_max)
 
     return PipelineReport(
         vertex_count=n,
@@ -248,7 +257,7 @@ def run_pipeline(
         reduced_size=reduced.vertex_count,
         offset=state.offset,
         best_cut_value=float(values[best_idx]),
-        mean_cut_value=float(values.mean()),
+        mean_cut_value=mean,
         best_assignment=best_assignment,
         c_min=c_min,
         c_max=c_max,
@@ -319,7 +328,7 @@ def sweep_shrink_counts(
                           for subsolver, cell_seed in zip(subsolvers, seeds[i])]
                 scored = np.split(_score(state, np.concatenate(solved)), np.cumsum([len(s) for s in solved])[:-1])
                 for subsolver, values in zip(subsolvers, scored):
-                    mean = float(values.mean())
+                    mean = _mean(values)
                     ratio = approximation_ratio(mean, summary.min_value, summary.max_value)
                     rows[i].append(SweepCell(deleted_counts[i], mode, subsolver, mean, float(values.max()), ratio))
         cells += [cell for row in rows for cell in row]

@@ -23,6 +23,9 @@ STATEVECTOR_CAP = 24
 MIXER_BLOCK_QUBITS = 4
 # floats of the scratch each mixer product writes through (256 KB, cache-sized)
 MIXER_SCRATCH = 1 << 15
+# Most grid points per axis grid_search evaluates: a landscape holds the square, 2^24
+# values or 128 MB, and its CSV a line each; a finer step asked numpy for terabytes.
+GRID_AXIS_POINTS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -293,11 +296,14 @@ class Landscape:
 
 
 def grid_search(g: WeightedGraph, step: float, evaluator: str = "analytic") -> Landscape:
-    """Evaluate the expectation on a step-spaced grid over [0, pi/2]^2."""
+    """Evaluate the expectation on a step-spaced grid over [0, pi/2]^2; raises
+    ValueError when the step gives more than GRID_AXIS_POINTS points per axis."""
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"grid step must be finite and positive, got {step}")
-    count = int(math.floor(math.pi / 2.0 / step + 1e-12))
-    points = step * np.arange(count + 1)
+    count = math.pi / 2.0 / step + 1e-12  # intervals per axis; inf for a step in the subnormals
+    if not count < GRID_AXIS_POINTS:
+        raise ValueError(f"grid step {step} gives {np.floor(count) + 1:.0f} points per axis, over {GRID_AXIS_POINTS}")
+    points = step * np.arange(math.floor(count) + 1)
     if evaluator == "analytic":
         values = AnalyticExpectation(g).grid(points, points)
     elif evaluator == "statevector":

@@ -56,15 +56,13 @@ def lp_solve(problem: LpProblem) -> tuple[np.ndarray, float]:
 class FractionalSolution:
     """Optimal point of the cycle relaxation on a graph's own edges.
 
-    ends is the graph's (k, 2) array of edge endpoints u < v and x holds one
-    value per edge in that order; objective_value upper-bounds the maximum
-    cut; rounds counts LP solves (separation rounds, not simplex pivots),
-    round_values records the (non-increasing) objective after each of them and
-    round_pivots the simplex pivots each of them took.
+    x holds one value per edge of graph, in its edge order; objective_value
+    upper-bounds the maximum cut; rounds counts LP solves (separation rounds,
+    not simplex pivots), round_values records the (non-increasing) objective
+    after each of them and round_pivots the simplex pivots each of them took.
     """
 
-    n: int
-    ends: np.ndarray
+    graph: WeightedGraph
     x: np.ndarray
     objective_value: float
     rounds: int
@@ -73,10 +71,8 @@ class FractionalSolution:
     round_pivots: tuple[int, ...]
 
 
-def separate_odd_cycles(
-    x: np.ndarray, ends: np.ndarray, n: int, tol: float = DEFAULT_TOL
-) -> tuple[np.ndarray, np.ndarray]:
-    """Violated odd-cycle inequalities of the point x on the edges ends, as
+def separate_odd_cycles(x: np.ndarray, g: WeightedGraph, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Violated odd-cycle inequalities of the point x on the edges of g, as
     dense (r, k) rows and right-hand sides, most violated first.
 
     For every vertex v a shortest (v, 0)-(v, 1) path of the doubled graph
@@ -90,29 +86,16 @@ def separate_odd_cycles(
     an odd-cycle inequality by more than tol; should every path found repeat
     a vertex, SimplexError is raised instead of reporting no violation.
 
-    Raises ValueError, naming the first bad entry, when ends is not a (k, 2)
-    integer array of distinct pairs of distinct ends in [0, n) or x is not k
-    finite values.
+    Raises ValueError, naming the first bad entry, when x is not k finite
+    values; g's edges are distinct pairs u < v in [0, n) by construction.
     """
-    ends, x = np.asarray(ends), np.asarray(x, dtype=float)
-    if ends.ndim != 2 or ends.shape[1] != 2 or ends.dtype.kind not in "iu":
-        raise ValueError(f"ends must be a (k, 2) integer array, got {ends.dtype} {ends.shape}")
-    k = len(ends)
+    x = np.asarray(x, dtype=float)
+    n, k, u, v = g.vertex_count, g.edge_count, g.u, g.v
     if x.shape != (k,):
         raise ValueError(f"x must hold one value per edge, shape ({k},), got {x.shape}")
     bad = np.flatnonzero(~np.isfinite(x))
     if bad.size:
         raise ValueError(f"x[{bad[0]}] = {x[bad[0]]} is not finite")
-    u, v = ends.T
-    bad = np.flatnonzero((u < 0) | (u >= n) | (v < 0) | (v >= n) | (u == v))
-    if bad.size:
-        raise ValueError(f"edge {bad[0]} ({u[bad[0]]}, {v[bad[0]]}) needs two distinct ends in [0, {n})")
-    # a repeated pair would share one edge id below, and its rows would miss the other copy
-    key = np.minimum(u, v) * n + np.maximum(u, v)
-    order = np.argsort(key, kind="stable")
-    bad = order[1:][key[order[1:]] == key[order[:-1]]]
-    if bad.size:
-        raise ValueError(f"edge {bad.min()} ({u[bad.min()]}, {v[bad.min()]}) repeats an earlier edge")
     x = np.clip(x, 0.0, 1.0)
     # node v + p * n is (v, p); hop[i, j] is the node after i on a shortest i-j path
     size = 2 * n
@@ -169,10 +152,8 @@ def solve_cycle_relaxation(g: WeightedGraph, tol: float = DEFAULT_TOL) -> Fracti
         # the simplex meets rows only to FEAS_TOL, so below it a row already in
         # the model could count as violated and separation would stall
         raise ValueError(f"tol must be finite and at least the simplex's feasibility tolerance {FEAS_TOL:g}, got {tol}")
-    n = g.vertex_count
-    ends = np.column_stack((g.u, g.v))
     if not g.edge_count:
-        return FractionalSolution(n, ends, np.zeros(0), 0.0, 0, 0, (), ())
+        return FractionalSolution(g, np.zeros(0), 0.0, 0, 0, (), ())
     problem = LpProblem(g.w, np.zeros((0, g.edge_count)), np.zeros(0))
     seen: set[bytes] = set()
     round_values: list[float] = []
@@ -181,7 +162,7 @@ def solve_cycle_relaxation(g: WeightedGraph, tol: float = DEFAULT_TOL) -> Fracti
         x, value = lp_solve(problem)
         round_values.append(value)
         round_pivots.append(problem.tableau.pivots)
-        rows, rhs = separate_odd_cycles(x, ends, n, tol)
+        rows, rhs = separate_odd_cycles(x, g, tol)
         if not len(rows):
             break
         keys = [row.tobytes() for row in rows]
@@ -191,12 +172,10 @@ def solve_cycle_relaxation(g: WeightedGraph, tol: float = DEFAULT_TOL) -> Fracti
         seen.update(keys)
         problem.rows = np.vstack((problem.rows, rows[fresh]))
         problem.rhs = np.concatenate((problem.rhs, rhs[fresh]))
-    return FractionalSolution(
-        n, ends, x, value, len(round_values), len(problem.rows), tuple(round_values), tuple(round_pivots)
-    )
+    return FractionalSolution(g, x, value, len(round_values), len(problem.rows), tuple(round_values), tuple(round_pivots))
 
 
 def format_solution(sol: FractionalSolution) -> str:
     """Dump the fractional point as one "u v value" line per edge (0-based ids)."""
-    lines = [f"{u} {v} {val:.12g}" for (u, v), val in zip(sol.ends.tolist(), sol.x)]
+    lines = [f"{u} {v} {val:.12g}" for u, v, val in zip(sol.graph.u.tolist(), sol.graph.v.tolist(), sol.x)]
     return "\n".join(lines) + ("\n" if lines else "")

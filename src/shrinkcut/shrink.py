@@ -116,7 +116,8 @@ class CorrelationSet:
 def correlations_from_relaxation(sol: FractionalSolution) -> CorrelationSet:
     """b_uv = 1 - 2 x_uv on every edge of the relaxed graph and 0 on every other
     pair, so shrinking can always go on to a single vertex."""
-    return CorrelationSet.from_arrays(sol.ends, 1.0 - 2.0 * np.clip(sol.x, 0.0, 1.0), sol.n)
+    g = sol.graph
+    return CorrelationSet.from_arrays(np.column_stack((g.u, g.v)), 1.0 - 2.0 * np.clip(sol.x, 0.0, 1.0), g.vertex_count)
 
 
 def zero_correlations(n: int) -> CorrelationSet:
@@ -188,12 +189,12 @@ class ShrinkState:
             self._reduced = (len(self.records), graph)
         return graph
 
-    def reduced_matrix(self) -> tuple[np.ndarray, float]:
+    def reduced_matrix(self) -> np.ndarray:
         """reduced.weight_matrix, bit for bit, summed from _between without building
-        the reduced graph, and the Σ|w| of the edges summed, which bounds its pairs'."""
+        the reduced graph; its pairs' Σ|w| is within the original's."""
         size, (pairs, w) = self.reduced_size, self._between()
         upper = np.bincount(pairs, weights=w, minlength=size * size).reshape(size, size)
-        return np.add(upper, upper.T, dtype=float), sum(map(abs, w.tolist()))  # float with no edge left too
+        return np.add(upper, upper.T, dtype=float)
 
     @property
     def offset(self) -> float:

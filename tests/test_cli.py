@@ -164,6 +164,15 @@ def test_negative_max_deleted_fails(tmp_path, capsys):
     assert out == "" and "--max-deleted must be at least 0, got -1" in err
 
 
+def test_malformed_deleted_counts_fail(tmp_path, capsys):
+    # each exited with int()'s message, which names no flag
+    path, _ = write_instance(tmp_path)
+    for deleted in ("1,,2", "a", "1.5"):
+        assert main(["sweep", str(path), "--deleted", deleted]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and f"--deleted must be comma-separated integers, got {deleted!r}" in err
+
+
 def test_missing_file_fails(tmp_path, capsys):
     assert main(["oracle", str(tmp_path / "nope.txt")]) == 1
     assert "error:" in capsys.readouterr().err

@@ -351,19 +351,21 @@ def test_brute_force_cap():
         brute_force(g, max_vertices=4)
 
 
-# (graph, its Σ|w| as the error names it) past CUT_WEIGHT_LIMIT: the first
-# sums to 1e308, where the -2w steps overflow; the second's total overflows
+# (from_edges arguments, their Σ|w| as the error names it) past
+# CUT_WEIGHT_LIMIT: the first sums to 1e308, where the -2w steps overflow; the
+# second's total overflows
 OVERFLOWING_GRAPHS = [
-    (WeightedGraph.from_edges(3, [(0, 1, 1e308), (1, 2, 1.0)]), "1e+308"),
-    (WeightedGraph.from_edges(4, [(0, 2, 1e308), (1, 2, 1e308), (2, 3, 1.0), (0, 1, -1.0)]), "inf"),
+    ((3, [(0, 1, 1e308), (1, 2, 1.0)]), "1e+308"),
+    ((4, [(0, 2, 1e308), (1, 2, 1e308), (2, 3, 1.0), (0, 1, -1.0)]), "inf"),
 ]
 
 
 @pytest.mark.parametrize("g, total", OVERFLOWING_GRAPHS)
 def test_brute_force_rejects_weights_whose_cut_values_overflow(g, total):
-    # enumerating them returned max -inf or min inf and a wrong count
+    # enumerating them returned max -inf or min inf and a wrong count, and the
+    # QAOA expectations -inf; the graph is now rejected where it is built
     with pytest.raises(ValueError, match=re.escape(f"total absolute weight {total} exceeds")):
-        brute_force(g)
+        brute_force(WeightedGraph.from_edges(*g))
 
 
 @pytest.mark.parametrize("block_bits", [1, graph.ENUM_BLOCK_BITS])
@@ -375,11 +377,10 @@ def test_brute_force_enumerates_up_to_the_weight_limit(monkeypatch, block_bits):
     ring = [(0, 1, quarter), (1, 2, -quarter), (2, 3, quarter), (0, 3, -quarter)]
     g = WeightedGraph.from_edges(4, ring)
     s = brute_force(g)
-    assert g.absolute_weight == graph.CUT_WEIGHT_LIMIT
+    assert sum(map(abs, g.w.tolist())) == graph.CUT_WEIGHT_LIMIT
     assert (s.max_value, s.min_value, s.optimum_count) == (2 * quarter, -2 * quarter, 1)
-    past = WeightedGraph.from_edges(4, ring[:-1] + [(0, 3, -np.nextafter(quarter, np.inf))])
     with pytest.raises(ValueError, match="total absolute weight"):
-        brute_force(past)
+        WeightedGraph.from_edges(4, ring[:-1] + [(0, 3, -np.nextafter(quarter, np.inf))])
 
 
 def test_format_summary_record():

@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import math
 import os
 import re
@@ -12,20 +13,26 @@ import pytest
 import shrinkcut.pipeline
 from shrinkcut import (
     PipelineError,
+    QaoaParams,
     approximation_ratio,
     brute_force,
     correlations_from_relaxation,
     cut_value_batch,
+    expectation_analytic,
+    expectation_statevector,
+    grid_search,
+    qaoa_state,
     run_pipeline,
+    sample_cuts,
     shrink_to_target,
     solve_cycle_relaxation,
     sweep_shrink_counts,
     sweep_to_csv,
     zero_correlations,
 )
-from shrinkcut.graph import WeightedGraph
+from shrinkcut.graph import CUT_WEIGHT_LIMIT, WeightedGraph, _spectrum
 from shrinkcut.instances import build, grid_pairs, random_weighted_graph, sign_weights
-from shrinkcut.pipeline import SweepCell, _solve_reduced
+from shrinkcut.pipeline import SweepCell, _mean, _solve_reduced
 from shrinkcut.shrink import ShrinkState
 
 
@@ -253,22 +260,69 @@ def test_sweep_rejects_oversized_instances(monkeypatch):
     [(0, 2, 1e308), (1, 2, 1e308), (2, 3, 1.0), (0, 1, -1.0)],
 ])
 def test_weights_whose_cut_values_overflow_fail_loudly(edges):
-    # the oracle reported c_min=inf, c_max=-inf, and the sweep a degenerate instance
-    g = WeightedGraph.from_edges(1 + max(v for _, v, _ in edges), edges)
-    with pytest.raises(PipelineError, match="total absolute weight .* exceeds") as err:
-        run_pipeline(g, 2, subsolver="exact", correlation_mode="zero")
-    assert err.value.stage == "bounds"
+    # the oracle reported c_min=inf, c_max=-inf, and the sweep a degenerate
+    # instance; the graph is now rejected where it is built, before any stage
     with pytest.raises(ValueError, match="total absolute weight .* exceeds"):
-        sweep_shrink_counts(g, subsolvers=("exact", "coin"), correlation_modes=("zero",), n_samples=10)
+        WeightedGraph.from_edges(1 + max(v for _, v, _ in edges), edges)
 
 
 def test_an_overflowing_reduced_pair_fails_the_exact_solve():
-    # 0 and 1 merge on equal sides, so their edges to 2 sum to 1e308: a finite
-    # reduced weight whose -2w step overflows
-    g = WeightedGraph.from_edges(3, [(0, 2, 5e307), (1, 2, 5e307)])
-    with pytest.raises(PipelineError, match=re.escape("total absolute weight 1e+308 exceeds")) as err:
-        run_pipeline(g, 2, subsolver="exact", correlation_mode="zero", oracle_cap=0)
-    assert err.value.stage == "solve"
+    # 0 and 1 merge on equal sides, so their edges to 2 sum: at 5e307 each, a
+    # finite reduced weight of 1e308 whose -2w step overflowed in the exact
+    # solve. That graph is now rejected where it is built, and a pair summed
+    # from weights within the limit stays within it
+    with pytest.raises(ValueError, match=re.escape("total absolute weight 1e+308 exceeds")):
+        WeightedGraph.from_edges(3, [(0, 2, 5e307), (1, 2, 5e307)])
+    half = CUT_WEIGHT_LIMIT / 2
+    g = WeightedGraph.from_edges(3, [(0, 2, half), (1, 2, half)])
+    report = run_pipeline(g, 2, subsolver="exact", correlation_mode="zero", oracle_cap=0)
+    assert report.best_cut_value == CUT_WEIGHT_LIMIT
+
+
+def limit_ring():
+    """test_brute_force_enumerates_up_to_the_weight_limit's ring, whose Σ|w| is CUT_WEIGHT_LIMIT exactly."""
+    quarter = CUT_WEIGHT_LIMIT / 4
+    return WeightedGraph.from_edges(4, [(0, 1, quarter), (1, 2, -quarter), (2, 3, quarter), (0, 3, -quarter)])
+
+
+def pipeline_values(g, mode):
+    r = run_pipeline(g, 3, correlation_mode=mode, seed=1)
+    values = (r.offset, r.best_cut_value, r.mean_cut_value, r.upper_bound, r.c_min, r.c_max, r.approximation_ratio)
+    return [value for value in values if value is not None]
+
+
+AT_THE_LIMIT = {
+    "brute_force": lambda g: [getattr(brute_force(g), name) for name in ("max_value", "min_value")],
+    "spectrum": _spectrum,
+    "cut_value_batch": lambda g: cut_value_batch(g, np.array(list(itertools.product([False, True], repeat=4)))),
+    "expectation_statevector": lambda g: expectation_statevector(g, QaoaParams(0.3, 0.2)),
+    "expectation_analytic": lambda g: expectation_analytic(g, QaoaParams(0.3, 0.2)),
+    "grid_search_analytic": lambda g: grid_search(g, 0.5, "analytic").values,
+    "grid_search_statevector": lambda g: grid_search(g, 0.5, "statevector").values,
+    "qaoa_state_sampled": lambda g: cut_value_batch(g, sample_cuts(qaoa_state(g, QaoaParams(0.3, 0.2)), 100, 1)),
+    "pipeline_relaxation": lambda g: pipeline_values(g, "relaxation"),
+    "pipeline_zero": lambda g: pipeline_values(g, "zero"),
+    "sweep": lambda g: [
+        value
+        for c in sweep_shrink_counts(g, [0, 1], ("exact", "qaoa-sim", "coin"), seed=1)
+        for value in (c.mean_cut_value, c.best_cut_value, c.ratio)
+    ],
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(AT_THE_LIMIT))
+def test_every_kernel_is_finite_at_the_weight_limit(kernel):
+    # the suite's error::RuntimeWarning filter fails any step that overflows
+    values = np.asarray(AT_THE_LIMIT[kernel](limit_ring()), dtype=float)
+    assert values.size and np.all(np.isfinite(values))
+
+
+def test_a_sample_mean_whose_sum_overflows_is_finite():
+    # numpy's pairwise sum of these reads inf, and nan once both signs overflow
+    at_limit = np.full(16, CUT_WEIGHT_LIMIT)
+    assert _mean(at_limit) == pytest.approx(CUT_WEIGHT_LIMIT, rel=1e-15)
+    at_limit[4:8] = at_limit[12:] = -CUT_WEIGHT_LIMIT
+    assert _mean(at_limit) == 0.0
 
 
 def test_sweep_solves_the_unshrunk_exact_cell_with_the_oracle(monkeypatch):
@@ -279,7 +333,7 @@ def test_sweep_solves_the_unshrunk_exact_cell_with_the_oracle(monkeypatch):
     enumerations = []
     matrix_enumeration = shrinkcut.graph.brute_force_matrix
     for module in (shrinkcut.graph, shrinkcut.pipeline):
-        monkeypatch.setattr(module, "brute_force_matrix", lambda w, t: enumerations.append(len(w)) or matrix_enumeration(w, t))
+        monkeypatch.setattr(module, "brute_force_matrix", lambda w: enumerations.append(len(w)) or matrix_enumeration(w))
     cells = sweep_shrink_counts(g, [0, 1], ("exact",), ("zero",), n_samples=10, seed=2)
     assert enumerations == [5, 4]  # the oracle and the deleted-1 cell
     state = ShrinkState(g)

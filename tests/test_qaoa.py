@@ -31,7 +31,7 @@ from shrinkcut.instances import (
     sign_weights,
     unit,
 )
-from shrinkcut.qaoa import _phase
+from shrinkcut.qaoa import GRID_AXIS_POINTS, _phase
 
 K2 = WeightedGraph.from_edges(2, [(0, 1, 1.0)])
 
@@ -332,6 +332,16 @@ def test_grid_search_rejects_bad_step():
             grid_search(K2, step)
     with pytest.raises(ValueError):
         grid_search(K2, 0.1, "quantum-hardware")
+
+
+@pytest.mark.parametrize("evaluator", ["analytic", "statevector"])
+@pytest.mark.parametrize("step, points", [(1e-6, 1570797), (math.pi / 2 / GRID_AXIS_POINTS, GRID_AXIS_POINTS + 1)])
+def test_grid_search_rejects_a_grid_it_cannot_hold(evaluator, step, points):
+    # step 1e-6 asked numpy for an 18 TiB landscape; the check comes before
+    # anything is allocated
+    message = f"grid step {step} gives {points} points per axis, over {GRID_AXIS_POINTS}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        grid_search(K2, step, evaluator)
 
 
 def test_deviation_ratio_endpoints():

@@ -30,10 +30,9 @@ def test_lp_solve_triangle_cap():
 
 def test_separation_trivial_points():
     g = unit(3, complete_pairs(3))
-    ends = np.column_stack((g.u, g.v))
-    assert separate_odd_cycles(np.zeros(3), ends, 3)[0].shape == (0, 3)
-    assert separate_odd_cycles(np.full(3, 0.5), ends, 3)[0].shape == (0, 3)
-    rows, rhs = separate_odd_cycles(np.ones(3), ends, 3)
+    assert separate_odd_cycles(np.zeros(3), g)[0].shape == (0, 3)
+    assert separate_odd_cycles(np.full(3, 0.5), g)[0].shape == (0, 3)
+    rows, rhs = separate_odd_cycles(np.ones(3), g)
     assert rows.tolist() == [[1.0, 1.0, 1.0]]
     assert rhs.tolist() == [2.0]
     assert rows[0] @ np.ones(3) - rhs[0] == pytest.approx(1.0)
@@ -45,7 +44,7 @@ def test_separation_five_cycle_row():
     g = unit(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
     ends = np.column_stack((g.u, g.v))
     x = np.array([1.0, 0.25, 1.0, 0.25, 1.0])  # ends order: 01, 04, 12, 23, 34
-    rows, rhs = separate_odd_cycles(x, ends, 5)
+    rows, rhs = separate_odd_cycles(x, g)
     assert ends.tolist() == [[0, 1], [0, 4], [1, 2], [2, 3], [3, 4]]
     assert rows.tolist() == [[1.0, -1.0, 1.0, -1.0, 1.0]]
     assert rhs.tolist() == [2.0]
@@ -58,7 +57,7 @@ def test_separation_orders_by_violation():
     # come later
     g = unit(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
     x = np.array([1.0, 1.0, 0.5, 1.0, 1.0, 1.0])
-    rows, rhs = separate_odd_cycles(x, np.column_stack((g.u, g.v)), 6)
+    rows, rhs = separate_odd_cycles(x, g)
     assert rows.tolist() == [[0, 0, 0, 1, 1, 1], [1, 1, 1, 0, 0, 0]]
     assert rhs.tolist() == [2.0, 2.0]
 
@@ -68,8 +67,7 @@ def test_separation_cap():
     # triangles the point violates (all 56 of K8 here, each by 1)
     n = 8
     g = unit(n, complete_pairs(n))
-    ends = np.column_stack((g.u, g.v))
-    rows, rhs = separate_odd_cycles(np.ones(len(ends)), ends, n)
+    rows, rhs = separate_odd_cycles(np.ones(g.edge_count), g)
     assert 1 <= len(rows) <= n
     assert np.all((rows == 1).sum(axis=1) == 3) and np.all(rows >= 0)
     assert np.all(rhs == 2.0)
@@ -86,13 +84,13 @@ def cycle_violation(x, cycle):
     return best
 
 
-def simple_cycles(ends, n):
+def simple_cycles(g):
     """Every simple cycle of length >= 3 of the graph, as a tuple of edge indices."""
-    index = {(u, v): e for e, (u, v) in enumerate(ends.tolist())}
+    index = {(u, v): e for e, (u, v, _) in enumerate(g.edges)}
     index.update({(v, u): e for (u, v), e in list(index.items())})
     found = set()
-    for length in range(3, n + 1):
-        for tour in itertools.permutations(range(n), length):
+    for length in range(3, g.vertex_count + 1):
+        for tour in itertools.permutations(range(g.vertex_count), length):
             if tour[0] != min(tour):
                 continue
             steps = list(zip(tour, tour[1:] + tour[:1]))
@@ -103,16 +101,15 @@ def simple_cycles(ends, n):
 
 @st.composite
 def graph_points(draw, max_n=6, complete=False):
-    """A graph on n = 0..max_n vertices (complete, or with random edges) and a
-    point on its edges, on a quarter grid (many ties and zero-length paths)
-    or uniform."""
+    """A point on the edges of a unit graph on n = 0..max_n vertices (complete,
+    or with random edges), on a quarter grid (many ties and zero-length paths)
+    or uniform, the graph, and a tolerance."""
     n = draw(st.integers(0, max_n))
-    pairs = [p for p in itertools.combinations(range(n), 2) if complete or draw(st.booleans())]
-    ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    g = unit(n, [p for p in itertools.combinations(range(n), 2) if complete or draw(st.booleans())])
     value = draw(st.sampled_from([st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), st.floats(0, 1)]))
-    x = np.array(draw(st.lists(value, min_size=len(pairs), max_size=len(pairs))))
+    x = np.array(draw(st.lists(value, min_size=g.edge_count, max_size=g.edge_count)))
     tol = draw(st.sampled_from([1e-6, 0.3]))
-    return x, ends, n, tol
+    return x, g, tol
 
 
 @settings(deadline=None)
@@ -120,9 +117,9 @@ def graph_points(draw, max_n=6, complete=False):
 def test_separation_finds_the_most_violated_cycle(case):
     # exactness: the first row is violated as much as any odd-cycle
     # inequality of the graph, found by enumerating every cycle and subset
-    x, ends, n, tol = case
-    rows, rhs = separate_odd_cycles(x, ends, n, tol)
-    worst = max((cycle_violation(x, c) for c in simple_cycles(ends, n)), default=-np.inf)
+    x, g, tol = case
+    rows, rhs = separate_odd_cycles(x, g, tol)
+    worst = max((cycle_violation(x, c) for c in simple_cycles(g)), default=-np.inf)
     if worst > tol + 1e-12:
         assert rows[0] @ x - rhs[0] == pytest.approx(worst, abs=1e-12)
     elif worst < tol - 1e-12:
@@ -135,8 +132,9 @@ def test_cycle_rows_are_violated_simple_odd_cycles(case):
     # every row, filled edge by edge from its cycle: +-1 on the edges of one
     # simple cycle, an odd number of +1, rhs |F| - 1, violated beyond tol;
     # rows are distinct and come most violated first
-    x, ends, n, tol = case
-    rows, rhs = separate_odd_cycles(x, ends, n, tol)
+    x, g, tol = case
+    rows, rhs = separate_odd_cycles(x, g, tol)
+    ends = np.column_stack((g.u, g.v))
     assert rows.shape == (len(rhs), len(ends))
     violations = rows @ x - rhs
     for row, b, violation in zip(rows, rhs, violations):
@@ -159,13 +157,12 @@ def test_cycle_rows_are_violated_simple_odd_cycles(case):
     assert np.all(np.diff(violations) <= 1e-12)
 
 
-def separate_with_unique(x, ends, n, tol):
+def separate_with_unique(x, g, tol):
     """Reference separator: the same Floyd-Warshall, walks padded into one
     matrix, rows deduplicated with np.unique(axis=0) and put back in order of
     their first walk."""
-    k = len(ends)
+    n, k, u, v = g.vertex_count, g.edge_count, g.u, g.v
     x = np.clip(x, 0.0, 1.0)
-    u, v = ends.T
     size = 2 * n
     dist = np.full((size, size), np.inf)
     np.fill_diagonal(dist, 0.0)
@@ -226,21 +223,14 @@ K3_ENDS = [[0, 1], [0, 2], [1, 2]]
         ([1.0, 1.0, -np.inf], K3_ENDS, "x[2] = -inf is not finite"),
         ([1.0, 1.0], K3_ENDS, "x must hold one value per edge, shape (3,), got (2,)"),
         ([[1.0, 1.0, 1.0]], K3_ENDS, "x must hold one value per edge, shape (3,), got (1, 3)"),
-        ([1.0, 1.0, 1.0], [[0, 1], [1, 1], [0, 2]], "edge 1 (1, 1) needs two distinct ends in [0, 3)"),
-        ([1.0, 1.0, 1.0], [[0, 1], [0, 2], [1, 3]], "edge 2 (1, 3) needs two distinct ends in [0, 3)"),
-        ([1.0, 1.0, 1.0], [[-1, 1], [0, 2], [1, 2]], "edge 0 (-1, 1) needs two distinct ends in [0, 3)"),
-        ([1.0, 1.0, 1.0], [[0, 1], [0, 2], [1, 0]], "edge 2 (1, 0) repeats an earlier edge"),
-        ([1.0, 1.0, 1.0], [[1, 2], [0, 2], [0, 2]], "edge 2 (0, 2) repeats an earlier edge"),
-        ([1.0, 1.0, 1.0], [[0.0, 1.0], [0.0, 2.0], [1.0, 2.0]], "ends must be a (k, 2) integer array, got float64 (3, 2)"),
-        ([1.0, 1.0, 1.0], [0, 1, 2], "ends must be a (k, 2) integer array, got int64 (3,)"),
     ],
 )
 def test_separation_rejects_bad_input(x, ends, message):
-    # before, nan read as "no violated cycle", a self-loop as a simplex error,
-    # an id past n or a short x as numpy indexing errors, and a repeated pair
-    # hid the triangle it closes
+    # before, nan read as "no violated cycle" and a short x as a numpy
+    # indexing error; the graph's ends are checked where it is built
+    g = unit(3, ends)
     with pytest.raises(ValueError, match=re.escape(message)):
-        separate_odd_cycles(np.array(x), np.array(ends), 3)
+        separate_odd_cycles(np.array(x), g)
 
 
 def per_triple_violated(m, n, tol):
@@ -259,10 +249,11 @@ def test_separation_matches_per_triple_reference(case):
     # on a complete graph every odd-cycle inequality follows from triangle
     # ones: rows come back when a triangle is violated beyond tol, and only
     # when some triangle is violated at all
-    x, ends, n, tol = case
+    x, g, tol = case
+    n = g.vertex_count
     m = np.zeros((n, n))
-    m[ends[:, 0], ends[:, 1]] = m[ends[:, 1], ends[:, 0]] = x
-    rows, _ = separate_odd_cycles(x, ends, n, tol)
+    m[g.u, g.v] = m[g.v, g.u] = x
+    rows, _ = separate_odd_cycles(x, g, tol)
     if per_triple_violated(m, n, tol):
         assert len(rows)
     if len(rows):
@@ -320,8 +311,9 @@ def test_relaxation_on_g_equals_dense_closure(g):
 
 def test_relaxation_of_edgeless_graphs_is_empty():
     for n in (0, 1, 4):
-        sol = solve_cycle_relaxation(WeightedGraph.from_edges(n, []))
-        assert (sol.n, sol.ends.shape, sol.x.size, sol.objective_value, sol.rounds) == (n, (0, 2), 0, 0.0, 0)
+        g = WeightedGraph.from_edges(n, [])
+        sol = solve_cycle_relaxation(g)
+        assert sol.graph is g and (sol.x.size, sol.objective_value, sol.rounds) == (0, 0.0, 0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -380,7 +372,7 @@ def test_relaxation_final_point_satisfies_triangles():
     rng = np.random.default_rng(3)
     g = dense_closure(random_weighted_graph(7, 0.7, rng))
     sol = solve_cycle_relaxation(g)
-    x = {(u, v): val for (u, v), val in zip(sol.ends.tolist(), sol.x)}
+    x = {(u, v): val for (u, v, _), val in zip(sol.graph.edges, sol.x)}
     assert len(x) == 21
     for t, u, v in itertools.combinations(range(7), 3):
         a, b, c = x[t, u], x[u, v], x[t, v]
