@@ -36,7 +36,7 @@ from .qaoa import (
     export_landscape_csv,
     grid_search,
 )
-from .relaxation import DEFAULT_TOL, format_solution, solve_cycle_relaxation
+from .relaxation import format_solution, solve_cycle_relaxation
 from .shrink import format_trace, shrink_to_target
 from .simplex import SimplexError
 
@@ -61,7 +61,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_relax(args) -> int:
-    sol = solve_cycle_relaxation(_load(args.instance), args.tol)
+    sol = solve_cycle_relaxation(_load(args.instance))
     _emit(
         {
             "vertices": str(sol.graph.vertex_count),
@@ -79,7 +79,7 @@ def cmd_relax(args) -> int:
 
 def cmd_shrink(args) -> int:
     g = _load(args.instance)
-    correlations, _ = correlations_for_mode(g, args.mode, args.tol)
+    correlations, _ = correlations_for_mode(g, args.mode)
     state = shrink_to_target(g, correlations, args.target)
     reduced = state.reduced
     _emit(
@@ -137,7 +137,6 @@ def cmd_pipeline(args) -> int:
         correlation_mode=args.mode,
         n_samples=args.samples,
         seed=args.seed,
-        lp_tol=args.tol,
     )
     _emit(report.as_record(), args.out)
     return 0
@@ -162,7 +161,6 @@ def cmd_sweep(args) -> int:
         correlation_modes=tuple(args.modes.split(",")),
         n_samples=args.samples,
         seed=args.seed,
-        lp_tol=args.tol,
     )
     csv = sweep_to_csv(cells)
     if args.out:
@@ -185,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("relax", help="solve the odd-cycle relaxation on the instance's edges")
     p.add_argument("instance")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--solution-out", help="write the fractional point as one 'u v value' line per edge")
     p.set_defaults(func=cmd_relax)
 
@@ -193,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--target", type=int, required=True)
     p.add_argument("--mode", choices=CORRELATION_MODES, default="relaxation")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--trace-out", help="write contraction trace lines")
     p.add_argument("--reduced-out", help="write the reduced instance file")
     p.set_defaults(func=cmd_shrink)
@@ -212,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=CORRELATION_MODES, default="relaxation")
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--out", help="also write the report to this path")
     p.set_defaults(func=cmd_pipeline)
 
@@ -224,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modes", default="relaxation,zero")
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--out", help="CSV output path")
     p.set_defaults(func=cmd_sweep)
 

@@ -91,9 +91,9 @@ def random_pairs(n: int, edge_probability: float, rng: np.random.Generator) -> l
     ]
 
 
-def sign_weights(count: int, rng: np.random.Generator, magnitude: float = 1.0) -> np.ndarray:
-    """Uniform draws from {-magnitude, +magnitude}."""
-    return magnitude * rng.choice([-1.0, 1.0], size=count)
+def sign_weights(count: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform draws from {-1, +1}."""
+    return rng.choice([-1.0, 1.0], size=count)
 
 
 def normal_weights(count: int, rng: np.random.Generator) -> np.ndarray:

@@ -25,7 +25,7 @@ from .graph import (
     cut_value_batch,
 )
 from .qaoa import STATEVECTOR_CAP, QaoaParams, average_degree, estimate_parameters, qaoa_state, sample_cuts
-from .relaxation import DEFAULT_TOL, solve_cycle_relaxation
+from .relaxation import solve_cycle_relaxation
 from .shrink import (
     CorrelationSet, ShrinkState, _contractions, correlations_from_relaxation, shrink_to_target, zero_correlations
 )
@@ -183,16 +183,14 @@ def _stage(name: str, timings: dict[str, float]):
     timings[name] = time.perf_counter() - tic
 
 
-def correlations_for_mode(
-    g: WeightedGraph, mode: str, lp_tol: float = DEFAULT_TOL
-) -> tuple[CorrelationSet, float | None]:
+def correlations_for_mode(g: WeightedGraph, mode: str) -> tuple[CorrelationSet, float | None]:
     """The correlations a shrink in correlation mode `mode` follows, and the
     relaxation's objective, an upper bound on the maximum cut (None in zero
     mode). Raises ValueError for a mode outside CORRELATION_MODES."""
     _check_inputs((mode,))
     if mode == "zero":
         return zero_correlations(g.vertex_count), None
-    solution = solve_cycle_relaxation(g, lp_tol)
+    solution = solve_cycle_relaxation(g)
     return correlations_from_relaxation(solution), solution.objective_value
 
 
@@ -203,7 +201,6 @@ def run_pipeline(
     correlation_mode: str = "relaxation",
     n_samples: int = DEFAULT_SAMPLES,
     seed: int | None = 0,
-    lp_tol: float = DEFAULT_TOL,
     oracle_cap: int = BRUTE_FORCE_CAP,
 ) -> PipelineReport:
     """Relax (unless correlation_mode is "zero"), shrink to target_size, solve
@@ -218,7 +215,7 @@ def run_pipeline(
 
     timings: dict[str, float] = {}
     with _stage("relax", timings):
-        correlations, upper_bound = correlations_for_mode(g, correlation_mode, lp_tol)
+        correlations, upper_bound = correlations_for_mode(g, correlation_mode)
 
     with _stage("shrink", timings):
         state = shrink_to_target(g, correlations, target_size)
@@ -285,7 +282,6 @@ def sweep_shrink_counts(
     correlation_modes: tuple[str, ...] = ("relaxation", "zero"),
     n_samples: int = DEFAULT_SAMPLES,
     seed: int | None = 0,
-    lp_tol: float = DEFAULT_TOL,
 ) -> list[SweepCell]:
     """Approximation ratio versus number of deleted vertices: one cell per
     mode, deleted count (a repeat included) and subsolver, in the given order,
@@ -308,7 +304,7 @@ def sweep_shrink_counts(
         raise ValueError("degenerate instance: every bipartition has the same value")
     master = np.random.default_rng(seed)
 
-    per_mode = {mode: correlations_for_mode(g, mode, lp_tol)[0] for mode in correlation_modes}
+    per_mode = {mode: correlations_for_mode(g, mode)[0] for mode in correlation_modes}
 
     # positions in deleted_counts by the reduced size they ask for
     at_size: dict[int, list[int]] = {}

@@ -33,6 +33,10 @@ class QaoaParams:
     gamma: float
     beta: float
 
+    def __post_init__(self):
+        if not (math.isfinite(self.gamma) and math.isfinite(self.beta)):
+            raise ValueError(f"gamma {self.gamma} and beta {self.beta} must be finite")
+
 
 @dataclass(eq=False)
 class QaoaState:
@@ -81,6 +85,10 @@ def _phase(g: WeightedGraph, gamma: float, unit: complex = 1.0) -> np.ndarray:
     n = g.vertex_count
     if n > STATEVECTOR_CAP:
         raise ValueError(f"{n} qubits exceeds the statevector cap of {STATEVECTOR_CAP}")
+    # the angles gamma * 2w and gamma * (row sum) are within gamma * reach, taken in Python floats: no overflow warning
+    reach = 2.0 * float(np.abs(g.weight_matrix).sum(axis=1).max(initial=0.0))
+    if not math.isfinite(float(gamma) * reach):
+        raise ValueError(f"gamma {gamma} times {reach}, twice the largest row sum of |w|, overflows")
     out = np.empty(1 << max(n - 1, 0), dtype=complex)
     out[0] = 2.0 ** (-n / 2.0)
     step = np.exp(2j * gamma * g.weight_matrix)
@@ -221,6 +229,7 @@ class AnalyticExpectation:
         nz = g.w != 0.0
         self._edges = []
         self._half_total = 0.5 * sum(g.w[nz].tolist())
+        self._reach = 2.0 * float(np.abs(g.w).max(initial=0.0))  # at least every |a + b| and |a - b|
         for u, v, w in zip(g.u[nz].tolist(), g.v[nz].tolist(), g.w[nz].tolist()):
             r = np.flatnonzero((weights[u] != 0.0) | (weights[v] != 0.0))
             r = r[(r != u) & (r != v)]
@@ -230,6 +239,8 @@ class AnalyticExpectation:
         """Expectation values over the outer grid, shape (len(gammas), len(betas))."""
         gammas = np.atleast_1d(np.asarray(gammas, dtype=float))
         betas = np.atleast_1d(np.asarray(betas, dtype=float))
+        if not math.isfinite(float(np.abs(gammas).max(initial=0.0)) * self._reach):
+            raise ValueError(f"gamma up to {np.abs(gammas).max()} times {self._reach}, twice the largest |w|, overflows")
         t1 = np.zeros(gammas.size)
         t2 = np.zeros(gammas.size)
 

@@ -27,8 +27,6 @@ import numpy as np
 from .graph import WeightedGraph
 from .simplex import FEAS_TOL, SimplexError, Tableau, solve_box_lp
 
-DEFAULT_TOL = 1e-6
-
 
 @dataclass
 class LpProblem:
@@ -71,7 +69,7 @@ class FractionalSolution:
     round_pivots: tuple[int, ...]
 
 
-def separate_odd_cycles(x: np.ndarray, g: WeightedGraph, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+def separate_odd_cycles(x: np.ndarray, g: WeightedGraph, tol: float = FEAS_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Violated odd-cycle inequalities of the point x on the edges of g, as
     dense (r, k) rows and right-hand sides, most violated first.
 
@@ -146,12 +144,10 @@ def separate_odd_cycles(x: np.ndarray, g: WeightedGraph, tol: float = DEFAULT_TO
     return rows, (rows > 0).sum(axis=1) - 1.0
 
 
-def solve_cycle_relaxation(g: WeightedGraph, tol: float = DEFAULT_TOL) -> FractionalSolution:
-    """Iterated LP solve + odd-cycle separation, one variable per edge of g."""
-    if not (np.isfinite(tol) and tol >= FEAS_TOL):
-        # the simplex meets rows only to FEAS_TOL, so below it a row already in
-        # the model could count as violated and separation would stall
-        raise ValueError(f"tol must be finite and at least the simplex's feasibility tolerance {FEAS_TOL:g}, got {tol}")
+def solve_cycle_relaxation(g: WeightedGraph) -> FractionalSolution:
+    """Iterated LP solve + odd-cycle separation, one variable per edge of g. It
+    separates at FEAS_TOL: the simplex meets rows only that closely, so with a
+    finer tolerance a row already in the model could read violated and stall."""
     if not g.edge_count:
         return FractionalSolution(g, np.zeros(0), 0.0, 0, 0, (), ())
     problem = LpProblem(g.w, np.zeros((0, g.edge_count)), np.zeros(0))
@@ -162,7 +158,7 @@ def solve_cycle_relaxation(g: WeightedGraph, tol: float = DEFAULT_TOL) -> Fracti
         x, value = lp_solve(problem)
         round_values.append(value)
         round_pivots.append(problem.tableau.pivots)
-        rows, rhs = separate_odd_cycles(x, g, tol)
+        rows, rhs = separate_odd_cycles(x, g)
         if not len(rows):
             break
         keys = [row.tobytes() for row in rows]

@@ -13,7 +13,7 @@ constant offset, the total weight of the edges whose ends' flips differ.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from typing import NamedTuple
 
 import numpy as np
@@ -31,32 +31,16 @@ def correlation_sign(b: float) -> int:
 
 
 class CorrelationSet:
-    """Pairwise tendencies in [-1, 1]: +1 same side, -1 opposite sides.
+    """Pairwise tendencies in [-1, 1] on every pair u < v < vertex_count: +1
+    same side, -1 opposite sides.
 
-    Held as a read-only (k, 2) array of pairs u < v and a (k,) array of
-    values; entries lists them as ((u, v), b) tuples. A set with a
-    vertex_count also reads 0 on every other pair u < v < vertex_count without
-    storing it: pairs and values keep only its nonzero pairs, and entries
-    lists every pair in lexicographic order.
+    Built from the sorted, unique pairs u < v that are given a value, as a
+    (k, 2) array or sequence of pairs and k values; every other pair reads 0
+    without being stored. pairs and values keep the given pairs that are
+    nonzero, as read-only arrays.
     """
 
-    def __init__(self, entries: Iterable[tuple[tuple[int, int], float]]):
-        entries = tuple(entries)
-        self._set([p for p, _ in entries], [b for _, b in entries])
-
-    @classmethod
-    def from_arrays(cls, pairs: np.ndarray, values: np.ndarray, vertex_count: int | None = None) -> "CorrelationSet":
-        """Build from a (k, 2) array of pairs and a (k,) array of values; with a
-        vertex_count, every pair not given reads 0 and those given must be sorted, in [0, vertex_count)."""
-        correlations = cls.__new__(cls)
-        correlations._set(pairs, values, vertex_count)
-        return correlations
-
-    @classmethod
-    def from_dict(cls, entries: dict[tuple[int, int], float]) -> "CorrelationSet":
-        return cls(tuple(sorted(entries.items())))
-
-    def _set(self, pairs, values, vertex_count=None) -> None:
+    def __init__(self, vertex_count: int, pairs=(), values=()):
         ends = np.array(pairs).reshape(-1, 2)
         with np.errstate(invalid="ignore"):  # a nan or inf id fails the comparison below
             self.pairs = ends.astype(np.int64)
@@ -75,38 +59,26 @@ class CorrelationSet:
             if bu >= bv:
                 raise ValueError(f"pair ({bu}, {bv}) must be ordered u < v")
             raise ValueError(f"correlation {b} for ({bu}, {bv}) outside [-1, 1]")
+        # only the nonzero pairs are kept, with their index u * n + v
+        index = u * vertex_count + v
+        if np.any((u < 0) | (v >= vertex_count)) or np.any(index[1:] <= index[:-1]):
+            raise ValueError(f"pairs must be sorted, unique and in [0, {vertex_count})")
+        nonzero = magnitude > 0
         self.vertex_count = vertex_count
-        if vertex_count is not None:
-            # only the nonzero pairs are kept, with their index u * n + v
-            index = u * vertex_count + v
-            if np.any((u < 0) | (v >= vertex_count)) or np.any(index[1:] <= index[:-1]):
-                raise ValueError(f"pairs must be sorted, unique and in [0, {vertex_count}) when the others read 0")
-            nonzero = magnitude > 0
-            self.pairs, self.values, self._index = self.pairs[nonzero], self.values[nonzero], index[nonzero]
-            u, v, magnitude = u[nonzero], v[nonzero], magnitude[nonzero]
+        self.pairs, self.values, self._index = self.pairs[nonzero], self.values[nonzero], index[nonzero]
         self.pairs.flags.writeable = self.values.flags.writeable = False
-        self._order = np.lexsort((v, u, -magnitude))
-
-    @property
-    def entries(self) -> tuple[tuple[tuple[int, int], float], ...]:
-        pairs, values = self.pairs, self.values
-        if self.vertex_count is not None:
-            pairs = np.column_stack(np.triu_indices(self.vertex_count, 1))
-            values = np.zeros(len(pairs))
-            values[np.isin(pairs @ (self.vertex_count, 1), self._index)] = self.values
-        return tuple(zip(map(tuple, pairs.tolist()), values.tolist()))
+        self._order = np.lexsort((v[nonzero], u[nonzero], -magnitude[nonzero]))
 
     def ordered_pairs(self) -> Iterator[tuple[tuple[int, int], float]]:
-        """Pairs by decreasing |correlation|, ties in lexicographic pair order
-        (repeated entries keep their order), yielded lazily: a shrink reads a
-        few hundred of n(n-1)/2 pairs, so they become tuples ORDER_CHUNK at a
-        time, and then the pairs that read 0 without being stored, one row u
-        at a time."""
+        """Every pair u < v once, by decreasing |correlation|, ties in
+        lexicographic pair order, yielded lazily: a shrink reads a few hundred
+        of n(n-1)/2 pairs, so the stored ones become tuples ORDER_CHUNK at a
+        time, and then the pairs that read 0, one row u at a time."""
         for start in range(0, self._order.size, ORDER_CHUNK):
             chunk = self._order[start : start + ORDER_CHUNK]
             u, v = self.pairs[chunk].T
             yield from zip(zip(u.tolist(), v.tolist()), self.values[chunk].tolist())
-        n = self.vertex_count or 0
+        n = self.vertex_count
         for u in range(n - 1):
             lo, hi = np.searchsorted(self._index, (u * n + u + 1, u * n + n))
             row = np.delete(np.arange(u + 1, n), self._index[lo:hi] - (u * n + u + 1))
@@ -117,12 +89,12 @@ def correlations_from_relaxation(sol: FractionalSolution) -> CorrelationSet:
     """b_uv = 1 - 2 x_uv on every edge of the relaxed graph and 0 on every other
     pair, so shrinking can always go on to a single vertex."""
     g = sol.graph
-    return CorrelationSet.from_arrays(np.column_stack((g.u, g.v)), 1.0 - 2.0 * np.clip(sol.x, 0.0, 1.0), g.vertex_count)
+    return CorrelationSet(g.vertex_count, np.column_stack((g.u, g.v)), 1.0 - 2.0 * np.clip(sol.x, 0.0, 1.0))
 
 
 def zero_correlations(n: int) -> CorrelationSet:
     """All-zero correlations: contracts lexicographic pairs with sign +1."""
-    return CorrelationSet.from_arrays(np.empty((0, 2), dtype=np.int64), np.empty(0), n)
+    return CorrelationSet(n)
 
 
 class ShrinkRecord(NamedTuple):
@@ -304,28 +276,24 @@ def shrink_to_target(g: WeightedGraph, correlations: CorrelationSet, target: int
 def _contractions(g: WeightedGraph, correlations: CorrelationSet, target: int) -> Iterator[ShrinkState]:
     """shrink_to_target's loop: yields its one ShrinkState before the first
     contraction and after each one, so read it before resuming. Raises
-    ValueError for a target outside [1, n] or correlations that run out."""
+    ValueError for a target outside [1, n] or correlations on other than n
+    vertices; correlations on every pair of n vertices always reach target."""
     n = g.vertex_count
     if not 1 <= target <= n:
         raise ValueError(f"target size {target} outside [1, {n}]")
+    if correlations.vertex_count != n:
+        raise ValueError(f"correlations on {correlations.vertex_count} vertices for a graph on {n}")
     state = ShrinkState(g)
     yield state
     for (u, v), b in correlations.ordered_pairs():
         if state.reduced_size == target:
             return
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"correlation pair ({u}, {v}) outside the graph")
         root_u, sign_u = state.find(u)
         root_v, sign_v = state.find(v)
         if root_u == root_v:
             continue
         state.contract(root_u, root_v, correlation_sign(b) * sign_u * sign_v)
         yield state
-    if state.reduced_size > target:
-        raise ValueError(
-            f"correlations exhausted with {state.reduced_size - target} contractions still needed; "
-            "provide correlations for more pairs (one for every pair u < v always suffices)"
-        )
 
 
 def format_trace(state: ShrinkState) -> str:

@@ -87,7 +87,7 @@ def test_criterion_2_closed_form_parameters_are_optimal():
     details = []
     for name, n, pairs, degree in families:
         for a in (1.0, 2.5):
-            g = build(n, pairs, sign_weights(len(pairs), rng, a))
+            g = build(n, pairs, a * sign_weights(len(pairs), rng))
             params = estimate_parameters(g)
             assert params.gamma == math.atan(1.0 / math.sqrt(degree - 1)) / a
             value = expectation_analytic(g, params)
@@ -169,8 +169,8 @@ def test_criterion_6_shrink_conservation_exact():
     for trial in range(50):
         n = int(rng.integers(2, 11))
         g = random_weighted_graph(n, 0.5, rng, "sign" if trial % 2 else "normal")
-        corr = CorrelationSet.from_dict(
-            {(u, v): float(rng.uniform(-1, 1)) for u in range(n) for v in range(u + 1, n)}
+        corr = CorrelationSet(
+            n, [(u, v) for u in range(n) for v in range(u + 1, n)], [rng.uniform(-1, 1) for _ in range(n * (n - 1) // 2)]
         )
         for k in range(1, n + 1):
             state = shrink_to_target(g, corr, k)

@@ -218,14 +218,6 @@ def test_relax_command_reports_pivots(tmp_path, capsys):
     assert int(rec["pivots"]) == sum(sol.round_pivots) > 0
 
 
-def test_bad_tolerance_fails(tmp_path, capsys):
-    path, _ = write_instance(tmp_path)
-    assert main(["relax", str(path), "--tol", "nan"]) == 1
-    assert "tol must be finite" in capsys.readouterr().err
-    assert main(["relax", str(path), "--tol", "0"]) == 1
-    assert "at least the simplex's feasibility tolerance 1e-06, got 0.0" in capsys.readouterr().err
-
-
 def test_zero_samples_fail(tmp_path, capsys):
     path, _ = write_instance(tmp_path)
     assert main(["pipeline", str(path), "--target", "4", "--samples", "0"]) == 1

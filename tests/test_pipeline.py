@@ -148,7 +148,7 @@ STAGES = ["relax", "shrink", "solve", "reconstruct", "bounds"]
 
 
 @pytest.mark.parametrize("stage, name", [
-    ("relax", None),  # a real fault: lp_tol=0 is below the simplex's tolerance
+    ("relax", "solve_cycle_relaxation"),
     ("shrink", "shrink_to_target"),
     ("solve", "_solve_reduced"),
     ("reconstruct", "_score"),
@@ -156,18 +156,15 @@ STAGES = ["relax", "shrink", "solve", "reconstruct", "bounds"]
 ])
 def test_a_fault_in_each_stage_carries_its_label(monkeypatch, stage, name):
     g = grid_instance(2, 3, 7)
-    lp_tol = 0.0 if name is None else 1e-6
 
     def fault(*args, **kwargs):
         raise RuntimeError(f"fault in {name}")
 
-    if name is not None:
-        monkeypatch.setattr(shrinkcut.pipeline, name, fault)
+    monkeypatch.setattr(shrinkcut.pipeline, name, fault)
     with pytest.raises(PipelineError) as err:
-        run_pipeline(g, 4, subsolver="coin", n_samples=10, lp_tol=lp_tol)
+        run_pipeline(g, 4, subsolver="coin", n_samples=10)
     assert err.value.stage == stage
-    cause = "tol must be finite" if name is None else f"fault in {name}"
-    assert str(err.value).startswith(f"stage '{stage}': {cause}")
+    assert str(err.value).startswith(f"stage '{stage}': fault in {name}")
 
 
 @pytest.mark.parametrize("entry", ["run_pipeline", "sweep_shrink_counts"])
@@ -253,17 +250,6 @@ def test_sweep_rejects_oversized_instances(monkeypatch):
     monkeypatch.setattr(shrinkcut.pipeline, "solve_cycle_relaxation", unreachable)
     with pytest.raises(ValueError, match="^25 vertices exceeds the enumeration cap of 24$"):
         sweep_shrink_counts(g)
-
-
-@pytest.mark.parametrize("edges", [
-    [(0, 1, 1e308), (1, 2, 1.0)],
-    [(0, 2, 1e308), (1, 2, 1e308), (2, 3, 1.0), (0, 1, -1.0)],
-])
-def test_weights_whose_cut_values_overflow_fail_loudly(edges):
-    # the oracle reported c_min=inf, c_max=-inf, and the sweep a degenerate
-    # instance; the graph is now rejected where it is built, before any stage
-    with pytest.raises(ValueError, match="total absolute weight .* exceeds"):
-        WeightedGraph.from_edges(1 + max(v for _, v, _ in edges), edges)
 
 
 def test_an_overflowing_reduced_pair_fails_the_exact_solve():

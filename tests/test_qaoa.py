@@ -182,6 +182,17 @@ def test_statevector_cap():
         grid_search(WeightedGraph.from_edges(STATEVECTOR_CAP + 1, [(0, 1, 1.0)]), 0.5, "statevector")
 
 
+@pytest.mark.filterwarnings("error")  # rejected before numpy overflows
+@pytest.mark.parametrize("gamma", [1e308, -1e308, float("inf"), float("nan")])
+@pytest.mark.parametrize("call", [expectation_statevector, expectation_analytic, qaoa_state])
+def test_overflowing_gamma_is_rejected(call, gamma):
+    # unit K4 at beta = 0.3: gamma = 1e308 returned nan from both expectations
+    g = unit(4, complete_pairs(4))
+    assert math.isfinite(expectation_statevector(g, QaoaParams(1e300, 0.3)))
+    with pytest.raises(ValueError, match="^gamma "):
+        call(g, QaoaParams(gamma, 0.3))
+
+
 def test_k2_concentrates_on_optimal_cuts():
     state = qaoa_state(K2, QaoaParams(math.pi / 2, math.pi / 8))
     probs = state.probabilities()
@@ -223,7 +234,7 @@ def test_analytic_regular_triangle_free_specialization():
     rng = np.random.default_rng(5)
     a = 1.7
     pairs = ring_pairs(6)
-    g = build(6, pairs, sign_weights(len(pairs), rng, a))
+    g = build(6, pairs, a * sign_weights(len(pairs), rng))
     gamma, beta = 0.37, 0.21
     per_edge = 0.5 * math.sin(4 * beta) * math.sin(gamma * a) * math.cos(gamma * a) * a
     expected = g.total_weight() / 2 + len(pairs) * per_edge
@@ -303,7 +314,7 @@ def test_grid_search_points_and_argmax():
     assert landscape.gammas[-1] == pytest.approx(1.5)
     # closed form on a single edge: 1/2 + sin(4 beta) sin(gamma) / 2,
     # maximized on the grid at gamma=1.5, beta=0.4
-    assert landscape.argmax == QaoaParams(1.5, pytest.approx(0.4))
+    assert (landscape.argmax.gamma, landscape.argmax.beta) == (1.5, pytest.approx(0.4))
     expected_max = 0.5 + 0.5 * math.sin(1.6) * math.sin(1.5)
     assert landscape.max_value == pytest.approx(expected_max, abs=1e-12)
     assert abs(landscape.max_value - 1.0) < 2e-3

@@ -28,10 +28,14 @@ from shrinkcut.instances import random_weighted_graph
 from shrinkcut.shrink import ShrinkState, _contractions
 
 
+def correlation_set(n, stored):
+    """The CorrelationSet on n vertices that reads stored[pair] on each pair in stored."""
+    pairs = sorted(stored)
+    return CorrelationSet(n, pairs, [stored[p] for p in pairs])
+
+
 def random_correlations(n, rng):
-    return CorrelationSet.from_dict(
-        {(u, v): float(rng.uniform(-1, 1)) for u in range(n) for v in range(u + 1, n)}
-    )
+    return correlation_set(n, {(u, v): float(rng.uniform(-1, 1)) for u in range(n) for v in range(u + 1, n)})
 
 
 def super_vertices(state):
@@ -57,7 +61,7 @@ def test_correlation_sign():
 def test_correlations_from_relaxation_endpoints():
     g = dense_closure(WeightedGraph.from_edges(2, [(0, 1, 1.0)]))
     sol = solve_cycle_relaxation(g)
-    corr = dict(correlations_from_relaxation(sol).entries)
+    corr = dict(correlations_from_relaxation(sol).ordered_pairs())
     # x_01 = 1 at the optimum, so the correlation is -1 (opposite sides)
     assert corr[(0, 1)] == pytest.approx(-1.0)
 
@@ -68,9 +72,10 @@ def test_correlations_from_relaxation_cover_every_pair():
     g = WeightedGraph.from_edges(4, [(0, 1, 1.0), (1, 2, -1.0)])
     sol = solve_cycle_relaxation(g)
     corr = correlations_from_relaxation(sol)
-    assert [pair for pair, _ in corr.entries] == list(itertools.combinations(range(4), 2))
+    read = dict(corr.ordered_pairs())
+    assert sorted(read) == list(itertools.combinations(range(4), 2))
     expected = {(0, 1): 1.0 - 2.0 * sol.x[0], (1, 2): 1.0 - 2.0 * sol.x[1]}
-    assert dict(corr.entries) == {pair: expected.get(pair, 0.0) for pair, _ in corr.entries}
+    assert read == {pair: expected.get(pair, 0.0) for pair in read}
     assert expected == {(0, 1): -1.0, (1, 2): 1.0}
     state = shrink_to_target(g, corr, 1)
     assert state.offset == 1.0
@@ -168,12 +173,8 @@ def test_skipped_pairs_change_nothing():
     # and must be skipped; the outcome equals running without it entirely
     rng = np.random.default_rng(7)
     g = random_weighted_graph(4, 0.9, rng)
-    with_skip = CorrelationSet.from_dict(
-        {(0, 1): 1.0, (0, 2): 0.9, (1, 2): 0.85, (0, 3): 0.5, (1, 3): 0.1, (2, 3): 0.1}
-    )
-    without = CorrelationSet.from_dict(
-        {(0, 1): 1.0, (0, 2): 0.9, (0, 3): 0.5, (1, 3): 0.1, (2, 3): 0.1}
-    )
+    with_skip = correlation_set(4, {(0, 1): 1.0, (0, 2): 0.9, (1, 2): 0.85, (0, 3): 0.5, (1, 3): 0.1, (2, 3): 0.1})
+    without = correlation_set(4, {(0, 1): 1.0, (0, 2): 0.9, (0, 3): 0.5, (1, 3): 0.1, (2, 3): 0.1})
     a = shrink_to_target(g, with_skip, 1)
     b = shrink_to_target(g, without, 1)
     assert len(a.records) == len(b.records) == 3
@@ -184,10 +185,14 @@ def test_skipped_pairs_change_nothing():
 
 
 def test_shrink_exhaustion_error():
+    # a set covers every pair of its vertices, so one pair given still shrinks
+    # to a single vertex; a set on another vertex count is rejected instead
     g = WeightedGraph.from_edges(4, [])
-    corr = CorrelationSet.from_dict({(0, 1): 1.0})
-    with pytest.raises(ValueError):
-        shrink_to_target(g, corr, 1)
+    corr = correlation_set(4, {(0, 1): 1.0})
+    assert shrink_to_target(g, corr, 1).reduced_size == 1
+    for n in (3, 5):
+        with pytest.raises(ValueError, match=f"^correlations on {n} vertices for a graph on 4$"):
+            shrink_to_target(g, zero_correlations(n), 4)
     with pytest.raises(ValueError):
         shrink_to_target(g, corr, 0)
 
@@ -210,13 +215,7 @@ def test_optimal_correlations_preserve_optimality():
         best = brute_force(g)
         # correlations read off one optimal cut: +-1 per pair
         opt = best.argmax
-        corr = CorrelationSet.from_dict(
-            {
-                (u, v): 1.0 if opt[u] == opt[v] else -1.0
-                for u in range(n)
-                for v in range(u + 1, n)
-            }
-        )
+        corr = correlation_set(n, {(u, v): 1.0 if opt[u] == opt[v] else -1.0 for u in range(n) for v in range(u + 1, n)})
         for k in range(1, n + 1):
             state = shrink_to_target(g, corr, k)
             reduced_best = brute_force(state.reduced).max_value
@@ -312,7 +311,7 @@ def shrunk_with_samples(draw):
     g = WeightedGraph.from_edges(n, [(u, v, w) for (u, v), w in zip(pairs, weights)])
     corr = draw(st.lists(st.floats(-1, 1), min_size=len(pairs), max_size=len(pairs)))
     target = draw(st.integers(1, n))
-    state = shrink_to_target(g, CorrelationSet(tuple(zip(pairs, corr))), target)
+    state = shrink_to_target(g, CorrelationSet(n, pairs, corr), target)
     rows = draw(st.lists(st.lists(st.booleans(), min_size=target, max_size=target), min_size=1, max_size=6))
     return g, state, np.array(rows, dtype=bool).reshape(-1, target)
 
@@ -353,23 +352,26 @@ def test_batched_lift_rejects_wrong_width(case):
             state.reconstruct(wrong)
 
 
+@st.composite
+def sorted_correlations(draw, values):
+    """n in 1..12 and a sorted set of pairs u < v < n, each with a value from values."""
+    n = draw(st.integers(1, 12))
+    pairs = draw(st.lists(st.sampled_from(list(itertools.combinations(range(n), 2)) or [(0, 1)]), max_size=20))
+    stored = {p: draw(st.sampled_from(values)) for p in sorted(set(pairs)) if p[1] < n}
+    return n, stored
+
+
 @settings(deadline=None)
-@given(st.lists(
-    st.tuples(st.integers(0, 5), st.integers(1, 6), st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0])),
-    max_size=30,
-))
-# one step out of lexicographic order, in v or in u, takes the lexsort path
-@example([(0, 2, 0.5), (0, 1, 0.5)])
-@example([(1, 2, 0.5), (0, 3, 0.5)])
-def test_ordered_pairs_match_stable_sort(raw):
-    entries = tuple(((u, v), b) for u, v, b in raw if u < v)
-    corr = CorrelationSet(entries)
-    assert corr.entries == entries
-    # reference: stable sort by decreasing |b|, then the pair; repeats keep their order
-    assert list(corr.ordered_pairs()) == sorted(entries, key=lambda kv: (-abs(kv[1]), kv[0]))
-    pairs = np.array([p for p, _ in entries], dtype=np.int64).reshape(-1, 2)
-    from_arrays = CorrelationSet.from_arrays(pairs, np.array([b for _, b in entries]))
-    assert list(from_arrays.ordered_pairs()) == list(corr.ordered_pairs())
+@given(sorted_correlations([-1.0, -0.5, 0.25, 0.5, 1.0]))
+def test_ordered_pairs_match_stable_sort(case):
+    # every pair once, by decreasing |b| and then the pair, and a walk that
+    # follows them reaches a single vertex
+    n, stored = case
+    corr = correlation_set(n, stored)
+    everything = [(p, stored.get(p, 0.0)) for p in itertools.combinations(range(n), 2)]
+    assert list(corr.ordered_pairs()) == sorted(everything, key=lambda kv: (-abs(kv[1]), kv[0]))
+    *_, state = _contractions(WeightedGraph.from_edges(n, []), corr, 1)
+    assert state.reduced_size == 1
 
 
 def test_correlation_set_rejects_bad_entries():
@@ -385,65 +387,56 @@ def test_correlation_set_rejects_bad_entries():
     ]
     for entries, message in cases:
         with pytest.raises(ValueError) as err:
-            CorrelationSet(entries)
+            CorrelationSet(4, [p for p, _ in entries], [b for _, b in entries])
         assert str(err.value) == message
     with pytest.raises(ValueError, match="2 pairs but 1 values"):
-        CorrelationSet.from_arrays(np.array([[0, 1], [1, 2]]), np.array([0.0]))
+        CorrelationSet(4, np.array([[0, 1], [1, 2]]), np.array([0.0]))
     with pytest.raises(ValueError) as err:
-        CorrelationSet.from_arrays(np.array([[0.0, 2.7]]), np.array([0.1]))
+        CorrelationSet(4, np.array([[0.0, 2.7]]), np.array([0.1]))
     assert str(err.value) == "pair (0.0, 2.7) needs integer ids"
     # numpy integer ids and integral float ids are ids
-    assert CorrelationSet([((np.int64(0), np.int32(2)), 0.5)]).entries == (((0, 2), 0.5),)
-    assert CorrelationSet.from_arrays(np.array([[1, 3]], dtype=np.uint8), np.array([0.5])).entries == (((1, 3), 0.5),)
-    assert CorrelationSet.from_arrays(np.array([[1.0, 3.0]]), np.array([0.5])).entries == (((1, 3), 0.5),)
+    for pairs in [(np.int64(0), np.int32(2))], np.array([[0, 2]], dtype=np.uint8), np.array([[0.0, 2.0]]):
+        corr = CorrelationSet(4, pairs, [0.5])
+        assert corr.pairs.dtype == np.int64 and corr.pairs.tolist() == [[0, 2]] and corr.values.tolist() == [0.5]
 
 
 def test_zero_correlations_cover_every_pair_in_order():
     n = 9
     corr = zero_correlations(n)
-    assert corr.entries == tuple(((u, v), 0.0) for u, v in itertools.combinations(range(n), 2))
-    assert list(corr.ordered_pairs()) == list(corr.entries)
-    assert zero_correlations(1).entries == ()
+    assert list(corr.ordered_pairs()) == [((u, v), 0.0) for u, v in itertools.combinations(range(n), 2)]
+    assert list(zero_correlations(1).ordered_pairs()) == []
 
 
 @settings(deadline=None)
-@given(st.integers(0, 12).flatmap(lambda n: st.tuples(
-    st.just(n),
-    st.lists(st.tuples(st.sampled_from(list(itertools.combinations(range(n), 2)) or [(0, 1)]),
-                       st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0])), max_size=20),
-)))
+@given(sorted_correlations([-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0]))
 def test_implicit_zero_tail_reads_as_every_pair(case):
-    n, raw = case
-    stored = dict(pair for pair in raw if pair[0][1] < n)
-    pairs = sorted(stored)
-    corr = CorrelationSet.from_arrays(np.array(pairs).reshape(-1, 2), np.array([stored[p] for p in pairs]), n)
-    # every pair reads its stored value or 0; only the nonzero ones are kept
-    everything = tuple((p, stored.get(p, 0.0) + 0.0) for p in itertools.combinations(range(n), 2))
-    assert corr.entries == everything
-    assert len(corr.pairs) == sum(b != 0 for b in stored.values())
-    # the same order as a set that lists every pair explicitly
-    assert list(corr.ordered_pairs()) == sorted(everything, key=lambda kv: (-abs(kv[1]), kv[0]))
+    n, stored = case
+    corr = correlation_set(n, stored)
+    # every pair reads its given value or 0; only the nonzero ones are kept
+    assert dict(corr.ordered_pairs()) == {p: stored.get(p, 0.0) + 0.0 for p in itertools.combinations(range(n), 2)}
+    kept = [p for p, b in stored.items() if b != 0]
+    assert corr.pairs.tolist() == [list(p) for p in kept] and corr.values.tolist() == [stored[p] for p in kept]
+    assert not (corr.pairs.flags.writeable or corr.values.flags.writeable)
 
 
 def test_implicit_zero_tail_rejects_pairs_it_cannot_order():
     for pairs in ([[0, 2], [0, 1]], [[0, 1], [0, 1]], [[1, 4]], [[-1, 2]]):
-        with pytest.raises(ValueError, match=re.escape("pairs must be sorted, unique and in [0, 4) when the others read 0")):
-            CorrelationSet.from_arrays(np.array(pairs), np.full(len(pairs), 0.5), 4)
+        with pytest.raises(ValueError, match=re.escape("pairs must be sorted, unique and in [0, 4)")):
+            CorrelationSet(4, np.array(pairs), np.full(len(pairs), 0.5))
 
 
-@pytest.mark.parametrize("shuffle", [False, True])
-def test_ordered_pairs_span_chunks(shuffle):
-    # more pairs than one chunk of the lazy order, with ties in |b| across
-    # chunk boundaries; in lexicographic order (the stable-argsort path) or not
+@pytest.mark.parametrize("zeros", [False, True])
+def test_ordered_pairs_span_chunks(zeros):
+    # more stored pairs than one chunk of the lazy order, with ties in |b|
+    # across chunk boundaries; with zeros, a third of the pairs read 0 from
+    # the tail that follows the stored ones
     rng = np.random.default_rng(5)
-    pairs = list(itertools.combinations(range(40), 2))
-    values = rng.choice([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0], size=len(pairs)).tolist()
-    entries = list(zip(pairs, values))
-    if shuffle:
-        entries = [entries[i] for i in rng.permutation(len(entries))]
-    corr = CorrelationSet(entries)
-    assert len(entries) > shrink.ORDER_CHUNK
-    assert list(corr.ordered_pairs()) == sorted(entries, key=lambda kv: (-abs(kv[1]), kv[0]))
+    pairs = list(itertools.combinations(range(50), 2))
+    pool = [-1.0, -0.5, -0.0, 0.0, 0.5, 1.0] if zeros else [-1.0, -0.5, 0.5, 1.0]
+    values = rng.choice(pool, size=len(pairs)).tolist()
+    corr = CorrelationSet(50, pairs, values)
+    assert len(corr.pairs) > shrink.ORDER_CHUNK
+    assert list(corr.ordered_pairs()) == sorted(zip(pairs, values), key=lambda kv: (-abs(kv[1]), kv[0]))
 
 
 @st.composite
@@ -461,7 +454,7 @@ def graphs_with_signed_correlations(draw):
     w = [draw(weight) for _ in u]
     corr = draw(st.lists(st.floats(-1, 1), min_size=len(pairs), max_size=len(pairs)))
     # the constructor keeps a -0.0 weight, which from_edges's sum from 0.0 would not
-    return WeightedGraph(n, u, v, w), CorrelationSet(tuple(zip(pairs, corr)))
+    return WeightedGraph(n, u, v, w), CorrelationSet(n, pairs, corr)
 
 
 @settings(deadline=None)
@@ -607,8 +600,8 @@ def test_caught_up_lift_map_matches_a_fresh_replay(case):
 @given(graphs_with_signed_correlations())
 # merging 0 and 1 on equal sides cancels their edges to 2, and on opposite
 # sides the -0.0 edge's negation meets a 0.0 edge: both pairs sum to 0.0
-@example((WeightedGraph(3, [0, 1], [2, 2], [1.5, -1.5]), CorrelationSet((((0, 1), 1.0), ((0, 2), 0.0), ((1, 2), 0.0)))))
-@example((WeightedGraph(3, [0, 1], [2, 2], [-0.0, 0.0]), CorrelationSet((((0, 1), -1.0), ((0, 2), 0.0), ((1, 2), 0.0)))))
+@example((WeightedGraph(3, [0, 1], [2, 2], [1.5, -1.5]), CorrelationSet(3, [(0, 1)], [1.0])))
+@example((WeightedGraph(3, [0, 1], [2, 2], [-0.0, 0.0]), CorrelationSet(3, [(0, 1)], [-1.0])))
 def test_reduced_matrix_enumerates_as_the_reduced_graph(case):
     g, corr = case
     for state in _contractions(g, corr, 1):
