@@ -57,8 +57,6 @@ from .shrink import (
     correlation_sign,
     correlations_from_relaxation,
     format_trace,
-    parse_trace,
-    replay_trace,
     shrink_to_target,
     zero_correlations,
 )

@@ -190,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--target", type=int, required=True)
     p.add_argument("--mode", choices=CORRELATION_MODES, default="relaxation")
-    p.add_argument("--trace-out", help="write contraction trace lines")
+    p.add_argument("--trace-out", help="write one 'kept removed sign b' line per contraction")
     p.add_argument("--reduced-out", help="write the reduced instance file")
     p.set_defaults(func=cmd_shrink)
 

@@ -69,7 +69,8 @@ class WeightedGraph:
         bad = np.flatnonzero(~np.isfinite(w))
         if bad.size:
             raise ValueError(f"edge ({u[bad[0]]}, {v[bad[0]]}) has non-finite weight {w[bad[0]]}")
-        total = sum(map(abs, w.tolist()))  # a Python sum overflows to inf quietly, where np.sum warns
+        with np.errstate(over="ignore"):  # a sum that overflows reads inf and is rejected below
+            total = float(np.abs(w).sum())
         if not total <= CUT_WEIGHT_LIMIT:
             raise ValueError(f"total absolute weight {total!r} exceeds {CUT_WEIGHT_LIMIT:.6g}; cut values could overflow")
         ids.setflags(write=False)

@@ -13,6 +13,7 @@ constant offset, the total weight of the edges whose ends' flips differ.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections.abc import Iterator
 from typing import NamedTuple
 
@@ -41,6 +42,12 @@ class CorrelationSet:
     """
 
     def __init__(self, vertex_count: int, pairs=(), values=()):
+        try:
+            n = operator.index(vertex_count)
+        except TypeError:
+            n = -1
+        if n < 0:
+            raise ValueError(f"vertex_count must be a non-negative integer, got {vertex_count!r}")
         ends = np.array(pairs).reshape(-1, 2)
         with np.errstate(invalid="ignore"):  # a nan or inf id fails the comparison below
             self.pairs = ends.astype(np.int64)
@@ -60,11 +67,11 @@ class CorrelationSet:
                 raise ValueError(f"pair ({bu}, {bv}) must be ordered u < v")
             raise ValueError(f"correlation {b} for ({bu}, {bv}) outside [-1, 1]")
         # only the nonzero pairs are kept, with their index u * n + v
-        index = u * vertex_count + v
-        if np.any((u < 0) | (v >= vertex_count)) or np.any(index[1:] <= index[:-1]):
-            raise ValueError(f"pairs must be sorted, unique and in [0, {vertex_count})")
+        index = u * n + v
+        if np.any((u < 0) | (v >= n)) or np.any(index[1:] <= index[:-1]):
+            raise ValueError(f"pairs must be sorted, unique and in [0, {n})")
         nonzero = magnitude > 0
-        self.vertex_count = vertex_count
+        self.vertex_count = n
         self.pairs, self.values, self._index = self.pairs[nonzero], self.values[nonzero], index[nonzero]
         self.pairs.flags.writeable = self.values.flags.writeable = False
         self._order = np.lexsort((v[nonzero], u[nonzero], -magnitude[nonzero]))
@@ -98,11 +105,13 @@ def zero_correlations(n: int) -> CorrelationSet:
 
 
 class ShrinkRecord(NamedTuple):
-    """One contraction: removed merged into kept with the given sign."""
+    """One contraction: removed merged into kept with the given sign, for a
+    pair whose correlation read b."""
 
     kept: int
     removed: int
     sign: int
+    b: float
 
 
 class ShrinkState:
@@ -132,11 +141,6 @@ class ShrinkState:
     @property
     def reduced_size(self) -> int:
         return len(self._parent) - len(self.records)
-
-    def _check_super_vertex(self, *vertices: int) -> None:
-        for v in vertices:
-            if not (0 <= v < len(self._parent) and self._parent[v] == v):
-                raise ValueError(f"vertex {v} is not a current super-vertex")
 
     def _between(self) -> tuple[np.ndarray, np.ndarray]:
         """The edges between two super-vertices in edge order: their columns i < j
@@ -192,24 +196,19 @@ class ShrinkState:
             parent[node], parity[node] = vertex, opposite
         return vertex, -1 if opposite else 1
 
-    def current_weight(self, u: int, v: int) -> float:
-        """Weight between two current super-vertices, summed from the lift map
-        bit for bit as `reduced` sums it; 0.0 when they share no edge."""
-        self._check_super_vertex(u, v)
-        (columns, _), (pairs, w) = self.lift_map, self._between()
-        i, j = sorted((columns[u], columns[v]))
-        return float(np.bincount(pairs == i * self.reduced_size + j, weights=w, minlength=2)[1])
-
-    def contract(self, removed: int, kept: int, sign: int) -> None:
+    def contract(self, removed: int, kept: int, sign: int, b: float) -> None:
         """Merge super-vertex `removed` into `kept`, on equal sides for sign +1
-        and opposite for -1: removed's root goes under kept's."""
+        and opposite for -1, for a pair of correlation b: removed's root goes
+        under kept's."""
         if sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {sign}")
         if removed == kept:
             raise ValueError("cannot contract a super-vertex with itself")
-        self._check_super_vertex(removed, kept)
+        for v in (removed, kept):
+            if not (0 <= v < len(self._parent) and self._parent[v] == v):
+                raise ValueError(f"vertex {v} is not a current super-vertex")
         self._parent[removed], self._parity[removed] = kept, sign == -1
-        self.records.append(ShrinkRecord(kept, removed, int(sign)))
+        self.records.append(ShrinkRecord(kept, removed, int(sign), float(b)))
 
     @property
     def lift_map(self) -> tuple[np.ndarray, np.ndarray]:
@@ -219,7 +218,9 @@ class ShrinkState:
         doubling over the links new records add; returned arrays are never written."""
         count, roots, flip, columns = self._lift
         if count != len(self.records):
-            kept, removed, sign = np.fromiter(itertools.chain(*self.records[count:]), np.int64).reshape(-1, 3).T
+            # the records read as floats, b included, cost less than slicing each one
+            links = np.fromiter(itertools.chain(*self.records[count:]), float).reshape(-1, 4)
+            kept, removed, sign = links[:, :3].astype(np.int64).T
             up, opposite = np.arange(roots.size), np.zeros(roots.size, dtype=bool)
             up[removed], opposite[removed] = kept, sign == -1
             while ((hop := up[up]) != up).any():  # each round halves every chain
@@ -292,45 +293,11 @@ def _contractions(g: WeightedGraph, correlations: CorrelationSet, target: int) -
         root_v, sign_v = state.find(v)
         if root_u == root_v:
             continue
-        state.contract(root_u, root_v, correlation_sign(b) * sign_u * sign_v)
+        state.contract(root_u, root_v, correlation_sign(b) * sign_u * sign_v, b)
         yield state
 
 
 def format_trace(state: ShrinkState) -> str:
-    """One line per contraction: "kept removed sign pair_weight", the pair
-    weight read just before it by replaying the records on a fresh state."""
-    replay, lines = ShrinkState(state.original), []
-    for kept, removed, sign in state.records:
-        w = replay.current_weight(removed, kept)
-        lines.append(f"{kept} {removed} {sign} {int(w) if w == int(w) else repr(w)}")
-        replay.contract(removed, kept, sign)
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def parse_trace(text: str) -> list[tuple[int, int, int, float]]:
-    steps = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 4:
-            raise ValueError(f"trace line {line_no}: expected 'kept removed sign weight'")
-        try:
-            steps.append((int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3])))
-        except ValueError:
-            raise ValueError(f"trace line {line_no}: malformed step {line!r}") from None
-    return steps
-
-
-def replay_trace(g: WeightedGraph, steps: list[tuple[int, int, int, float]]) -> ShrinkState:
-    """Re-run a recorded contraction sequence, auditing the recorded weights."""
-    state = ShrinkState(g)
-    for kept, removed, sign, weight in steps:
-        current = state.current_weight(removed, kept)
-        if not abs(current - weight) <= 1e-9:  # a NaN weight fails too
-            raise ValueError(
-                f"trace mismatch at ({kept}, {removed}): recorded weight {weight}, current {current}"
-            )
-        state.contract(removed, kept, sign)
-    return state
+    """One line per contraction: "kept removed sign b", b the correlation of the
+    pair it contracted."""
+    return "".join(f"{kept} {removed} {sign} {b!r}\n" for kept, removed, sign, b in state.records)

@@ -16,8 +16,6 @@ from shrinkcut import (
     cut_value_batch,
     dense_closure,
     format_trace,
-    parse_trace,
-    replay_trace,
     shrink_to_target,
     solve_cycle_relaxation,
     zero_correlations,
@@ -36,11 +34,6 @@ def correlation_set(n, stored):
 
 def random_correlations(n, rng):
     return correlation_set(n, {(u, v): float(rng.uniform(-1, 1)) for u in range(n) for v in range(u + 1, n)})
-
-
-def super_vertices(state):
-    """Current super-vertex labels, ascending: the reduced graph's vertex order."""
-    return sorted({state.find(v)[0] for v in range(state.original.vertex_count)})
 
 
 def assert_conservation(g, state, tol=1e-9):
@@ -83,8 +76,8 @@ def test_correlations_from_relaxation_cover_every_pair():
 
 def test_find_composes_signs():
     state = ShrinkState(WeightedGraph.from_edges(4, []))
-    state.contract(0, 1, -1)
-    state.contract(1, 2, -1)
+    state.contract(0, 1, -1, -0.5)
+    state.contract(1, 2, -1, -0.5)
     assert state.find(0) == (2, 1)  # two flips cancel
     assert state.find(1) == (2, -1)
     assert state.find(2) == (2, 1)
@@ -94,7 +87,7 @@ def test_find_composes_signs():
 @pytest.mark.parametrize("vertex", [-1, 4, 5])
 def test_find_rejects_vertex_outside_graph(vertex):
     state = ShrinkState(WeightedGraph.from_edges(4, []))
-    state.contract(3, 0, -1)
+    state.contract(3, 0, -1, -0.5)
     with pytest.raises(ValueError, match=rf"vertex {vertex} outside \[0, 4\)"):
         state.find(vertex)
 
@@ -103,11 +96,11 @@ def test_contract_weight_merging():
     # path t-u (3), t-v (4): merging u into v adds +-3 to the (v, t) weight
     g = WeightedGraph.from_edges(3, [(0, 1, 3.0), (0, 2, 4.0)])
     plus = ShrinkState(g)
-    plus.contract(1, 2, 1)
+    plus.contract(1, 2, 1, 0.5)
     assert plus.reduced.edges == ((0, 1, 7.0),)
     assert plus.offset == 0.0
     minus = ShrinkState(g)
-    minus.contract(1, 2, -1)
+    minus.contract(1, 2, -1, -0.5)
     assert minus.reduced.edges == ((0, 1, 1.0),)
     assert_conservation(g, minus)
 
@@ -115,7 +108,7 @@ def test_contract_weight_merging():
 def test_contract_k2_opposite_sides():
     g = WeightedGraph.from_edges(2, [(0, 1, 5.0)])
     state = ShrinkState(g)
-    state.contract(0, 1, -1)
+    state.contract(0, 1, -1, -1.0)
     assert state.reduced.vertex_count == 1
     assert state.offset == 5.0
     for side in (False, True):
@@ -125,22 +118,24 @@ def test_contract_k2_opposite_sides():
 def test_contract_rejects_bad_arguments():
     g = WeightedGraph.from_edges(3, [(0, 1, 1.0)])
     state = ShrinkState(g)
-    state.contract(0, 1, 1)
-    with pytest.raises(ValueError):
-        state.contract(0, 2, 1)  # 0 already removed
-    with pytest.raises(ValueError):
-        state.contract(2, 2, 1)
-    with pytest.raises(ValueError):
-        state.contract(1, 2, 0)
+    state.contract(0, 1, 1, 1.0)
+    with pytest.raises(ValueError, match="^vertex 0 is not a current super-vertex$"):
+        state.contract(0, 2, 1, 1.0)  # 0 already removed
+    with pytest.raises(ValueError, match="^vertex 3 is not a current super-vertex$"):
+        state.contract(3, 2, 1, 1.0)
+    with pytest.raises(ValueError, match="^cannot contract a super-vertex with itself$"):
+        state.contract(2, 2, 1, 1.0)
+    with pytest.raises(ValueError, match="^sign must be"):
+        state.contract(1, 2, 0, 0.0)
 
 
 def test_reconstruct_signs():
     g = WeightedGraph.from_edges(2, [(0, 1, 1.0)])
     same = ShrinkState(g)
-    same.contract(0, 1, 1)
+    same.contract(0, 1, 1, 1.0)
     assert same.reconstruct([True]).tolist() == [True, True]
     opposite = ShrinkState(g)
-    opposite.contract(0, 1, -1)
+    opposite.contract(0, 1, -1, -1.0)
     assert opposite.reconstruct([True]).tolist() == [False, True]
 
 
@@ -236,39 +231,28 @@ def test_monotone_potential_under_fixed_correlations():
             assert later <= earlier + 1e-9
 
 
-def test_trace_round_trip_and_replay():
+def test_trace_lines_parse_back_to_the_records():
     rng = np.random.default_rng(5)
     g = random_weighted_graph(7, 0.6, rng)
     corr = random_correlations(7, rng)
     state = shrink_to_target(g, corr, 3)
-    steps = parse_trace(format_trace(state))
-    replayed = replay_trace(g, steps)
-    assert replayed.offset == pytest.approx(state.offset)
-    assert replayed.reduced == state.reduced
-    # forged weights are rejected, a NaN one too
-    kept, removed, sign, w = steps[0]
-    for forged in (w + 1.0, float("nan")):
-        with pytest.raises(ValueError, match=f"trace mismatch at \\({kept}, {removed}\\): recorded weight {forged}"):
-            replay_trace(g, [(kept, removed, sign, forged), *steps[1:]])
+    lines = format_trace(state).splitlines()
+    assert len(lines) == len(state.records) == 4
+    for line, record in zip(lines, state.records):
+        kept, removed, sign, b = line.split()
+        assert (int(kept), int(removed), int(sign), float(b)) == record
 
 
 def test_trace_round_trip_with_non_int_signs():
     # a bool or numpy sign is recorded as the int it equals, so the trace parses
     g = WeightedGraph.from_edges(3, [(0, 1, 2.0), (1, 2, 0.5)])
     state = ShrinkState(g)
-    state.contract(0, 1, True)
-    state.contract(2, 1, np.int64(-1))
+    state.contract(0, 1, True, 0.75)
+    state.contract(2, 1, np.int64(-1), np.float64(-0.25))
     assert [type(r.sign) for r in state.records] == [int, int]
-    assert format_trace(state) == "1 0 1 2\n1 2 -1 0.5\n"
-    replayed = replay_trace(g, parse_trace(format_trace(state)))
-    assert replayed.records == state.records == [(1, 0, 1), (1, 2, -1)]
-    assert replayed.offset == state.offset == 0.5
-
-
-@pytest.mark.parametrize("line", ["1 x -1 2.5", "1 0 -1.0 2.5", "1 0 -1 heavy"])
-def test_parse_trace_reports_malformed_fields_with_line_number(line):
-    with pytest.raises(ValueError, match=f"^trace line 3: malformed step '{line}'$"):
-        parse_trace("# kept removed sign weight\n2 3 1 0\n" + line + "\n")
+    assert [type(r.b) for r in state.records] == [float, float]
+    assert state.records == [(1, 0, 1, 0.75), (1, 2, -1, -0.25)]
+    assert format_trace(state) == "1 0 1 0.75\n1 2 -1 -0.25\n"
 
 
 def test_removed_roots_never_reappear():
@@ -323,15 +307,6 @@ def test_batched_lift_matches_per_row_lift(case):
     lifted = state.reconstruct(samples)
     assert np.array_equal(lifted, np.stack([state.reconstruct(row) for row in samples]))
     assert np.array_equal(lifted, lift_by_replay(state, samples))
-
-
-@settings(deadline=None)
-@given(shrunk_with_samples())
-def test_reduced_matches_pair_loop(case):
-    _, state, _ = case
-    active = super_vertices(state)
-    weights = [(i, j, state.current_weight(a, active[j])) for i, a in enumerate(active) for j in range(i + 1, len(active))]
-    assert state.reduced == WeightedGraph.from_edges(len(active), [e for e in weights if e[2] != 0.0])
 
 
 @settings(deadline=None)
@@ -394,6 +369,13 @@ def test_correlation_set_rejects_bad_entries():
     with pytest.raises(ValueError) as err:
         CorrelationSet(4, np.array([[0.0, 2.7]]), np.array([0.1]))
     assert str(err.value) == "pair (0.0, 2.7) needs integer ids"
+    # a vertex count is a non-negative integer: 4.0 would pass shrink_to_target's
+    # n == 4 check and fail mid-walk
+    for n in (4.0, np.float64(4), -1):
+        with pytest.raises(ValueError) as err:
+            CorrelationSet(n, [(0, 1)], [0.5])
+        assert str(err.value) == f"vertex_count must be a non-negative integer, got {n!r}"
+    assert type(CorrelationSet(np.int64(4)).vertex_count) is int
     # numpy integer ids and integral float ids are ids
     for pairs in [(np.int64(0), np.int32(2))], np.array([[0, 2]], dtype=np.uint8), np.array([[0.0, 2.0]]):
         corr = CorrelationSet(4, pairs, [0.5])
@@ -475,25 +457,12 @@ def test_cuttable_graph_scores_every_lift_bit_for_bit(case):
         assert cut_value_batch(state.cuttable, lifted).tobytes() == cut_value_batch(g, lifted).tobytes()
 
 
-@settings(deadline=None)
-@given(graphs_with_signed_correlations())
-# K12 with float weights: the last pair holds at least 11 edges, past the
-# length at which a pairwise sum stops adding in edge order
-@example((random_weighted_graph(12, 1.0, np.random.default_rng(4)), random_correlations(12, np.random.default_rng(5))))
-def test_current_weight_is_the_reduced_entry_bit_for_bit(case):
-    g, corr = case
-    for state in _contractions(g, corr, 1):
-        matrix = state.reduced.weight_matrix
-        active = super_vertices(state)
-        for (i, a), (j, b) in itertools.product(enumerate(active), repeat=2):
-            assert state.current_weight(a, b).hex() == matrix[i, j].hex()
-
-
 class DenseShrink:
     """Reference: contraction as a dense row merge. An n x n weight matrix
     whose kept row and column absorb the removed ones, a flat root and flip
-    per original vertex, and an offset that grows at each sign -1
-    contraction by removed's total incident weight at that time."""
+    per original vertex, an offset that grows at each sign -1 contraction by
+    removed's total incident weight at that time, and the records it is
+    given, b included."""
 
     def __init__(self, g):
         self.w = np.array(g.weight_matrix)
@@ -503,7 +472,7 @@ class DenseShrink:
     def active(self):
         return np.flatnonzero(self.root == np.arange(self.root.size))
 
-    def contract(self, removed, kept, sign):
+    def contract(self, removed, kept, sign, b):
         delta = float(self.w[removed, self.active()].sum()) if sign == -1 else 0.0
         self.w[kept] += sign * self.w[removed]
         self.w[kept, kept] = 0.0
@@ -513,7 +482,7 @@ class DenseShrink:
         self.root[moved] = kept
         self.flip[moved] ^= sign == -1
         self.offset += delta
-        self.records.append(shrink.ShrinkRecord(kept, removed, sign))
+        self.records.append(shrink.ShrinkRecord(kept, removed, sign, b))
 
     def reduced(self):
         active = self.active()
@@ -539,8 +508,10 @@ def test_adjacency_contraction_matches_dense_reference(case):
         if dense.root[u] == dense.root[v]:
             continue
         sign = correlation_sign(b) * (-1 if dense.flip[u] != dense.flip[v] else 1)
-        dense.contract(int(dense.root[u]), int(dense.root[v]), sign)
+        dense.contract(int(dense.root[u]), int(dense.root[v]), sign, b)
         state = next(states)
+        # each record's b is the correlation of the pair it contracted, and its
+        # sign correlation_sign(b) composed with the parities of the pair's ends
         assert state.records == dense.records
         columns, flip = state.lift_map
         assert np.array_equal(columns, np.searchsorted(dense.active(), dense.root))
@@ -556,9 +527,6 @@ def test_adjacency_contraction_matches_dense_reference(case):
             assert abs(state.offset - dense.offset) <= bound
             assert np.abs(state.reduced.weight_matrix - reduced.weight_matrix).max(initial=0.0) <= bound
     assert next(states, None) is None
-    replayed = replay_trace(g, parse_trace(format_trace(state)))
-    assert replayed.records == state.records and replayed.offset.hex() == state.offset.hex()
-    assert replayed.reduced == state.reduced
 
 
 @st.composite
@@ -581,8 +549,8 @@ def test_caught_up_lift_map_matches_a_fresh_replay(case):
     for state, vertices in zip(_contractions(g, corr, 1), finds):
         columns, flip = state.lift_map
         fresh = ShrinkState(g)
-        for kept, removed, sign in state.records:
-            fresh.contract(removed, kept, sign)
+        for kept, removed, sign, b in state.records:
+            fresh.contract(removed, kept, sign, b)
         fresh_columns, fresh_flip = fresh.lift_map
         assert columns.dtype == fresh_columns.dtype and columns.tobytes() == fresh_columns.tobytes()
         assert flip.dtype == fresh_flip.dtype == bool and flip.tobytes() == fresh_flip.tobytes()
