@@ -54,7 +54,7 @@ def _emit(record: dict[str, str], out: str | None) -> None:
 
 def cmd_oracle(args) -> int:
     g = _load(args.instance)
-    summary = brute_force(g, args.cap)
+    summary = brute_force(g)
     sys.stdout.write(f"vertices {g.vertex_count}\nedges {g.edge_count}\n")
     sys.stdout.write(format_summary(summary))
     return 0
@@ -176,9 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("oracle", help="exact min/max cut by enumeration")
+    p = sub.add_parser("oracle", help=f"exact min/max cut by enumeration, up to {BRUTE_FORCE_CAP} vertices")
     p.add_argument("instance")
-    p.add_argument("--cap", type=int, default=BRUTE_FORCE_CAP)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("relax", help="solve the odd-cycle relaxation on the instance's edges")

@@ -22,7 +22,7 @@ DOUBLING_TABLE_BITS = 8
 SCORE_CHUNK_BYTES = 1 << 21
 # Largest total absolute weight Σ|w| a WeightedGraph may have: _cut_block and _prefix_block form
 # cut values and row sums within Σ|w|, and their -2w and 2g steps within 2Σ|w|, with 2x left for rounding.
-# Reduced, cuttable and dense-closure graphs sum or subset the original's weights, so they stay within it.
+# Reduced and dense-closure graphs sum or copy the original's weights, so they stay within it.
 CUT_WEIGHT_LIMIT = sys.float_info.max / 4
 
 
@@ -86,9 +86,10 @@ class WeightedGraph:
     def from_edges(cls, vertex_count: int, edges: Iterable[tuple[int, int, float]]) -> "WeightedGraph":
         """Build a graph from (u, v, w) triples in any order and orientation.
 
-        Duplicate pairs are summed in input order from 0.0, and a zero sum
-        stays an edge. Raises ValueError as the constructor does, also for a
-        sum of duplicates that overflows.
+        Duplicate pairs are summed in input order from -0.0, so a pair given
+        once keeps its weight bit for bit, -0.0 too, and a zero sum stays an
+        edge. Raises ValueError as the constructor does, also for a sum of
+        duplicates that overflows.
         """
         first, second, weights = tuple(zip(*edges)) or ((), (), ())
         ends = np.sort((first, second), axis=0)
@@ -97,27 +98,10 @@ class WeightedGraph:
         ends = ends[:, order]
         starts = np.ones(order.size, dtype=bool)
         starts[1:] = np.any(ends[:, 1:] != ends[:, :-1], axis=0)
-        merged = np.zeros(np.count_nonzero(starts))
+        merged = np.full(np.count_nonzero(starts), -0.0)
         with np.errstate(over="ignore", invalid="ignore"):  # the constructor rejects a non-finite sum
             np.add.at(merged, np.cumsum(starts) - 1, np.array(weights, dtype=float)[order])
         return cls(vertex_count, *ends[:, starts], merged)
-
-    def edge_subgraph(self, keep: np.ndarray) -> "WeightedGraph":
-        """The graph on the same vertices with the edges where the boolean
-        mask keep is True. A subset of sorted, unique, finite edges within the
-        weight limit is all of those too, so it skips the constructor's
-        checks, which cost a sweep more than scoring on fewer edges saves it
-        when it builds one subgraph per shrink count."""
-        keep = np.asarray(keep)
-        if keep.dtype != bool or keep.shape != self.w.shape:
-            raise ValueError(f"keep must be a boolean mask of shape {self.w.shape}, got {keep.dtype} {keep.shape}")
-        sub = object.__new__(WeightedGraph)
-        object.__setattr__(sub, "vertex_count", self.vertex_count)
-        for name in "uvw":
-            array = getattr(self, name)[keep]
-            array.setflags(write=False)
-            object.__setattr__(sub, name, array)
-        return sub
 
     @property
     def edges(self) -> tuple[tuple[int, int, float], ...]:
@@ -236,9 +220,7 @@ def parse_instance(text: str) -> WeightedGraph:
 def format_instance(g: WeightedGraph) -> str:
     """Inverse of parse_instance: 1-based ids, weights round-trip exactly."""
     lines = [f"{g.vertex_count} {g.edge_count}"]
-    lines.extend(
-        f"{u + 1} {v + 1} {int(w) if w == int(w) else repr(w)}" for u, v, w in g.edges
-    )
+    lines.extend(f"{u + 1} {v + 1} {repr(w).removesuffix('.0')}" for u, v, w in g.edges)
     return "\n".join(lines) + "\n"
 
 
@@ -259,24 +241,29 @@ def cut_value_batch(
     whatever rows it is scored with. Rows are scored in chunks with about
     SCORE_CHUNK_BYTES of temporaries, all edges at once on the transpose.
 
-    With lift = (columns, flip), two (n,) arrays, a row a of any width stands
-    for the assignment a[columns] ^ flip and scores bit for bit as it, without
-    it being built: each edge reads its ends' columns, XORed with its ends'
-    flips when any edge's ends differ in flip (ShrinkState.lift_map).
+    With lift = (columns, flip), two (n,) arrays (ShrinkState.lift_map), a
+    row a of any width stands for the assignment a[columns] ^ flip and scores
+    bit for bit as it, without it being built: each edge reads its ends'
+    columns, XORed with its ends' flips when any edge's ends differ in flip.
+    An edge whose ends share a column and a flip is never cut and is skipped:
+    it would add 0.0 * w = ±0.0 to a sum that starts at +0.0, which never
+    changes its bits.
     """
     a = np.asarray(assignments, dtype=bool)
-    u, v, width, flips = g.u, g.v, g.vertex_count, None
+    u, v, w, width, flips = g.u, g.v, g.w, g.vertex_count, None
     if lift is not None:
         columns, flip = lift
         u, v, width = columns[g.u], columns[g.v], a.shape[-1] if a.ndim else 0
         if np.any(columns >= width):
             raise ValueError(f"lift reads column {columns.max()} of assignments of width {width}")
         flips = flip[g.u] ^ flip[g.v]
+        keep = (u != v) | flips
+        u, v, w, flips = u[keep], v[keep], w[keep], flips[keep]
         flips = flips[:, None] if flips.any() else None
     if a.ndim != 2 or a.shape[1] != width:
         raise ValueError(f"expected shape (k, {width})")
     # bytes per row: its sides, the two gathered endpoint sides, their XOR, its value
-    step = max(2, SCORE_CHUNK_BYTES // (width + 3 * g.edge_count + 8))
+    step = max(2, SCORE_CHUNK_BYTES // (width + 3 * w.size + 8))
     vals = np.empty(a.shape[0])
     for start in range(0, a.shape[0], step):
         rows = a[start : start + step]
@@ -287,7 +274,7 @@ def cut_value_batch(
         cut = sides[u] ^ sides[v]
         if flips is not None:
             cut ^= flips
-        vals[start : start + len(rows)] = np.einsum("ek,e->k", cut, g.w)[: len(rows)]
+        vals[start : start + len(rows)] = np.einsum("ek,e->k", cut, w)[: len(rows)]
     return vals
 
 
@@ -360,22 +347,22 @@ def index_to_assignment(index: int, n: int) -> np.ndarray:
     return ((index >> np.arange(n)) & 1).astype(bool)
 
 
-def brute_force(g: WeightedGraph, max_vertices: int = BRUTE_FORCE_CAP) -> ExactCutSummary:
+def brute_force(g: WeightedGraph) -> ExactCutSummary:
     """Exact min/max cut by enumerating all 2^(n-1) bipartitions.
 
     Complement symmetry halves the search: only assignments with the top
     vertex on the False side are visited, which also makes the reported
     argmax the optimum with the lowest binary encoding. The empty bipartition
     is included, so max_value >= 0 >= min_value always holds. Raises
-    ValueError past max_vertices.
+    ValueError past BRUTE_FORCE_CAP vertices, before enumerating anything.
     """
-    check_enumerable(g.vertex_count, max_vertices)
+    check_enumerable(g.vertex_count)
     return brute_force_matrix(g.weight_matrix)
 
 
-def check_enumerable(n: int, max_vertices: int = BRUTE_FORCE_CAP) -> None:
-    if n > max_vertices:
-        raise ValueError(f"{n} vertices exceeds the enumeration cap of {max_vertices}")
+def check_enumerable(n: int) -> None:
+    if n > BRUTE_FORCE_CAP:
+        raise ValueError(f"{n} vertices exceeds the enumeration cap of {BRUTE_FORCE_CAP}")
 
 
 def brute_force_matrix(w: np.ndarray) -> ExactCutSummary:

@@ -145,9 +145,9 @@ def _low_degree_message(g: WeightedGraph, correlations: CorrelationSet, reduced:
 
 
 def _score(state: ShrinkState, samples: np.ndarray) -> np.ndarray:
-    """Every reduced sample's cut value on the original graph, scored on the
-    edges a lift can cut, from the sample's own columns: nothing is lifted."""
-    return cut_value_batch(state.cuttable, samples, state.lift_map)
+    """Every reduced sample's cut value on the original graph, scored through
+    the lift map from the sample's own columns: nothing is lifted."""
+    return cut_value_batch(state.original, samples, state.lift_map)
 
 
 def _mean(values: np.ndarray) -> float:
@@ -206,7 +206,9 @@ def run_pipeline(
     """Relax (unless correlation_mode is "zero"), shrink to target_size, solve
     the reduced instance, reconstruct each sample, and score on the original
     graph. Identical inputs and seed give an identical report (timings aside).
-    Each stage is timed under its name, which a PipelineError from it carries.
+    The oracle bounds are enumerated when n <= oracle_cap; past BRUTE_FORCE_CAP
+    vertices that fails the bounds stage. Each stage is timed under its name,
+    which a PipelineError from it carries.
     """
     _check_inputs((correlation_mode,), (subsolver,), n_samples)
     n = g.vertex_count
@@ -238,7 +240,7 @@ def run_pipeline(
     c_min = c_max = ratio = None
     with _stage("bounds", timings):
         if n <= oracle_cap:
-            summary = brute_force(g, oracle_cap)
+            summary = brute_force(g)
             c_min, c_max = summary.min_value, summary.max_value
             if c_max > c_min:
                 ratio = approximation_ratio(mean, c_min, c_max)

@@ -124,9 +124,10 @@ class ShrinkState:
 
     The state is a union-find forest over the original vertices and nothing
     else: each tree's root is the vertex its super-vertex is labelled by, and
-    each vertex holds its side relative to its parent. The reduced graph, its
-    weight matrix, the offset and the cuttable graph are read off the lift map,
-    each in one pass over the original edges.
+    each vertex holds its side relative to its parent. The lift map is read
+    off the forest, and the reduced graph, its weight matrix and the offset
+    off the lift map, each in one pass over the original edges; records are
+    kept for the trace.
     """
 
     def __init__(self, graph: WeightedGraph):
@@ -134,9 +135,8 @@ class ShrinkState:
         n = graph.vertex_count
         self._parent, self._parity = list(range(n)), [False] * n
         self.records: list[ShrinkRecord] = []
-        self._lift = (0, np.arange(n), np.zeros(n, dtype=bool), np.arange(n))
+        self._lift = (0, np.arange(n), np.zeros(n, dtype=bool))
         self._reduced: tuple[int, WeightedGraph | None] = (-1, None)
-        self._cuttable: tuple[int, WeightedGraph] = (0, graph)
 
     @property
     def reduced_size(self) -> int:
@@ -214,38 +214,18 @@ class ShrinkState:
     def lift_map(self) -> tuple[np.ndarray, np.ndarray]:
         """Each original vertex's column in the reduced graph, and whether it
         sits opposite its super-vertex: reconstruct(a) is a[..., columns] ^ flip.
-        Kept as each vertex's (count, root, flip, column) and caught up by pointer
-        doubling over the links new records add; returned arrays are never written."""
-        count, roots, flip, columns = self._lift
+        Read off the forest once per contraction count: pointer doubling takes
+        every vertex to its root with the parity of the way, and the columns
+        are one cumulative count of the roots. Returned arrays are never written."""
+        count, columns, flip = self._lift
         if count != len(self.records):
-            # the records read as floats, b included, cost less than slicing each one
-            links = np.fromiter(itertools.chain(*self.records[count:]), float).reshape(-1, 4)
-            kept, removed, sign = links[:, :3].astype(np.int64).T
-            up, opposite = np.arange(roots.size), np.zeros(roots.size, dtype=bool)
-            up[removed], opposite[removed] = kept, sign == -1
-            while ((hop := up[up]) != up).any():  # each round halves every chain
-                opposite ^= opposite[up]
+            up, flip = np.array(self._parent), np.array(self._parity)
+            while ((hop := up[up]) != up).any():  # each round halves every path
+                flip ^= flip[up]
                 up = hop
-            roots, flip = up[roots], flip ^ opposite[roots]
-            columns = (np.cumsum(roots == np.arange(roots.size)) - 1)[roots]  # the roots below each root
-            self._lift = (len(self.records), roots, flip, columns)
+            columns = (np.cumsum(up == np.arange(up.size)) - 1)[up]  # the roots below each root
+            self._lift = (len(self.records), columns, flip)
         return columns, flip
-
-    @property
-    def cuttable(self) -> WeightedGraph:
-        """The original graph without the edges no lift can cut: those inside
-        one super-vertex with both ends on the same side of it. Each of them
-        adds 0.0 * w = ±0.0 to a cut value, and a sum that starts at +0.0 never
-        is -0.0, so this graph scores every lift bit for bit as the original
-        does. Built once per contraction count; the original itself while
-        nothing drops."""
-        count, graph = self._cuttable
-        if count != len(self.records):
-            g, (columns, flip) = self.original, self.lift_map
-            keep = (columns[g.u] != columns[g.v]) | (flip[g.u] != flip[g.v])
-            graph = g if keep.all() else g.edge_subgraph(keep)
-            self._cuttable = (len(self.records), graph)
-        return graph
 
     def reconstruct(self, reduced_assignment: np.ndarray) -> np.ndarray:
         """Lift a reduced-graph assignment, or a (k, reduced_size) matrix of

@@ -435,26 +435,24 @@ def graphs_with_signed_correlations(draw):
     u, v = np.array([p for p, keep in zip(pairs, kept) if keep], dtype=np.int64).reshape(-1, 2).T
     w = [draw(weight) for _ in u]
     corr = draw(st.lists(st.floats(-1, 1), min_size=len(pairs), max_size=len(pairs)))
-    # the constructor keeps a -0.0 weight, which from_edges's sum from 0.0 would not
     return WeightedGraph(n, u, v, w), CorrelationSet(n, pairs, corr)
 
 
 @settings(deadline=None)
 @given(graphs_with_signed_correlations())
-def test_cuttable_graph_scores_every_lift_bit_for_bit(case):
+# merging 0 and 1 on equal sides leaves the -0.0 edge between them uncut by
+# every lift, and on opposite sides cut by every lift
+@example((WeightedGraph(3, [0, 1], [1, 2], [-0.0, 2.5]), CorrelationSet(3, [(0, 1)], [1.0])))
+@example((WeightedGraph(3, [0, 1], [1, 2], [-0.0, 2.5]), CorrelationSet(3, [(0, 1)], [-1.0])))
+def test_lift_map_scores_every_lift_bit_for_bit(case):
     g, corr = case
-    # one state walked down to a single vertex, so the per-count cache is read
-    # after every contraction
+    # one state walked down to a single vertex, so the lift map is read after
+    # every contraction; the edges no lift cuts are skipped, not scored
     for state in _contractions(g, corr, 1):
         size = state.reduced_size
-        lifted = state.reconstruct(np.stack([index_to_assignment(i, size) for i in range(1 << size)]))
-        # exactly the edges no lift cuts are dropped: an edge inside one
-        # super-vertex with its ends on opposite sides is cut by every lift
-        cut_somewhere = np.any(lifted[:, g.u] ^ lifted[:, g.v], axis=0)
-        expected = WeightedGraph(g.vertex_count, g.u[cut_somewhere], g.v[cut_somewhere], g.w[cut_somewhere])
-        assert state.cuttable == expected
-        assert (state.cuttable is g) == bool(cut_somewhere.all())
-        assert cut_value_batch(state.cuttable, lifted).tobytes() == cut_value_batch(g, lifted).tobytes()
+        rows = np.stack([index_to_assignment(i, size) for i in range(1 << size)])
+        lifted = cut_value_batch(g, state.reconstruct(rows))
+        assert cut_value_batch(g, rows, state.lift_map).tobytes() == lifted.tobytes()
 
 
 class DenseShrink:
@@ -516,8 +514,6 @@ def test_adjacency_contraction_matches_dense_reference(case):
         columns, flip = state.lift_map
         assert np.array_equal(columns, np.searchsorted(dense.active(), dense.root))
         assert np.array_equal(flip, dense.flip)
-        cut = (dense.root[g.u] != dense.root[g.v]) | (dense.flip[g.u] != dense.flip[g.v])
-        assert state.cuttable == g.edge_subgraph(cut)
         reduced = dense.reduced()
         assert not (state.offset == 0.0 and np.signbit(state.offset))
         if exact:
@@ -542,8 +538,8 @@ def walks_with_finds(draw):
 @settings(deadline=None)
 @given(walks_with_finds())
 def test_caught_up_lift_map_matches_a_fresh_replay(case):
-    # the walked state's lift map catches up one record per read, between
-    # path-compressing finds; a fresh state catches up on every record at once
+    # the walked state's lift map is read off a forest that path-compressing
+    # finds reshape between reads, a fresh state's off the records' links alone
     g, corr, finds = case
     returned = []
     for state, vertices in zip(_contractions(g, corr, 1), finds):
@@ -560,7 +556,7 @@ def test_caught_up_lift_map_matches_a_fresh_replay(case):
         returned.append((columns, columns.copy(), flip, flip.copy()))
         for v in vertices:
             state.find(v)
-    # arrays once returned are never written by a later catch-up
+    # arrays once returned are never written by a later read
     assert all(np.array_equal(a, b) and np.array_equal(f, h) for a, b, f, h in returned)
 
 
