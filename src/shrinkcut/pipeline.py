@@ -10,6 +10,7 @@ small enough to enumerate.
 
 from __future__ import annotations
 
+import operator
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -160,14 +161,15 @@ def _mean(values: np.ndarray) -> float:
 
 def _check_inputs(modes, subsolvers=(), n_samples: int = 1) -> None:
     """Raise ValueError for the first correlation mode or subsolver the
-    pipeline does not know, or for a sample count below 1."""
+    pipeline does not know, or for a sample count below 1; TypeError for a
+    sample count that is not an integer."""
     for mode in modes:
         if mode not in CORRELATION_MODES:
             raise ValueError(f"correlation mode must be one of {CORRELATION_MODES}, got {mode!r}")
     for subsolver in subsolvers:
         if subsolver not in SUBSOLVERS:
             raise ValueError(f"subsolver must be one of {SUBSOLVERS}, got {subsolver!r}")
-    if n_samples < 1:
+    if operator.index(n_samples) < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
 
 
@@ -211,7 +213,7 @@ def run_pipeline(
     which a PipelineError from it carries.
     """
     _check_inputs((correlation_mode,), (subsolver,), n_samples)
-    n = g.vertex_count
+    n, target_size = g.vertex_count, operator.index(target_size)
     if not 1 <= target_size <= n:
         raise ValueError(f"target size {target_size} outside [1, {n}]")
 
@@ -290,14 +292,14 @@ def sweep_shrink_counts(
     each with its own seed drawn from `seed` in that order. All cells share one
     oracle, which also solves the deleted-0 exact cells; the relaxation is solved
     once per mode, and one pass over each mode's contractions scores every count.
-    Raises ValueError for a count outside [0, n) or past brute_force's cap.
+    Raises TypeError for a count that is not an integer, ValueError for one
+    outside [0, n) or past brute_force's cap.
     The qaoa-sim subsolver needs reduced average degree > 1, so keep deleted
     counts away from n - 1 and n - 2 when using it.
     """
     _check_inputs(correlation_modes, subsolvers, n_samples)
     n = g.vertex_count
-    if deleted_counts is None:
-        deleted_counts = list(range(n))
+    deleted_counts = list(range(n)) if deleted_counts is None else [operator.index(d) for d in deleted_counts]
     for deleted in deleted_counts:
         if not 0 <= deleted < n:
             raise ValueError(f"deleted count {deleted} outside [0, {n})")

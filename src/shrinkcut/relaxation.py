@@ -45,9 +45,7 @@ class LpProblem:
 def lp_solve(problem: LpProblem) -> tuple[np.ndarray, float]:
     """Solve the box LP with the bundled simplex, from the problem's last optimal
     basis; deterministic for a fixed sequence of inputs."""
-    return solve_box_lp(
-        problem.objective, problem.rows, problem.rhs, np.ones(problem.objective.size), tableau=problem.tableau
-    )
+    return solve_box_lp(problem.objective, problem.rows, problem.rhs, tableau=problem.tableau)
 
 
 @dataclass(eq=False)

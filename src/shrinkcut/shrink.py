@@ -257,9 +257,10 @@ def shrink_to_target(g: WeightedGraph, correlations: CorrelationSet, target: int
 def _contractions(g: WeightedGraph, correlations: CorrelationSet, target: int) -> Iterator[ShrinkState]:
     """shrink_to_target's loop: yields its one ShrinkState before the first
     contraction and after each one, so read it before resuming. Raises
-    ValueError for a target outside [1, n] or correlations on other than n
-    vertices; correlations on every pair of n vertices always reach target."""
-    n = g.vertex_count
+    TypeError for a target that is not an integer, ValueError for one outside
+    [1, n] or correlations on other than n vertices; correlations on every
+    pair of n vertices always reach target."""
+    n, target = g.vertex_count, operator.index(target)
     if not 1 <= target <= n:
         raise ValueError(f"target size {target} outside [1, {n}]")
     if correlations.vertex_count != n:

@@ -1,32 +1,33 @@
-"""Dense bounded-variable simplex for box-constrained linear programs.
+"""Dense bounded-variable dual simplex for linear programs on the unit box.
 
-Solves max c.x subject to A x <= b and 0 <= x <= upper. The dictionary-form
+Solves max c.x subject to A x <= b and 0 <= x <= 1. The dictionary-form
 tableau stores only the nonbasic columns; a pivot swaps the entering and
-leaving ids and updates m x (nonbasic count) entries. Nonbasic variables sit
-at either bound and may move to the other bound without a basis change.
+leaving ids and updates m x (nonbasic count) entries. A nonbasic structural
+variable sits at 0 or at 1; a slack has no upper bound.
+
+A solve starts every structural variable nonbasic at the bound its cost
+favours, 1 where c_j > COST_TOL * max|c| and 0 otherwise, with the slack of
+every row basic at b - a.x. The reduced costs are then c itself, so the basis
+is dual feasible, and the bounded dual simplex pivots until every basic
+variable is inside its bounds: that basis is optimal (Koberstein, "The dual
+simplex method", 2005, ch. 4). A box LP cannot be unbounded, and rows with a
+negative right-hand side need no artificial variables.
 
 A solve can start warm: a Tableau keeps the last optimal dictionary, and when
 the same LP comes back with rows appended (a cutting-plane loop), each new row
-enters as a dictionary row a_N - a_B T with its slack basic at b - a.x. A
-bounded-variable dual simplex then pivots until every basic variable is back
-inside its bounds, and the primal simplex finishes from there. A cold solve is
-the same code from an empty tableau: the structural variables nonbasic at
-zero and every row new, so rows with a negative right-hand side are made
-feasible by the dual pass (no artificial variables).
+enters as a dictionary row a_N - a_B T with its slack basic at b - a.x. The
+earlier basis stays dual feasible, so the same dual simplex goes on from it.
 
 The tableau is never refactorized. Before a solve returns, the point is
 checked against the rows and a weak-duality bound from the final basis's row
 prices is checked against its objective, so a drifted tableau raises
 SimplexError instead of returning an infeasible or suboptimal vertex.
 
-Determinism: primal entering variables are picked by Dantzig's rule with ties
-broken by smallest variable id (not column position), and the blocking row by
-minimum ratio, ties by smallest basic id. The dual pass picks the most
-violated row (ties by smallest basic id) and the entering column by minimum
-dual ratio, ties by largest |pivot entry|, then smallest id. Both switch to
-Bland's rule permanently after an iteration threshold as an anti-cycling
-fallback. The same sequence of inputs always yields the same pivots and the
-same basic optimal solution.
+Determinism: each pivot picks the most violated row (ties by smallest basic
+id) and the entering column by minimum dual ratio, ties by largest |pivot
+entry|, then smallest id. After an iteration threshold it switches to Bland's
+rule for good, as an anti-cycling fallback. The same sequence of inputs always
+yields the same pivots and the same basic optimal solution.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ PIVOT_TOL = 1e-9
 # tableau entries below this are rounding noise, far below any usable pivot
 DROP_TOL = 1e-12
 FEAS_TOL = 1e-6
-# relative: a reduced cost counts as improving beyond COST_TOL * max|c|, so the
-# optimum does not depend on the weight scale
+# relative: a cost counts as favouring the upper bound beyond COST_TOL * max|c|,
+# so the optimum does not depend on the weight scale
 COST_TOL = 1e-9
 # relative to max(|objective|, max|c|): how far the dual bound of the final
 # basis may lie above its objective before the basis counts as not optimal
@@ -46,7 +47,7 @@ GAP_TOL = 1e-6
 
 
 class SimplexError(RuntimeError):
-    """Numerical failure: iteration cap, unbounded direction, or drift."""
+    """Numerical failure: iteration cap or drift."""
 
 
 class InfeasibleError(SimplexError):
@@ -59,56 +60,52 @@ class Tableau:
     Variable ids: structural 0..n-1, then the slack of row i is n + i. A fresh
     Tableau() is empty; solve_box_lp fills it on first use and leaves it at
     each solve's optimal basis. pivots counts the basis changes of the last
-    solve (bound flips are not pivots).
+    solve.
     """
 
     def __init__(self) -> None:
         # the problem the dictionary belongs to; rows is None until the first solve
         self.c: np.ndarray | None = None
-        self.upper: np.ndarray | None = None
         self.rows: np.ndarray | None = None
         self.rhs: np.ndarray | None = None
         # the dictionary: basis[i] takes the value beta[i] and moves by -tab[i, q]
-        # per unit step of nonbasic[q]; a nonbasic variable sits at 0, or at its
-        # bound in bounds when at_upper
+        # per unit step of nonbasic[q]; a nonbasic variable sits at 0, or at 1
+        # when at_upper
         self.tab: np.ndarray | None = None
         self.beta: np.ndarray | None = None
         self.basis: np.ndarray | None = None
         self.nonbasic: np.ndarray | None = None
         self.at_upper: np.ndarray | None = None
-        self.bounds: np.ndarray | None = None
         self.pivots = 0
 
-    def _start(self, c: np.ndarray, upper: np.ndarray) -> None:
+    def _start(self, c: np.ndarray) -> None:
         n = c.size
-        self.c, self.upper = c.copy(), upper.copy()
+        self.c = c.copy()
         self.rows, self.rhs = np.zeros((0, n)), np.zeros(0)
         self.tab = np.zeros((0, n))
         self.beta = np.zeros(0)
         self.basis = np.zeros(0, dtype=np.int64)
         self.nonbasic = np.arange(n)
-        self.at_upper = np.zeros(n, dtype=bool)
-        self.bounds = upper.copy()
+        self.at_upper = c > COST_TOL * np.abs(c).max(initial=0.0)
 
     def _point(self) -> np.ndarray:
         """Values of all variables at the current dictionary, unclipped."""
-        x = np.where(self.at_upper, self.bounds, 0.0)
+        x = self.at_upper.astype(float)
         x[self.basis] = self.beta
         return x
 
-    def _append(self, c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray, upper: np.ndarray) -> None:
+    def _append(self, c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray) -> None:
         """Add the rows of a_ub beyond those already held, their slacks basic."""
         if self.rows is None:
-            self._start(c, upper)
+            self._start(c)
         m = self.rows.shape[0]
         if not (
             np.array_equal(c, self.c)
-            and np.array_equal(upper, self.upper)
             and a_ub.shape[0] >= m
             and np.array_equal(a_ub[:m], self.rows)
             and np.array_equal(b_ub[:m], self.rhs)
         ):
-            raise ValueError("a warm tableau needs the same c and upper and the earlier rows as a prefix")
+            raise ValueError("a warm tableau needs the same c and the earlier rows as a prefix")
         new = a_ub[m:]
         n, k = c.size, new.shape[0]
         # row a of the new block: slack = b - a.x = (b - a.x_now) - (a_N - a_B T) dx_N,
@@ -121,7 +118,6 @@ class Tableau:
         self.tab = np.vstack((self.tab, block))
         self.basis = np.concatenate((self.basis, n + m + np.arange(k)))
         self.at_upper = np.concatenate((self.at_upper, np.zeros(k, dtype=bool)))
-        self.bounds = np.concatenate((self.bounds, np.full(k, np.inf)))
         # copies: the caller may change its arrays in place before the next solve
         self.rows, self.rhs = a_ub.copy(), b_ub.copy()
 
@@ -130,16 +126,15 @@ def solve_box_lp(
     c: np.ndarray,
     a_ub: np.ndarray,
     b_ub: np.ndarray,
-    upper: np.ndarray,
     max_iterations: int | None = None,
     tableau: Tableau | None = None,
 ) -> tuple[np.ndarray, float]:
-    """Maximize c.x s.t. a_ub x <= b_ub, 0 <= x <= upper. Returns (x, value).
+    """Maximize c.x s.t. a_ub x <= b_ub, 0 <= x <= 1. Returns (x, value).
 
-    upper entries may be np.inf. With a tableau from an earlier solve of the
-    same c and upper whose rows are a prefix of a_ub and b_ub, the solve
-    starts from that solve's basis; the tableau then holds this solve's. A
-    tableau whose problem differs otherwise raises ValueError. Raises
+    With a tableau from an earlier solve of the same c whose rows are a prefix
+    of a_ub and b_ub, the solve starts from that solve's basis; the tableau
+    then holds this solve's. A tableau whose problem differs otherwise, or a
+    non-finite entry in c, a_ub or b_ub, raises ValueError. Raises
     InfeasibleError or SimplexError; never returns a silently wrong answer:
     before returning, the point is checked against the constraints and the
     final basis's row prices must bound the optimum by its objective.
@@ -147,42 +142,27 @@ def solve_box_lp(
     c = np.asarray(c, dtype=float)
     a_ub = np.asarray(a_ub, dtype=float)
     b_ub = np.asarray(b_ub, dtype=float)
-    upper = np.asarray(upper, dtype=float)
     n = c.size
     if a_ub.size == 0:
         a_ub = a_ub.reshape(0, n)
     m = a_ub.shape[0]
-    if a_ub.shape != (m, n) or b_ub.shape != (m,) or upper.shape != (n,):
+    if a_ub.shape != (m, n) or b_ub.shape != (m,):
         raise ValueError("inconsistent problem dimensions")
-    if np.any(upper < 0):
-        raise InfeasibleError("negative upper bound")
+    for name, values in (("c", c), ("a_ub", a_ub), ("b_ub", b_ub)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} holds a non-finite entry")
 
     s = Tableau() if tableau is None else tableau
-    s._append(c, a_ub, b_ub, upper)
+    s._append(c, a_ub, b_ub)
     s.pivots = 0
-    budget = _Budget(20000 + 40 * (m + n) if max_iterations is None else max_iterations, max(1000, 10 * (m + n)))
     c_full = np.concatenate((c, np.zeros(m)))
-    _dual_loop(s, c_full, budget)
-    _pivot_loop(s, c_full, budget)
+    _dual_loop(s, c_full, 20000 + 40 * (m + n) if max_iterations is None else max_iterations)
 
-    x = np.clip(s._point()[:n], 0.0, upper)
+    x = np.clip(s._point()[:n], 0.0, 1.0)
     value = float(c @ x)
     _verify(x, a_ub, b_ub)
-    _verify_optimal(s, c_full, a_ub, b_ub, upper, value)
+    _verify_optimal(s, c_full, a_ub, b_ub, value)
     return x, value
-
-
-class _Budget:
-    """Iteration count and limits of one solve, shared by its dual and primal passes."""
-
-    def __init__(self, cap: int, bland_after: int) -> None:
-        self.cap, self.bland_after, self.used = cap, bland_after, 0
-
-    def use_bland(self) -> bool:
-        """Raise past the iteration cap; True once Bland's rule applies."""
-        if self.used > self.cap:
-            raise SimplexError(f"iteration cap {self.cap} exceeded")
-        return self.used > self.bland_after
 
 
 def _pivot(s: Tableau, d: np.ndarray, row: int, q: int, leave_to_upper: bool) -> None:
@@ -212,28 +192,36 @@ def _pivot(s: Tableau, d: np.ndarray, row: int, q: int, leave_to_upper: bool) ->
     s.basis[row] = j
     s.nonbasic[q] = leaving
     s.at_upper[j] = False
-    s.at_upper[leaving] = leave_to_upper and np.isfinite(s.bounds[leaving])
+    s.at_upper[leaving] = leave_to_upper
     s.pivots += 1
 
 
-def _dual_loop(s: Tableau, c: np.ndarray, budget: _Budget) -> None:
+def _dual_loop(s: Tableau, c: np.ndarray, max_iterations: int) -> None:
     """Pivot until every basic variable is inside its bounds (dual simplex).
 
-    A reduced cost on the wrong side of zero for its nonbasic bound counts as
-    zero, which keeps the basis dual feasible for a nearby objective; after a
-    warm start there are none beyond rounding, and the primal pass that
-    follows restores the true costs either way.
+    Raises SimplexError when that takes more than max_iterations pivots, and
+    picks by Bland's rule after max(1000, 10 * ids) of them. A reduced cost on
+    the wrong side of zero for its nonbasic bound counts as zero, which keeps
+    the basis dual feasible for a nearby objective: those are costs within
+    COST_TOL of zero at the start and rounding after a warm start, and
+    _verify_optimal bounds what they can lose.
     """
+    n = s.c.size
+    bland_after = max(1000, 10 * c.size)
     d = c[s.nonbasic] - c[s.basis] @ s.tab
     d = np.where(s.at_upper[s.nonbasic], np.maximum(d, 0.0), np.minimum(d, 0.0))
+    used = 0
     while True:
-        use_bland = budget.use_bland()
-        ub = s.bounds[s.basis]
+        # only a structural variable has an upper bound
+        ub = np.where(s.basis < n, 1.0, np.inf)
         infeas = np.maximum(-s.beta, s.beta - ub)
         rows = np.flatnonzero(infeas > PIVOT_TOL)
         if rows.size == 0:
             return
-        budget.used += 1
+        if used == max_iterations:
+            raise SimplexError(f"iteration cap {max_iterations} exceeded")
+        use_bland = used > bland_after
+        used += 1
         if not use_bland:
             rows = rows[infeas[rows] == infeas[rows].max()]
         r = int(rows[np.argmin(s.basis[rows])])
@@ -244,7 +232,7 @@ def _dual_loop(s: Tableau, c: np.ndarray, budget: _Budget) -> None:
         alpha = s.tab[r]
         at_up = s.at_upper[s.nonbasic]
         push = np.where(at_up, alpha, -alpha) * (-1.0 if to_upper else 1.0)
-        eligible = np.flatnonzero((push > PIVOT_TOL) & (s.bounds[s.nonbasic] > 0))
+        eligible = np.flatnonzero(push > PIVOT_TOL)
         if eligible.size == 0:
             raise InfeasibleError(f"a row cannot be satisfied: its basic variable is off its bound by {infeas[r]:.3g}")
         ratios = np.abs(d[eligible]) / np.abs(alpha[eligible])
@@ -254,77 +242,10 @@ def _dual_loop(s: Tableau, c: np.ndarray, budget: _Budget) -> None:
             tied = tied[mag == mag.max()]
         q = int(tied[np.argmin(s.nonbasic[tied])])
 
-        j = s.nonbasic[q]
         step = (s.beta[r] - (ub[r] if to_upper else 0.0)) / alpha[q]
         s.beta -= step * s.tab[:, q]
-        s.beta[r] = (s.bounds[j] if s.at_upper[j] else 0.0) + step
+        s.beta[r] = (1.0 if s.at_upper[s.nonbasic[q]] else 0.0) + step
         _pivot(s, d, r, q, to_upper)
-
-
-def _pivot_loop(s: Tableau, c: np.ndarray, budget: _Budget) -> None:
-    """Primal simplex from a basis whose basic variables are inside their bounds."""
-    # Reduced costs of the nonbasic columns, from scratch for the given
-    # objective; pivots keep them updated incrementally afterwards.
-    d = c[s.nonbasic] - c[s.basis] @ s.tab
-    cost_tol = COST_TOL * np.abs(c).max(initial=0.0)
-    while True:
-        q = _entering(s, d, budget.use_bland(), cost_tol)
-        if q < 0:
-            return
-        budget.used += 1
-        j = s.nonbasic[q]
-        direction = -1.0 if s.at_upper[j] else 1.0
-        move = direction * s.tab[:, q]
-
-        t_best = s.bounds[j] if np.isfinite(s.bounds[j]) else np.inf
-        row = -1
-        leave_to_upper = False
-        dec = move > PIVOT_TOL
-        if np.any(dec):
-            ratios = np.maximum(s.beta[dec], 0.0) / move[dec]
-            k = _best_row(np.flatnonzero(dec), ratios, s.basis)
-            if ratios[k[1]] < t_best:
-                t_best, row, leave_to_upper = ratios[k[1]], k[0], False
-        ub_basis = s.bounds[s.basis]
-        inc = (move < -PIVOT_TOL) & np.isfinite(ub_basis)
-        if np.any(inc):
-            ratios = np.maximum(ub_basis[inc] - s.beta[inc], 0.0) / (-move[inc])
-            k = _best_row(np.flatnonzero(inc), ratios, s.basis)
-            if ratios[k[1]] < t_best:
-                t_best, row, leave_to_upper = ratios[k[1]], k[0], True
-
-        if not np.isfinite(t_best):
-            raise SimplexError("unbounded improving direction")
-
-        if row < 0:
-            # The entering variable travels to its other bound; basis unchanged.
-            s.beta -= t_best * move
-            s.at_upper[j] = not s.at_upper[j]
-            continue
-
-        enter_val = (s.bounds[j] if s.at_upper[j] else 0.0) + direction * t_best
-        s.beta -= t_best * move
-        s.beta[row] = enter_val
-        _pivot(s, d, row, q, leave_to_upper)
-
-
-def _entering(s: Tableau, d: np.ndarray, use_bland: bool, cost_tol: float) -> int:
-    """Position in nonbasic of the entering column, or -1 at optimality."""
-    eligible = np.flatnonzero(np.where(s.at_upper[s.nonbasic], d < -cost_tol, d > cost_tol))
-    if eligible.size == 0:
-        return -1
-    if not use_bland:
-        mag = np.abs(d[eligible])
-        eligible = eligible[mag == mag.max()]
-    return int(eligible[np.argmin(s.nonbasic[eligible])])
-
-
-def _best_row(rows: np.ndarray, ratios: np.ndarray, basis: np.ndarray) -> tuple[int, int]:
-    """Pick the blocking row: minimum ratio, ties broken by smallest basis id."""
-    t = ratios.min()
-    tied = np.flatnonzero(ratios == t)
-    k = tied[np.argmin(basis[rows[tied]])]
-    return int(rows[k]), int(k)
 
 
 def _verify(x: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray) -> None:
@@ -333,27 +254,22 @@ def _verify(x: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray) -> None:
         raise SimplexError(f"solution drifted infeasible by {worst:.3g}")
 
 
-def _verify_optimal(
-    s: Tableau, c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray, upper: np.ndarray, value: float
-) -> None:
+def _verify_optimal(s: Tableau, c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray, value: float) -> None:
     """Raise if the row prices of the final basis prove a better objective possible.
 
     _verify catches a drifted tableau that leaves the point infeasible; this
     catches one whose reduced costs wrongly report optimality. The price of
     row i is minus the reduced cost of its slack when that is nonbasic, and 0
     when it is basic. For any prices y >= 0, weak duality bounds the optimum
-    by b.y + sum_j upper_j max(0, c_j - (A^T y)_j), whatever rounding did to
-    the tableau; at an optimal basis the bound equals the objective. An
-    excess within tol on a variable without an upper bound counts as rounding.
+    by b.y + sum_j max(0, c_j - (A^T y)_j), whatever rounding did to the
+    tableau; at an optimal basis the bound equals the objective.
     """
-    n = upper.size
+    n = a_ub.shape[1]
     tol = GAP_TOL * max(abs(value), np.abs(c).max(initial=0.0))
     d = c[s.nonbasic] - c[s.basis] @ s.tab
     y = np.zeros(b_ub.size)
     slack = s.nonbasic >= n
     y[s.nonbasic[slack] - n] = np.maximum(-d[slack], 0.0)
-    excess = np.maximum(c[:n] - a_ub.T @ y, 0.0)
-    finite = np.isfinite(upper)
-    bound = np.inf if np.any(excess[~finite] > tol) else b_ub @ y + upper[finite] @ excess[finite]
+    bound = b_ub @ y + np.maximum(c[:n] - a_ub.T @ y, 0.0).sum()
     if bound - value > tol:
         raise SimplexError(f"final basis not optimal: its dual bound exceeds the objective by {bound - value:.3g}")

@@ -346,6 +346,27 @@ def test_unknown_correlation_mode_is_rejected_before_any_work(monkeypatch):
         shrinkcut.pipeline.correlations_for_mode(g, "bogus")
 
 
+def test_non_integer_sizes_are_rejected_before_any_work():
+    # each used to run on: a 1.5 target shrank to one vertex, a 2.5 target
+    # was reported beside a reduced size of 1, a 1.5 deleted count gave no
+    # cells, and 2.5 samples failed only inside the solve stage
+    g = grid_instance(2, 3, 7)
+    not_an_integer = "'float' object cannot be interpreted as an integer"
+    with pytest.raises(TypeError, match=not_an_integer):
+        shrink_to_target(g, zero_correlations(6), 1.5)
+    with pytest.raises(TypeError, match=not_an_integer):
+        run_pipeline(g, 2.5, "coin", "zero")
+    with pytest.raises(TypeError, match=not_an_integer):
+        sweep_shrink_counts(g, [1.5], correlation_modes=("zero",))
+    with pytest.raises(TypeError, match=not_an_integer):
+        run_pipeline(g, 3, "coin", "zero", n_samples=2.5)
+    with pytest.raises(TypeError, match=not_an_integer):
+        sweep_shrink_counts(g, [1], correlation_modes=("zero",), n_samples=2.5)
+    # integer types other than int still work
+    assert shrink_to_target(g, zero_correlations(6), np.int64(2)).reduced_size == 2
+    assert run_pipeline(g, np.int64(3), "coin", "zero", n_samples=np.int64(5)).target_size == 3
+
+
 def test_sweep_matches_per_count_shrinks_in_the_callers_order():
     g = random_weighted_graph(7, 0.7, np.random.default_rng(5))
     counts = [5, 0, 5, 3]  # unsorted, with a repeat
