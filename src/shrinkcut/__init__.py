@@ -51,12 +51,12 @@ from .relaxation import (
     solve_cycle_relaxation,
 )
 from .shrink import (
-    CorrelationSet,
     ShrinkRecord,
     ShrinkState,
     correlation_sign,
     correlations_from_relaxation,
     format_trace,
+    ordered_pairs,
     shrink_to_target,
     zero_correlations,
 )

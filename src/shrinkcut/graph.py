@@ -137,12 +137,26 @@ class QuboProblem:
 
     @classmethod
     def from_entries(cls, n: int, entries: Iterable[tuple[int, int, float]]) -> "QuboProblem":
+        """Sum the entries (i, j, q) per pair in input order. Raises TypeError for a
+        non-integer index, ValueError for one outside [0, n), a non-finite q or a
+        Σ|q| past CUT_WEIGHT_LIMIT (so nothing built from it overflows), naming the entry."""
         merged: dict[tuple[int, int], float] = {}
-        for i, j, q in entries:
+        total = 0.0
+        for entry in entries:
+            i, j, q = entry
+            try:
+                i, j = operator.index(i), operator.index(j)
+            except TypeError:
+                raise TypeError(f"entry {entry} needs integer indices") from None
             if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"index out of range in entry ({i}, {j})")
+                raise ValueError(f"index out of range in entry {entry}")
+            total += abs(q := float(q))
+            if not math.isfinite(q):
+                raise ValueError(f"entry {entry} has a non-finite coefficient")
+            if not total <= CUT_WEIGHT_LIMIT:
+                raise ValueError(f"total absolute coefficient {total!r} at entry {entry} exceeds {CUT_WEIGHT_LIMIT:.6g}")
             key = (i, j) if i <= j else (j, i)
-            merged[key] = merged.get(key, 0.0) + float(q)
+            merged[key] = merged.get(key, 0.0) + q
         return cls(n, tuple(sorted(merged.items())))
 
     def objective(self, x: np.ndarray) -> float:

@@ -27,9 +27,7 @@ from .graph import (
 )
 from .qaoa import STATEVECTOR_CAP, QaoaParams, average_degree, estimate_parameters, qaoa_state, sample_cuts
 from .relaxation import solve_cycle_relaxation
-from .shrink import (
-    CorrelationSet, ShrinkState, _contractions, correlations_from_relaxation, shrink_to_target, zero_correlations
-)
+from .shrink import ShrinkState, _contractions, correlations_from_relaxation, shrink_to_target, zero_correlations
 
 SUBSOLVERS = ("exact", "qaoa-sim", "coin")
 CORRELATION_MODES = ("relaxation", "zero")
@@ -123,7 +121,7 @@ def _solve_reduced(
     raise ValueError(f"unknown subsolver {subsolver!r}")
 
 
-def _low_degree_message(g: WeightedGraph, correlations: CorrelationSet, reduced: WeightedGraph) -> str:
+def _low_degree_message(g: WeightedGraph, correlations: WeightedGraph, reduced: WeightedGraph) -> str:
     """Why qaoa-sim cannot run on reduced, with the smallest larger target,
     shrunk with the same correlations, whose reduction it can run on."""
     size = reduced.vertex_count
@@ -185,7 +183,7 @@ def _stage(name: str, timings: dict[str, float]):
     timings[name] = time.perf_counter() - tic
 
 
-def correlations_for_mode(g: WeightedGraph, mode: str) -> tuple[CorrelationSet, float | None]:
+def correlations_for_mode(g: WeightedGraph, mode: str) -> tuple[WeightedGraph, float | None]:
     """The correlations a shrink in correlation mode `mode` follows, and the
     relaxation's objective, an upper bound on the maximum cut (None in zero
     mode). Raises ValueError for a mode outside CORRELATION_MODES."""

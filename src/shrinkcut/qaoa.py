@@ -71,17 +71,17 @@ def _probabilities(amp: np.ndarray) -> np.ndarray:
 def qaoa_state(g: WeightedGraph, params: QaoaParams) -> QaoaState:
     """Statevector of the depth-1 circuit: phase by cut value, then one X
     rotation of angle 2*beta on every qubit, starting from the uniform state."""
-    return QaoaState(_evolve(_phase(g, params.gamma, -1j), g.vertex_count, params.beta), g.vertex_count)
+    return QaoaState(_evolve(_phase(g, params.gamma), g.vertex_count, params.beta), g.vertex_count)
 
 
-def _phase(g: WeightedGraph, gamma: float, unit: complex = 1.0) -> np.ndarray:
-    """2^(-n/2) exp(-i gamma C(x)) for every x whose top qubit is 0, built by
+def _phase(g: WeightedGraph, gamma: float) -> np.ndarray:
+    """2^(-n/2) exp(-i gamma C(x)) (-i)^popcount(x), the phased state in
+    _evolve's frame, for every x whose top qubit is 0, built by
     graph._double_by_vertex with np.multiply, the per-vertex doubling that
     graph._cut_block runs with np.add: where it adds cut gains, this multiplies
     unit phases. The factor for setting bit k starts at
-    unit * exp(-i gamma sum_j w[k, j]) and doubles by exp(2i gamma w[k, j]) per
-    lower bit j. So entry x carries unit^popcount(x): unit = -1j gives the
-    phase in _evolve's frame. Trigonometry runs on the O(n^2) weights only."""
+    -i exp(-i gamma sum_j w[k, j]) and doubles by exp(2i gamma w[k, j]) per
+    lower bit j. Trigonometry runs on the O(n^2) weights only."""
     n = g.vertex_count
     if n > STATEVECTOR_CAP:
         raise ValueError(f"{n} qubits exceeds the statevector cap of {STATEVECTOR_CAP}")
@@ -92,13 +92,13 @@ def _phase(g: WeightedGraph, gamma: float, unit: complex = 1.0) -> np.ndarray:
     out = np.empty(1 << max(n - 1, 0), dtype=complex)
     out[0] = 2.0 ** (-n / 2.0)
     step = np.exp(2j * gamma * g.weight_matrix)
-    start = unit * np.exp(-1j * gamma * g.weight_matrix.sum(axis=1))
+    start = -1j * np.exp(-1j * gamma * g.weight_matrix.sum(axis=1))
     return _double_by_vertex(out, start, step, np.multiply)
 
 
 def _evolve(y: np.ndarray, n: int, beta: float) -> np.ndarray:
     """The X mixer on y, the phased half with the top qubit 0 in the mixer's
-    frame, _phase(g, gamma, -1j) (overwritten in place); returns the half in
+    frame, _phase(g, gamma) (overwritten in place); returns the half in
     the true frame.
 
     The uniform start state, the phase by cut value and the X mixer all
@@ -165,7 +165,7 @@ def _expectation(phase: np.ndarray, spectrum: np.ndarray, n: int, beta: float) -
 
 def expectation_statevector(g: WeightedGraph, params: QaoaParams) -> float:
     """Exact expected cut value, sum_x |amp(x)|^2 C(x), with C from graph._spectrum."""
-    phase = _phase(g, params.gamma, -1j)  # checks the qubit cap before the spectrum is built
+    phase = _phase(g, params.gamma)  # checks the qubit cap before the spectrum is built
     return _expectation(phase, _spectrum(g), g.vertex_count, params.beta)
 
 
@@ -320,7 +320,7 @@ def grid_search(g: WeightedGraph, step: float, evaluator: str = "analytic") -> L
     elif evaluator == "statevector":
         values = np.empty((points.size, points.size))
         for i, gamma in enumerate(points):
-            phase = _phase(g, gamma, -1j)
+            phase = _phase(g, gamma)
             if not i:  # once, after _phase has checked the qubit cap
                 spectrum = _spectrum(g)
             for j, beta in enumerate(points):

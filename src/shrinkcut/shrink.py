@@ -22,7 +22,7 @@ import numpy as np
 from .graph import WeightedGraph
 from .relaxation import FractionalSolution
 
-# Pairs CorrelationSet.ordered_pairs turns into Python tuples at a time.
+# Nonzero correlations ordered_pairs turns into Python tuples at a time.
 ORDER_CHUNK = 512
 
 
@@ -31,77 +31,36 @@ def correlation_sign(b: float) -> int:
     return -1 if b < 0 else 1
 
 
-class CorrelationSet:
-    """Pairwise tendencies in [-1, 1] on every pair u < v < vertex_count: +1
-    same side, -1 opposite sides.
-
-    Built from the sorted, unique pairs u < v that are given a value, as a
-    (k, 2) array or sequence of pairs and k values; every other pair reads 0
-    without being stored. pairs and values keep the given pairs that are
-    nonzero, as read-only arrays.
-    """
-
-    def __init__(self, vertex_count: int, pairs=(), values=()):
-        try:
-            n = operator.index(vertex_count)
-        except TypeError:
-            n = -1
-        if n < 0:
-            raise ValueError(f"vertex_count must be a non-negative integer, got {vertex_count!r}")
-        ends = np.array(pairs).reshape(-1, 2)
-        with np.errstate(invalid="ignore"):  # a nan or inf id fails the comparison below
-            self.pairs = ends.astype(np.int64)
-        self.values = np.array(values, dtype=float)
-        if self.values.shape != (len(self.pairs),):
-            raise ValueError(f"{len(self.pairs)} pairs but {self.values.size} values")
-        # an id such as 1.5 is rejected, not truncated by the cast
-        bad = np.flatnonzero(self.pairs != ends) // 2
-        if bad.size:
-            raise ValueError(f"pair ({ends[bad[0], 0]}, {ends[bad[0], 1]}) needs integer ids")
-        u, v = self.pairs.T
-        magnitude = np.abs(self.values)
-        bad = np.flatnonzero((u >= v) | ~(magnitude <= 1.0 + 1e-9))
-        if bad.size:
-            (bu, bv), b = self.pairs[bad[0]].tolist(), self.values[bad[0]].item()
-            if bu >= bv:
-                raise ValueError(f"pair ({bu}, {bv}) must be ordered u < v")
-            raise ValueError(f"correlation {b} for ({bu}, {bv}) outside [-1, 1]")
-        # only the nonzero pairs are kept, with their index u * n + v
-        index = u * n + v
-        if np.any((u < 0) | (v >= n)) or np.any(index[1:] <= index[:-1]):
-            raise ValueError(f"pairs must be sorted, unique and in [0, {n})")
-        nonzero = magnitude > 0
-        self.vertex_count = n
-        self.pairs, self.values, self._index = self.pairs[nonzero], self.values[nonzero], index[nonzero]
-        self.pairs.flags.writeable = self.values.flags.writeable = False
-        self._order = np.lexsort((v[nonzero], u[nonzero], -magnitude[nonzero]))
-
-    def ordered_pairs(self) -> Iterator[tuple[tuple[int, int], float]]:
-        """Every pair u < v once, by decreasing |correlation|, ties in
-        lexicographic pair order, yielded lazily: a shrink reads a few hundred
-        of n(n-1)/2 pairs, so the stored ones become tuples ORDER_CHUNK at a
-        time, and then the pairs that read 0, one row u at a time."""
-        for start in range(0, self._order.size, ORDER_CHUNK):
-            chunk = self._order[start : start + ORDER_CHUNK]
-            u, v = self.pairs[chunk].T
-            yield from zip(zip(u.tolist(), v.tolist()), self.values[chunk].tolist())
-        n = self.vertex_count
-        for u in range(n - 1):
-            lo, hi = np.searchsorted(self._index, (u * n + u + 1, u * n + n))
-            row = np.delete(np.arange(u + 1, n), self._index[lo:hi] - (u * n + u + 1))
-            yield from zip(zip(itertools.repeat(u), row.tolist()), itertools.repeat(0.0))
-
-
-def correlations_from_relaxation(sol: FractionalSolution) -> CorrelationSet:
-    """b_uv = 1 - 2 x_uv on every edge of the relaxed graph and 0 on every other
-    pair, so shrinking can always go on to a single vertex."""
+def correlations_from_relaxation(sol: FractionalSolution) -> WeightedGraph:
+    """The relaxed graph weighted by b_uv = 1 - 2 x_uv; every other pair reads 0,
+    so shrinking can always go on to a single vertex."""
     g = sol.graph
-    return CorrelationSet(g.vertex_count, np.column_stack((g.u, g.v)), 1.0 - 2.0 * np.clip(sol.x, 0.0, 1.0))
+    return WeightedGraph(g.vertex_count, g.u, g.v, 1.0 - 2.0 * np.clip(sol.x, 0.0, 1.0))
 
 
-def zero_correlations(n: int) -> CorrelationSet:
-    """All-zero correlations: contracts lexicographic pairs with sign +1."""
-    return CorrelationSet(n)
+def zero_correlations(n: int) -> WeightedGraph:
+    """All-zero correlations, the edgeless graph: contracts lexicographic pairs with sign +1."""
+    return WeightedGraph(n, [], [], [])
+
+
+def ordered_pairs(correlations: WeightedGraph) -> Iterator[tuple[tuple[int, int], float]]:
+    """Every pair u < v once with its correlation b, an edge's weight or 0, by
+    decreasing |b|, ties in pair order, lazily: a shrink reads a few hundred of
+    n(n-1)/2 pairs, so the nonzero edges become tuples ORDER_CHUNK at a time,
+    and then the pairs that read 0, one row u at a time."""
+    u, v, b = correlations.u, correlations.v, correlations.w
+    magnitude = np.abs(b)
+    nonzero = np.flatnonzero(magnitude)
+    order = nonzero[np.argsort(-magnitude[nonzero], kind="stable")]
+    for start in range(0, order.size, ORDER_CHUNK):
+        chunk = order[start : start + ORDER_CHUNK]
+        yield from zip(zip(u[chunk].tolist(), v[chunk].tolist()), b[chunk].tolist())
+    n = correlations.vertex_count
+    index = u[nonzero] * n + v[nonzero]  # sorted, as the edges are
+    for row in range(n - 1):
+        lo, hi = np.searchsorted(index, (row * n + row + 1, row * n + n))
+        rest = np.delete(np.arange(row + 1, n), index[lo:hi] - (row * n + row + 1))
+        yield from zip(zip(itertools.repeat(row), rest.tolist()), itertools.repeat(0.0))
 
 
 class ShrinkRecord(NamedTuple):
@@ -242,7 +201,7 @@ class ShrinkState:
         return a[..., columns] ^ flip
 
 
-def shrink_to_target(g: WeightedGraph, correlations: CorrelationSet, target: int) -> ShrinkState:
+def shrink_to_target(g: WeightedGraph, correlations: WeightedGraph, target: int) -> ShrinkState:
     """Contract pairs in decreasing |correlation| until target vertices remain.
 
     Pairs whose endpoints already share a super-vertex are skipped, so only a
@@ -254,20 +213,23 @@ def shrink_to_target(g: WeightedGraph, correlations: CorrelationSet, target: int
     return state
 
 
-def _contractions(g: WeightedGraph, correlations: CorrelationSet, target: int) -> Iterator[ShrinkState]:
+def _contractions(g: WeightedGraph, correlations: WeightedGraph, target: int) -> Iterator[ShrinkState]:
     """shrink_to_target's loop: yields its one ShrinkState before the first
     contraction and after each one, so read it before resuming. Raises
     TypeError for a target that is not an integer, ValueError for one outside
-    [1, n] or correlations on other than n vertices; correlations on every
-    pair of n vertices always reach target."""
+    [1, n], correlations on other than n vertices or one outside [-1, 1];
+    correlations cover every pair, so they always reach target."""
     n, target = g.vertex_count, operator.index(target)
     if not 1 <= target <= n:
         raise ValueError(f"target size {target} outside [1, {n}]")
     if correlations.vertex_count != n:
         raise ValueError(f"correlations on {correlations.vertex_count} vertices for a graph on {n}")
+    if (bad := np.flatnonzero(np.abs(correlations.w) > 1.0 + 1e-9)).size:
+        u, v, b = correlations.edges[bad[0]]
+        raise ValueError(f"correlation {b} for ({u}, {v}) outside [-1, 1]")
     state = ShrinkState(g)
     yield state
-    for (u, v), b in correlations.ordered_pairs():
+    for (u, v), b in ordered_pairs(correlations):
         if state.reduced_size == target:
             return
         root_u, sign_u = state.find(u)

@@ -10,8 +10,8 @@ import time
 import numpy as np
 
 from shrinkcut import (
-    CorrelationSet,
     QaoaParams,
+    WeightedGraph,
     brute_force,
     cut_value_batch,
     dense_closure,
@@ -169,9 +169,7 @@ def test_criterion_6_shrink_conservation_exact():
     for trial in range(50):
         n = int(rng.integers(2, 11))
         g = random_weighted_graph(n, 0.5, rng, "sign" if trial % 2 else "normal")
-        corr = CorrelationSet(
-            n, [(u, v) for u in range(n) for v in range(u + 1, n)], [rng.uniform(-1, 1) for _ in range(n * (n - 1) // 2)]
-        )
+        corr = WeightedGraph(n, *np.triu_indices(n, 1), [rng.uniform(-1, 1) for _ in range(n * (n - 1) // 2)])
         for k in range(1, n + 1):
             state = shrink_to_target(g, corr, k)
             reduced = state.reduced

@@ -424,6 +424,32 @@ def test_qubo_single_variable():
     assert cut_value(g, [False, True]) - cut_value(g, [False, False]) == pytest.approx(1.0)
 
 
+def test_qubo_rejects_bad_entries():
+    # each was accepted: nan made the objective nan, 0.5 made it raise numpy's
+    # IndexError, and 1e308 twice made it overflow to inf
+    cases = [
+        ([(0, 1, float("nan"))], ValueError, "entry (0, 1, nan) has a non-finite coefficient"),
+        ([(0, 1, float("inf"))], ValueError, "entry (0, 1, inf) has a non-finite coefficient"),
+        ([(0.5, 1, 1.0)], TypeError, "entry (0.5, 1, 1.0) needs integer indices"),
+        ([(0, 1.0, 1.0)], TypeError, "entry (0, 1.0, 1.0) needs integer indices"),
+        ([(0, 2, 1.0)], ValueError, "index out of range in entry (0, 2, 1.0)"),
+        ([(-1, 0, 1.0)], ValueError, "index out of range in entry (-1, 0, 1.0)"),
+        ([(0, 0, 1e308), (0, 1, 1e308)], ValueError,
+         f"total absolute coefficient 1e+308 at entry (0, 0, 1e+308) exceeds {graph.CUT_WEIGHT_LIMIT:.6g}"),
+        ([(0, 0, 3e307), (1, 1, -3e307)], ValueError,
+         f"total absolute coefficient 6e+307 at entry (1, 1, -3e+307) exceeds {graph.CUT_WEIGHT_LIMIT:.6g}"),
+    ]
+    for entries, error, message in cases:
+        with pytest.raises(error) as err:
+            QuboProblem.from_entries(2, entries)
+        assert str(err.value) == message
+    # numpy integer indices are indices, and a total at the limit is kept
+    half = graph.CUT_WEIGHT_LIMIT / 2
+    q = QuboProblem.from_entries(2, [(np.int64(1), np.uint8(0), half), (0, 0, -half)])
+    assert q.coefficients == (((0, 0), -half), ((0, 1), half))
+    assert q.objective(np.array([True, True])) == 0.0
+
+
 def test_qubo_equivalence_exhaustive():
     rng = np.random.default_rng(4)
     for _ in range(8):
@@ -514,6 +540,9 @@ def test_from_edges_validation():
     assert WeightedGraph.from_edges(3, [(2.0, 0, 1.0)]).edges == ((0, 2, 1.0),)
     numpy_ids = WeightedGraph.from_edges(np.int64(3), [(np.int32(2), np.int64(0), 1.0), (np.uint8(1), 2, 2.0)])
     assert numpy_ids.edges == ((0, 2, 1.0), (1, 2, 2.0))
+    for u, v in ([np.int64(0)], [np.int32(2)]), (np.array([0], dtype=np.uint8), np.array([2], dtype=np.uint8)), ([0.0], [2.0]):
+        g = WeightedGraph(4, u, v, [0.5])
+        assert g.u.dtype == g.v.dtype == np.int64 and g.edges == ((0, 2, 0.5),)
 
 
 @pytest.mark.parametrize(
@@ -528,6 +557,9 @@ def test_from_edges_validation():
         ([0, 1], [1, 2], [1.0], "one length"),
         ([[0]], [[1]], [[1.0]], "one length"),
         ([0, 1], [1], [1.0, 1.0], None),  # numpy rejects the ragged pair of id lists
+        ([0.0], [2.7], [1.0], "needs integer ids u < v"),
+        ([0], [float("nan")], [1.0], "needs integer ids u < v"),
+        ([0], [float("inf")], [1.0], "needs integer ids u < v"),
     ],
 )
 def test_constructor_rejects_non_canonical_arrays(u, v, w, message):

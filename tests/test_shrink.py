@@ -1,5 +1,4 @@
 import itertools
-import re
 
 import numpy as np
 import pytest
@@ -7,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shrinkcut import (
-    CorrelationSet,
     WeightedGraph,
     brute_force,
     correlation_sign,
@@ -16,6 +14,7 @@ from shrinkcut import (
     cut_value_batch,
     dense_closure,
     format_trace,
+    ordered_pairs,
     shrink_to_target,
     solve_cycle_relaxation,
     zero_correlations,
@@ -27,9 +26,14 @@ from shrinkcut.shrink import ShrinkState, _contractions
 
 
 def correlation_set(n, stored):
-    """The CorrelationSet on n vertices that reads stored[pair] on each pair in stored."""
-    pairs = sorted(stored)
-    return CorrelationSet(n, pairs, [stored[p] for p in pairs])
+    """The correlations on n vertices that read stored[pair] on each pair in stored."""
+    return WeightedGraph.from_edges(n, [(u, v, b) for (u, v), b in stored.items()])
+
+
+def every_pair(n, values):
+    """The correlations on n vertices that read values[i] on the i-th pair u < v
+    in lexicographic order."""
+    return WeightedGraph(n, *np.triu_indices(n, 1), values)
 
 
 def random_correlations(n, rng):
@@ -54,7 +58,7 @@ def test_correlation_sign():
 def test_correlations_from_relaxation_endpoints():
     g = dense_closure(WeightedGraph.from_edges(2, [(0, 1, 1.0)]))
     sol = solve_cycle_relaxation(g)
-    corr = dict(correlations_from_relaxation(sol).ordered_pairs())
+    corr = dict(ordered_pairs(correlations_from_relaxation(sol)))
     # x_01 = 1 at the optimum, so the correlation is -1 (opposite sides)
     assert corr[(0, 1)] == pytest.approx(-1.0)
 
@@ -65,13 +69,23 @@ def test_correlations_from_relaxation_cover_every_pair():
     g = WeightedGraph.from_edges(4, [(0, 1, 1.0), (1, 2, -1.0)])
     sol = solve_cycle_relaxation(g)
     corr = correlations_from_relaxation(sol)
-    read = dict(corr.ordered_pairs())
+    read = dict(ordered_pairs(corr))
     assert sorted(read) == list(itertools.combinations(range(4), 2))
     expected = {(0, 1): 1.0 - 2.0 * sol.x[0], (1, 2): 1.0 - 2.0 * sol.x[1]}
     assert read == {pair: expected.get(pair, 0.0) for pair in read}
     assert expected == {(0, 1): -1.0, (1, 2): 1.0}
     state = shrink_to_target(g, corr, 1)
     assert state.offset == 1.0
+
+
+def test_correlations_from_relaxation_are_the_relaxed_graph():
+    # unit K5: the relaxation's optimum puts x = 2/3 on every edge
+    g = WeightedGraph.from_edges(5, [(u, v, 1.0) for u, v in itertools.combinations(range(5), 2)])
+    sol = solve_cycle_relaxation(g)
+    corr = correlations_from_relaxation(sol)
+    expected = WeightedGraph(g.vertex_count, g.u, g.v, 1.0 - 2.0 * sol.x)
+    assert corr == expected and corr.w.tobytes() == expected.w.tobytes()
+    assert np.allclose(corr.w, -1.0 / 3.0)
 
 
 def test_find_composes_signs():
@@ -180,8 +194,9 @@ def test_skipped_pairs_change_nothing():
 
 
 def test_shrink_exhaustion_error():
-    # a set covers every pair of its vertices, so one pair given still shrinks
-    # to a single vertex; a set on another vertex count is rejected instead
+    # correlations cover every pair of their vertices, so one pair given still
+    # shrinks to a single vertex; correlations on another vertex count are
+    # rejected instead
     g = WeightedGraph.from_edges(4, [])
     corr = correlation_set(4, {(0, 1): 1.0})
     assert shrink_to_target(g, corr, 1).reduced_size == 1
@@ -295,7 +310,7 @@ def shrunk_with_samples(draw):
     g = WeightedGraph.from_edges(n, [(u, v, w) for (u, v), w in zip(pairs, weights)])
     corr = draw(st.lists(st.floats(-1, 1), min_size=len(pairs), max_size=len(pairs)))
     target = draw(st.integers(1, n))
-    state = shrink_to_target(g, CorrelationSet(n, pairs, corr), target)
+    state = shrink_to_target(g, every_pair(n, corr), target)
     rows = draw(st.lists(st.lists(st.booleans(), min_size=target, max_size=target), min_size=1, max_size=6))
     return g, state, np.array(rows, dtype=bool).reshape(-1, target)
 
@@ -344,49 +359,45 @@ def test_ordered_pairs_match_stable_sort(case):
     n, stored = case
     corr = correlation_set(n, stored)
     everything = [(p, stored.get(p, 0.0)) for p in itertools.combinations(range(n), 2)]
-    assert list(corr.ordered_pairs()) == sorted(everything, key=lambda kv: (-abs(kv[1]), kv[0]))
+    assert list(ordered_pairs(corr)) == sorted(everything, key=lambda kv: (-abs(kv[1]), kv[0]))
     *_, state = _contractions(WeightedGraph.from_edges(n, []), corr, 1)
     assert state.reduced_size == 1
 
 
-def test_correlation_set_rejects_bad_entries():
-    cases = [
-        ((((0, 1), 0.0), ((2, 2), 0.0)), "pair (2, 2) must be ordered u < v"),
-        ((((1, 0), 2.0),), "pair (1, 0) must be ordered u < v"),
-        ((((0, 1), 0.5), ((1, 2), -1.5)), "correlation -1.5 for (1, 2) outside [-1, 1]"),
-        ((((0, 1), float("nan")),), "correlation nan for (0, 1) outside [-1, 1]"),
-        # an id such as 1.5 is rejected, not truncated to 1
-        ((((0, 1.5), 0.3),), "pair (0.0, 1.5) needs integer ids"),
-        ((((0, 1), 0.3), ((float("nan"), 2), 0.3)), "pair (nan, 2.0) needs integer ids"),
-        ((((0, float("inf")), 0.3),), "pair (0.0, inf) needs integer ids"),
-    ]
-    for entries, message in cases:
+def test_shrink_rejects_a_correlation_outside_the_unit_interval(monkeypatch):
+    # the graph constructor rejects every other bad correlation, each case in
+    # tests/test_graph.py: pairs not ordered u < v or outside [0, n) and ids
+    # that are not integers (test_constructor_rejects_non_canonical_arrays,
+    # test_from_edges_validation), unsorted or repeated pairs
+    # (test_constructor_rejects_non_canonical_arrays), a nan or infinite value
+    # (test_from_edges_validation) and a vertex count that is not a
+    # non-negative integer (test_vertex_count_must_be_an_integer,
+    # test_from_edges_validation)
+    contracted = []
+    monkeypatch.setattr(ShrinkState, "contract", lambda self, *args: contracted.append(args))
+    g = WeightedGraph.from_edges(4, [(0, 1, 1.0), (2, 3, -2.0)])
+    for stored, message in [
+        ({(0, 1): 0.5, (1, 2): -1.5}, "correlation -1.5 for (1, 2) outside [-1, 1]"),
+        ({(0, 3): 1.0 + 1e-8, (1, 2): 2.0}, "correlation 1.00000001 for (0, 3) outside [-1, 1]"),
+    ]:
         with pytest.raises(ValueError) as err:
-            CorrelationSet(4, [p for p, _ in entries], [b for _, b in entries])
+            shrink_to_target(g, correlation_set(4, stored), 1)
         assert str(err.value) == message
-    with pytest.raises(ValueError, match="2 pairs but 1 values"):
-        CorrelationSet(4, np.array([[0, 1], [1, 2]]), np.array([0.0]))
-    with pytest.raises(ValueError) as err:
-        CorrelationSet(4, np.array([[0.0, 2.7]]), np.array([0.1]))
-    assert str(err.value) == "pair (0.0, 2.7) needs integer ids"
-    # a vertex count is a non-negative integer: 4.0 would pass shrink_to_target's
-    # n == 4 check and fail mid-walk
-    for n in (4.0, np.float64(4), -1):
-        with pytest.raises(ValueError) as err:
-            CorrelationSet(n, [(0, 1)], [0.5])
-        assert str(err.value) == f"vertex_count must be a non-negative integer, got {n!r}"
-    assert type(CorrelationSet(np.int64(4)).vertex_count) is int
-    # numpy integer ids and integral float ids are ids
-    for pairs in [(np.int64(0), np.int32(2))], np.array([[0, 2]], dtype=np.uint8), np.array([[0.0, 2.0]]):
-        corr = CorrelationSet(4, pairs, [0.5])
-        assert corr.pairs.dtype == np.int64 and corr.pairs.tolist() == [[0, 2]] and corr.values.tolist() == [0.5]
+        # the check runs before _contractions yields its first state
+        with pytest.raises(ValueError):
+            next(_contractions(g, correlation_set(4, stored), 3))
+    assert contracted == []
+    monkeypatch.undo()
+    # within rounding of 1 is not outside
+    state = shrink_to_target(g, correlation_set(4, {(0, 1): -1.0 - 1e-10, (1, 2): 1.0 + 1e-10}), 2)
+    assert state.records == [(1, 0, -1, -1.0 - 1e-10), (2, 1, 1, 1.0 + 1e-10)]
 
 
 def test_zero_correlations_cover_every_pair_in_order():
     n = 9
     corr = zero_correlations(n)
-    assert list(corr.ordered_pairs()) == [((u, v), 0.0) for u, v in itertools.combinations(range(n), 2)]
-    assert list(zero_correlations(1).ordered_pairs()) == []
+    assert list(ordered_pairs(corr)) == [((u, v), 0.0) for u, v in itertools.combinations(range(n), 2)]
+    assert list(ordered_pairs(zero_correlations(1))) == []
 
 
 @settings(deadline=None)
@@ -394,17 +405,11 @@ def test_zero_correlations_cover_every_pair_in_order():
 def test_implicit_zero_tail_reads_as_every_pair(case):
     n, stored = case
     corr = correlation_set(n, stored)
-    # every pair reads its given value or 0; only the nonzero ones are kept
-    assert dict(corr.ordered_pairs()) == {p: stored.get(p, 0.0) + 0.0 for p in itertools.combinations(range(n), 2)}
-    kept = [p for p, b in stored.items() if b != 0]
-    assert corr.pairs.tolist() == [list(p) for p in kept] and corr.values.tolist() == [stored[p] for p in kept]
-    assert not (corr.pairs.flags.writeable or corr.values.flags.writeable)
-
-
-def test_implicit_zero_tail_rejects_pairs_it_cannot_order():
-    for pairs in ([[0, 2], [0, 1]], [[0, 1], [0, 1]], [[1, 4]], [[-1, 2]]):
-        with pytest.raises(ValueError, match=re.escape("pairs must be sorted, unique and in [0, 4)")):
-            CorrelationSet(4, np.array(pairs), np.full(len(pairs), 0.5))
+    # every pair reads its given value or 0, a given -0.0 too; the graph keeps every given pair
+    assert dict(ordered_pairs(corr)) == {p: stored.get(p, 0.0) + 0.0 for p in itertools.combinations(range(n), 2)}
+    assert list(zip(corr.u.tolist(), corr.v.tolist())) == list(stored)
+    assert corr.w.tobytes() == np.array([stored[p] for p in stored], dtype=float).tobytes()
+    assert not (corr.u.flags.writeable or corr.v.flags.writeable or corr.w.flags.writeable)
 
 
 @pytest.mark.parametrize("zeros", [False, True])
@@ -416,9 +421,9 @@ def test_ordered_pairs_span_chunks(zeros):
     pairs = list(itertools.combinations(range(50), 2))
     pool = [-1.0, -0.5, -0.0, 0.0, 0.5, 1.0] if zeros else [-1.0, -0.5, 0.5, 1.0]
     values = rng.choice(pool, size=len(pairs)).tolist()
-    corr = CorrelationSet(50, pairs, values)
-    assert len(corr.pairs) > shrink.ORDER_CHUNK
-    assert list(corr.ordered_pairs()) == sorted(zip(pairs, values), key=lambda kv: (-abs(kv[1]), kv[0]))
+    corr = every_pair(50, values)
+    assert np.count_nonzero(corr.w) > shrink.ORDER_CHUNK
+    assert list(ordered_pairs(corr)) == sorted(zip(pairs, values), key=lambda kv: (-abs(kv[1]), kv[0]))
 
 
 @st.composite
@@ -435,15 +440,15 @@ def graphs_with_signed_correlations(draw):
     u, v = np.array([p for p, keep in zip(pairs, kept) if keep], dtype=np.int64).reshape(-1, 2).T
     w = [draw(weight) for _ in u]
     corr = draw(st.lists(st.floats(-1, 1), min_size=len(pairs), max_size=len(pairs)))
-    return WeightedGraph(n, u, v, w), CorrelationSet(n, pairs, corr)
+    return WeightedGraph(n, u, v, w), every_pair(n, corr)
 
 
 @settings(deadline=None)
 @given(graphs_with_signed_correlations())
 # merging 0 and 1 on equal sides leaves the -0.0 edge between them uncut by
 # every lift, and on opposite sides cut by every lift
-@example((WeightedGraph(3, [0, 1], [1, 2], [-0.0, 2.5]), CorrelationSet(3, [(0, 1)], [1.0])))
-@example((WeightedGraph(3, [0, 1], [1, 2], [-0.0, 2.5]), CorrelationSet(3, [(0, 1)], [-1.0])))
+@example((WeightedGraph(3, [0, 1], [1, 2], [-0.0, 2.5]), WeightedGraph(3, [0], [1], [1.0])))
+@example((WeightedGraph(3, [0, 1], [1, 2], [-0.0, 2.5]), WeightedGraph(3, [0], [1], [-1.0])))
 def test_lift_map_scores_every_lift_bit_for_bit(case):
     g, corr = case
     # one state walked down to a single vertex, so the lift map is read after
@@ -500,7 +505,7 @@ def test_adjacency_contraction_matches_dense_reference(case):
     dense = DenseShrink(g)
     states = _contractions(g, corr, 1)
     state = next(states)
-    for (u, v), b in corr.ordered_pairs():
+    for (u, v), b in ordered_pairs(corr):
         if len(dense.records) == g.vertex_count - 1:
             break
         if dense.root[u] == dense.root[v]:
@@ -564,8 +569,8 @@ def test_caught_up_lift_map_matches_a_fresh_replay(case):
 @given(graphs_with_signed_correlations())
 # merging 0 and 1 on equal sides cancels their edges to 2, and on opposite
 # sides the -0.0 edge's negation meets a 0.0 edge: both pairs sum to 0.0
-@example((WeightedGraph(3, [0, 1], [2, 2], [1.5, -1.5]), CorrelationSet(3, [(0, 1)], [1.0])))
-@example((WeightedGraph(3, [0, 1], [2, 2], [-0.0, 0.0]), CorrelationSet(3, [(0, 1)], [-1.0])))
+@example((WeightedGraph(3, [0, 1], [2, 2], [1.5, -1.5]), WeightedGraph(3, [0], [1], [1.0])))
+@example((WeightedGraph(3, [0, 1], [2, 2], [-0.0, 0.0]), WeightedGraph(3, [0], [1], [-1.0])))
 def test_reduced_matrix_enumerates_as_the_reduced_graph(case):
     g, corr = case
     for state in _contractions(g, corr, 1):
