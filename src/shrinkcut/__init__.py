@@ -5,7 +5,6 @@ from .graph import (
     BRUTE_FORCE_CAP,
     ExactCutSummary,
     ParseError,
-    QuboProblem,
     WeightedGraph,
     brute_force,
     cut_value,

@@ -1,4 +1,4 @@
-"""Weighted MaxCut instances: parsing, cut evaluation, exact enumeration and spectrum, QUBO mapping."""
+"""MaxCut graphs: parsing, cut evaluation, exact enumeration and spectrum, and a QUBO as a graph on n + 1 vertices."""
 
 from __future__ import annotations
 
@@ -128,44 +128,6 @@ class WeightedGraph:
         return float(sum(self.w.tolist()))
 
 
-@dataclass(frozen=True)
-class QuboProblem:
-    """max sum_{i<=j} q_ij x_i x_j over binary x; coefficients keyed (i, j) with i <= j."""
-
-    n: int
-    coefficients: tuple[tuple[tuple[int, int], float], ...]
-
-    @classmethod
-    def from_entries(cls, n: int, entries: Iterable[tuple[int, int, float]]) -> "QuboProblem":
-        """Sum the entries (i, j, q) per pair in input order. Raises TypeError for a
-        non-integer index, ValueError for one outside [0, n), a non-finite q or a
-        Σ|q| past CUT_WEIGHT_LIMIT (so nothing built from it overflows), naming the entry."""
-        merged: dict[tuple[int, int], float] = {}
-        total = 0.0
-        for entry in entries:
-            i, j, q = entry
-            try:
-                i, j = operator.index(i), operator.index(j)
-            except TypeError:
-                raise TypeError(f"entry {entry} needs integer indices") from None
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"index out of range in entry {entry}")
-            total += abs(q := float(q))
-            if not math.isfinite(q):
-                raise ValueError(f"entry {entry} has a non-finite coefficient")
-            if not total <= CUT_WEIGHT_LIMIT:
-                raise ValueError(f"total absolute coefficient {total!r} at entry {entry} exceeds {CUT_WEIGHT_LIMIT:.6g}")
-            key = (i, j) if i <= j else (j, i)
-            merged[key] = merged.get(key, 0.0) + q
-        return cls(n, tuple(sorted(merged.items())))
-
-    def objective(self, x: np.ndarray) -> float:
-        x = np.asarray(x, dtype=bool)
-        if x.shape != (self.n,):
-            raise ValueError("assignment length mismatch")
-        return float(sum(q * (x[i] and x[j]) for (i, j), q in self.coefficients))
-
-
 @dataclass(eq=False)
 class ExactCutSummary:
     """Result of exhaustive cut enumeration.
@@ -255,8 +217,8 @@ def cut_value_batch(
     whatever rows it is scored with. Rows are scored in chunks with about
     SCORE_CHUNK_BYTES of temporaries, all edges at once on the transpose.
 
-    With lift = (columns, flip), two (n,) arrays (ShrinkState.lift_map), a
-    row a of any width stands for the assignment a[columns] ^ flip and scores
+    With lift = (columns, flip), (n,) integer and boolean arrays (ShrinkState.lift_map),
+    a row a with every column they read stands for the assignment a[columns] ^ flip and scores
     bit for bit as it, without it being built: each edge reads its ends'
     columns, XORed with its ends' flips when any edge's ends differ in flip.
     An edge whose ends share a column and a flip is never cut and is skipped:
@@ -267,10 +229,12 @@ def cut_value_batch(
     u, v, w, width, flips = g.u, g.v, g.w, g.vertex_count, None
     if lift is not None:
         columns, flip = lift
-        u, v, width = columns[g.u], columns[g.v], a.shape[-1] if a.ndim else 0
-        if np.any(columns >= width):
-            raise ValueError(f"lift reads column {columns.max()} of assignments of width {width}")
-        flips = flip[g.u] ^ flip[g.v]
+        width = a.shape[-1] if a.ndim else 0
+        if np.shape(columns) != (g.vertex_count,) or np.shape(flip) != (g.vertex_count,) or flip.dtype != bool:
+            raise ValueError(f"lift needs columns and a boolean flip of shape ({g.vertex_count},)")
+        if np.any((columns < 0) | (columns >= width)):
+            raise ValueError(f"lift reads columns {columns.min()} to {columns.max()} of assignments of width {width}")
+        u, v, flips = columns[g.u], columns[g.v], flip[g.u] ^ flip[g.v]
         keep = (u != v) | flips
         u, v, w, flips = u[keep], v[keep], w[keep], flips[keep]
         flips = flips[:, None] if flips.any() else None
@@ -426,26 +390,38 @@ def format_summary(s: ExactCutSummary) -> str:
     )
 
 
-def qubo_to_maxcut(q: QuboProblem) -> tuple[WeightedGraph, float]:
-    """Map a QUBO to an equivalent MaxCut instance on n+1 vertices.
+def qubo_to_maxcut(n: int, entries: Iterable[tuple[int, int, float]]) -> WeightedGraph:
+    """MaxCut on vertices 0..n that cuts Σ q_ij x_i x_j with {i + 1 : x_i = 1}, for every binary x.
 
-    Vertex 0 is the reference vertex. For every binary x, the bipartition
-    W = {i+1 : x_i = 1} satisfies cut value = objective + offset. Pair weights
-    are -q_ij/2 and reference weights q_ii + sum_j q_ij / 2, which makes the
-    offset zero; the equivalence is what tests pin down, not the constants.
+    Entries (i, j, q), either way round, are summed per pair in input order from 0.0. Pair (i + 1, j + 1) weighs
+    -q_ij / 2 and (0, i + 1) q_ii + Σ_j q_ij / 2, diagonal first, then halves in pair order; zero weights are dropped.
+    A cut's x_i is side(i + 1) XOR side(0). A non-integer index raises TypeError and one outside [0, n) ValueError,
+    naming the entry; the graph constructor rejects a non-finite weight and a Σ|w| past CUT_WEIGHT_LIMIT.
     """
-    coeff = dict(q.coefficients)
-    # one pass adds each pair's half to both reference weights, after the diagonal
-    reference = [coeff.get((i, i), 0.0) for i in range(q.n)]
-    edges: list[tuple[int, int, float]] = []
-    for (i, j), qq in coeff.items():
-        if i != j:
-            reference[i] += qq / 2.0
-            reference[j] += qq / 2.0
-            if qq != 0.0:
-                edges.append((i + 1, j + 1, -qq / 2.0))
-    edges.extend((0, i + 1, w) for i, w in enumerate(reference) if w != 0.0)
-    return WeightedGraph.from_edges(q.n + 1, edges), 0.0
+    if operator.index(n) < 0:
+        raise ValueError(f"need n >= 0 variables, got {n}")
+    keys, coefficients = [], []
+    for entry in entries:
+        i, j, q = entry
+        try:
+            i, j = operator.index(i), operator.index(j)
+        except TypeError:
+            raise TypeError(f"entry {entry} needs integer indices") from None
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"index out of range in entry {entry}")
+        keys.append(min(i, j) * n + max(i, j))
+        coefficients.append(float(q))
+    keys, inverse = np.unique(np.array(keys, dtype=np.int64), return_inverse=True)
+    # bincount sums each bin in input order from 0.0; an overflow reads inf, which the constructor rejects
+    merged = np.bincount(inverse, coefficients, keys.size)
+    i, j = np.divmod(keys, n)
+    # a zero pair is no edge, and its halves, +0.0, change no sum: one from +0.0 is never -0.0
+    diagonal, pair = i == j, (i != j) & (merged != 0.0)
+    ends, halves = np.column_stack((i[pair], j[pair])).ravel(), np.repeat(merged[pair] / 2, 2)
+    reference = np.bincount(np.append(i[diagonal], ends), np.append(merged[diagonal], halves), n)
+    kept = np.flatnonzero(reference)
+    u, v = np.append(np.zeros_like(kept), i[pair] + 1), np.append(kept + 1, j[pair] + 1)
+    return WeightedGraph(n + 1, u, v, np.append(reference[kept], merged[pair] / -2))
 
 
 def dense_closure(g: WeightedGraph) -> WeightedGraph:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from shrinkcut import (
     ParseError,
-    QuboProblem,
     WeightedGraph,
     brute_force,
     cut_value,
@@ -410,44 +409,88 @@ def test_format_summary_record():
     assert "argmax 10\n" in text
 
 
+def qubo_matrix(n, entries):
+    """The entries summed into an upper-triangular Q, so the QUBO objective is x^T Q x."""
+    q = np.zeros((n, n))
+    if entries:
+        i, j, c = zip(*entries)
+        np.add.at(q, (np.minimum(i, j), np.maximum(i, j)), c)
+    return q
+
+
+def qubo_objectives(q, xs):
+    x = np.array(xs, dtype=float)
+    return np.einsum("ki,ij,kj->k", x, q, x)
+
+
 def test_qubo_zero_problem():
-    q = QuboProblem.from_entries(3, [])
-    g, offset = qubo_to_maxcut(q)
-    assert g.vertex_count == 4
-    assert g.edge_count == 0
-    assert offset == 0.0
+    for n in (0, 3):
+        g = qubo_to_maxcut(n, [])
+        assert g.vertex_count == n + 1
+        assert g.edge_count == 0
 
 
 def test_qubo_single_variable():
-    q = QuboProblem.from_entries(1, [(0, 0, 1.0)])
-    g, offset = qubo_to_maxcut(q)
+    g = qubo_to_maxcut(1, [(0, 0, 1.0)])
     assert cut_value(g, [False, True]) - cut_value(g, [False, False]) == pytest.approx(1.0)
 
 
 def test_qubo_rejects_bad_entries():
-    # each was accepted: nan made the objective nan, 0.5 made it raise numpy's
-    # IndexError, and 1e308 twice made it overflow to inf
+    # an index is checked per entry; a non-finite or overflowing coefficient
+    # and a total past the limit are rejected by the graph constructor, on the
+    # mapped weights: pair (0, 1) adds its half to the reference edges (0, 1)
+    # and (0, 2), and the first bad edge is named
+    exceeds = f"exceeds {graph.CUT_WEIGHT_LIMIT:.6g}; cut values could overflow"
     cases = [
-        ([(0, 1, float("nan"))], ValueError, "entry (0, 1, nan) has a non-finite coefficient"),
-        ([(0, 1, float("inf"))], ValueError, "entry (0, 1, inf) has a non-finite coefficient"),
+        ([(0, 1, float("nan"))], ValueError, "edge (0, 1) has non-finite weight nan"),
+        ([(0, 1, float("inf"))], ValueError, "edge (0, 1) has non-finite weight inf"),
         ([(0.5, 1, 1.0)], TypeError, "entry (0.5, 1, 1.0) needs integer indices"),
         ([(0, 1.0, 1.0)], TypeError, "entry (0, 1.0, 1.0) needs integer indices"),
         ([(0, 2, 1.0)], ValueError, "index out of range in entry (0, 2, 1.0)"),
         ([(-1, 0, 1.0)], ValueError, "index out of range in entry (-1, 0, 1.0)"),
-        ([(0, 0, 1e308), (0, 1, 1e308)], ValueError,
-         f"total absolute coefficient 1e+308 at entry (0, 0, 1e+308) exceeds {graph.CUT_WEIGHT_LIMIT:.6g}"),
-        ([(0, 0, 3e307), (1, 1, -3e307)], ValueError,
-         f"total absolute coefficient 6e+307 at entry (1, 1, -3e+307) exceeds {graph.CUT_WEIGHT_LIMIT:.6g}"),
+        ([(0, 0, 1e308), (0, 1, 1e308)], ValueError, f"total absolute weight inf {exceeds}"),
+        ([(0, 0, 3e307), (1, 1, -3e307)], ValueError, f"total absolute weight 6e+307 {exceeds}"),
+        # the merged sum overflows to inf, which no later sum can undo
+        ([(1, 1, 1e308), (1, 1, 1e308), (1, 1, -1e308)], ValueError, "edge (0, 2) has non-finite weight inf"),
     ]
     for entries, error, message in cases:
         with pytest.raises(error) as err:
-            QuboProblem.from_entries(2, entries)
+            qubo_to_maxcut(2, entries)
         assert str(err.value) == message
-    # numpy integer indices are indices, and a total at the limit is kept
-    half = graph.CUT_WEIGHT_LIMIT / 2
-    q = QuboProblem.from_entries(2, [(np.int64(1), np.uint8(0), half), (0, 0, -half)])
-    assert q.coefficients == (((0, 0), -half), ((0, 1), half))
-    assert q.objective(np.array([True, True])) == 0.0
+    with pytest.raises(ValueError, match="need n >= 0"):
+        qubo_to_maxcut(-1, [])
+    # numpy integer indices are indices, a mapped total at the limit is kept,
+    # and so are coefficients whose merged weights cancel
+    limit = graph.CUT_WEIGHT_LIMIT
+    g = qubo_to_maxcut(2, [(np.int64(1), np.uint8(0), limit), (0, 0, -limit / 2)])
+    assert sum(map(abs, g.w.tolist())) == limit
+    sides = np.array([[False, False, False], [False, True, False], [False, False, True], [False, True, True]])
+    assert cut_value_batch(g, sides).tolist() == [0.0, -limit / 2, 0.0, limit / 2]
+    assert qubo_to_maxcut(2, [(0, 1, 4e307), (0, 1, -4e307)]).edge_count == 0
+
+
+def loop_qubo_to_maxcut(n, entries):
+    """The mapping one entry and one pair at a time, in the summation order
+    qubo_to_maxcut promises: a reference for its bits."""
+    merged = {}
+    for i, j, q in entries:
+        key = (min(i, j), max(i, j))
+        merged[key] = merged.get(key, 0.0) + q
+    reference = [merged.get((i, i), 0.0) for i in range(n)]
+    edges = []
+    for (i, j), q in sorted(merged.items()):
+        if i != j:
+            reference[i] += q / 2.0
+            reference[j] += q / 2.0
+            if q != 0.0:
+                edges.append((i + 1, j + 1, -q / 2.0))
+    edges.extend((0, i + 1, w) for i, w in enumerate(reference) if w != 0.0)
+    return WeightedGraph.from_edges(n + 1, edges)
+
+
+def assert_same_bits(g, h):
+    assert g.vertex_count == h.vertex_count
+    assert all(getattr(g, a).tobytes() == getattr(h, a).tobytes() for a in "uvw")
 
 
 def test_qubo_equivalence_exhaustive():
@@ -460,12 +503,12 @@ def test_qubo_equivalence_exhaustive():
             for j in range(i, n)
             if rng.random() < 0.7
         ]
-        q = QuboProblem.from_entries(n, entries)
-        g, offset = qubo_to_maxcut(q)
-        for bits in itertools.product([False, True], repeat=n):
-            x = np.array(bits)
+        g = qubo_to_maxcut(n, entries)
+        assert_same_bits(g, loop_qubo_to_maxcut(n, entries))
+        xs = list(itertools.product([False, True], repeat=n))
+        for x, objective in zip(xs, qubo_objectives(qubo_matrix(n, entries), xs)):
             a = np.concatenate([[False], x])
-            assert cut_value(g, a) == pytest.approx(q.objective(x) + offset, abs=1e-9)
+            assert cut_value(g, a) == pytest.approx(objective, abs=1e-9)
 
 
 @settings(deadline=None)
@@ -474,14 +517,16 @@ def test_qubo_equivalence_property(data):
     n = data.draw(st.integers(1, 7))
     index = st.integers(0, n - 1)
     coefficient = st.one_of(st.integers(-3, 3).map(float), st.floats(-10, 10))
-    q = QuboProblem.from_entries(n, data.draw(st.lists(st.tuples(index, index, coefficient), max_size=20)))
-    g, offset = qubo_to_maxcut(q)
+    entries = data.draw(st.lists(st.tuples(index, index, coefficient), max_size=20))
+    g = qubo_to_maxcut(n, entries)
     assert g.vertex_count == n + 1
+    assert_same_bits(g, loop_qubo_to_maxcut(n, entries))
     xs = np.array(list(itertools.product([False, True], repeat=n)))
     cuts = cut_value_batch(g, np.column_stack((np.zeros(len(xs), dtype=bool), xs)))
-    scale = 1.0 + sum(abs(c) for _, c in q.coefficients)
-    for x, cut in zip(xs, cuts):
-        assert cut == pytest.approx(q.objective(x) + offset, abs=1e-12 * scale)
+    q = qubo_matrix(n, entries)
+    scale = 1.0 + np.abs(q).sum()
+    for cut, objective in zip(cuts, qubo_objectives(q, xs)):
+        assert cut == pytest.approx(objective, abs=1e-12 * scale)
 
 
 def test_dense_closure_small_cases():

@@ -483,9 +483,16 @@ def test_reduced_column_scoring_matches_full_lift(mode, subsolver):
         _, values = reference(int(np.random.default_rng(trial).integers(2**63)))
         assert np.float64(cell.mean_cut_value).tobytes() == values.mean().tobytes()
         assert np.float64(cell.best_cut_value).tobytes() == values.max().tobytes()
-        # a lift map must not read past the samples it is given
-        with pytest.raises(ValueError, match="lift reads column"):
-            cut_value_batch(g, np.zeros((3, target - 1), dtype=bool), state.lift_map)
+        # a lift map must not read outside the samples it is given: past
+        # their last column, or before the first, where -1 would wrap round
+        columns, flip = state.lift_map
+        for width, lift in ((target - 1, state.lift_map), (target, (columns - 1, flip))):
+            with pytest.raises(ValueError, match="lift reads column"):
+                cut_value_batch(g, np.zeros((3, width), dtype=bool), lift)
+        # an integer flip scored an all-zero flip's lift as 0.0 with no error
+        for lift in ((columns[:-1], flip), (columns, flip.astype(int))):
+            with pytest.raises(ValueError, match=rf"lift needs columns and a boolean flip of shape \({n},\)"):
+                cut_value_batch(g, np.zeros((3, target), dtype=bool), lift)
 
 
 def test_trace_boundaries_resolve():
