@@ -28,7 +28,6 @@ from .pipeline import (
 )
 from .qaoa import (
     STATEVECTOR_CAP,
-    AnalyticExpectation,
     Landscape,
     QaoaParams,
     QaoaState,

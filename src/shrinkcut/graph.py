@@ -204,7 +204,7 @@ def cut_value(g: WeightedGraph, assignment: np.ndarray) -> float:
     """Total weight of edges crossing the bipartition given by a boolean side vector."""
     a = np.asarray(assignment, dtype=bool)
     if a.shape != (g.vertex_count,):
-        raise ValueError(f"assignment has length {a.size}, expected {g.vertex_count}")
+        raise ValueError(f"assignment has shape {a.shape}, expected ({g.vertex_count},)")
     return float(cut_value_batch(g, a[None])[0])
 
 

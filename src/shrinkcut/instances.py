@@ -83,12 +83,8 @@ def triangle_free_ring_pairs(n: int, extra_edges: int, rng: np.random.Generator)
 
 
 def random_pairs(n: int, edge_probability: float, rng: np.random.Generator) -> list[tuple[int, int]]:
-    return [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if rng.random() < edge_probability
-    ]
+    pairs = complete_pairs(n)
+    return [pair for pair, keep in zip(pairs, (rng.random(len(pairs)) < edge_probability).tolist()) if keep]
 
 
 def sign_weights(count: int, rng: np.random.Generator) -> np.ndarray:

@@ -2,16 +2,17 @@
 
 Two interchangeable expectation routes: an exact statevector simulation
 (capped at 24 qubits) weighing graph._spectrum, brute_force's block walk,
-and a closed-form per-edge evaluation with no qubit or neighborhood cap,
-whose cost per edge and per gamma is linear in the size of the edge's
-neighborhood. The closed form also powers fast landscape grids, and
-a degree/weight-based parameter estimate replaces the usual optimization loop.
+and a closed form with no qubit cap, one array pass over all edges whose
+cost per gamma is one cos and one sin per edge and one product factor per
+neighborhood entry. It also powers fast landscape grids, and a
+degree/weight-based parameter estimate replaces the usual optimization loop.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,7 @@ from .graph import WeightedGraph, _double_by_vertex, _spectrum
 STATEVECTOR_CAP = 24
 # qubits one X-mixer matrix product acts on: a 16x16 real block
 MIXER_BLOCK_QUBITS = 4
-# floats of the scratch each mixer product writes through (256 KB, cache-sized)
+# floats of the scratch each mixer product writes through, and of one closed-form gamma chunk (256 KB, cache-sized)
 MIXER_SCRATCH = 1 << 15
 # Most grid points per axis grid_search evaluates: a landscape holds the square, 2^24
 # values or 128 MB, and its CSV a line each; a finer step asked numpy for terabytes.
@@ -177,8 +178,15 @@ def sample_cuts(state: QaoaState, n_samples: int, seed=None) -> np.ndarray:
     the same cumulative sum, searched (side "right") in sorted order for the
     same rng.random stream. The generator's next n_samples uniforms then flip
     all n bits of a draw with probability 1/2, as amp[x] = amp[~x]. Raises
-    ValueError when the total probability is not finite and positive.
+    TypeError when n_samples is not an integer, and ValueError when it is
+    negative or the total probability is not finite and positive.
     """
+    try:
+        n_samples = operator.index(n_samples)
+    except TypeError:
+        raise TypeError(f"n_samples must be an integer, got {n_samples!r}") from None
+    if n_samples < 0:
+        raise ValueError(f"n_samples must be at least 0, got {n_samples}")
     cdf = _probabilities(state.amplitudes)
     total = cdf.sum()
     if not (np.isfinite(total) and total > 0.0):
@@ -195,74 +203,69 @@ def sample_cuts(state: QaoaState, n_samples: int, seed=None) -> np.ndarray:
     return np.unpackbits(draws.view(np.uint8).reshape(-1, 8), axis=1, count=state.n, bitorder="little").view(bool)
 
 
-class AnalyticExpectation:
-    """Closed-form depth-1 expectation, precomputed for one graph.
+def _analytic_grid(g: WeightedGraph, gammas, betas) -> np.ndarray:
+    """Closed-form expected cut values over the outer grid, shape (len(gammas), len(betas)).
 
     The expected cut value decomposes per edge (u, v) of weight w as
 
         w * [ 1/2
               + sin(4 beta)/4 * sin(gamma w) * (prod cos(gamma a_r) + prod cos(gamma b_r))
-              - sin(2 beta)^2 / 4 * (prod cos(gamma (a_r - b_r)) - prod cos(gamma (a_r + b_r))) ]
+              - sin(2 beta)^2 / 4 * (prod (c_r + s_r) - prod (c_r - s_r)) ]
 
     with every product over r in N(u) | N(v) minus {u, v}, a_r = w_ur and
-    b_r = w_vr (0 for a non-neighbor). The difference in the last term is
-    twice the sum, over odd subsets A of those r, of
-    prod_{r in A} s_r prod_{r not in A} c_r with s_r = sin(gamma a_r) sin(gamma b_r)
-    and c_r = cos(gamma a_r) cos(gamma b_r): that sum equals
-    1/2 (prod (c_r + s_r) - prod (c_r - s_r)) (Wang, Hadfield, Jiang & Rieffel,
-    PRA 97, 022304, 2018). A neighbor of only one endpoint gives the same cos
-    factor in both products, and a non-neighbor gives exact cos(0) = 1
-    factors, so one pair of arrays (a, b) per edge covers shared and unshared
-    neighbors alike. Construction reads the two endpoint rows of the weight
-    matrix; evaluation costs O(|N(u) | N(v)|) per edge and per gamma, whatever
-    the neighborhoods share. Zero-weight edges are skipped: they contribute
-    cos(0) = 1 factors and a vanishing edge term, leaving every value
+    b_r = w_vr (0 for a non-neighbor), c_r = cos(gamma a_r) cos(gamma b_r) and
+    s_r = sin(gamma a_r) sin(gamma b_r), so that c_r +- s_r = cos(gamma (a_r -+ b_r)).
+    The last difference is twice the sum, over odd subsets A of those r, of
+    prod_{r in A} s_r prod_{r not in A} c_r (Wang, Hadfield, Jiang & Rieffel,
+    PRA 97, 022304, 2018). A non-neighbor of an endpoint gives exact
+    cos(0) = 1 and sin(0) = 0 factors, so one pair (a, b) per r covers shared
+    and unshared neighbors alike. Zero-weight edges are skipped: they
+    contribute such factors and a vanishing edge term, leaving every value
     unchanged.
 
-    Whole (gamma, beta) grids are evaluated in one pass: beta only enters
-    through sin(4 beta) and sin(2 beta)^2, so the landscape is an outer
-    product of gamma-dependent and beta-dependent factors.
+    Every r of every edge is one entry, in edge order and then vertex order,
+    and reads a and b as indices into the nonzero weights with a 0 appended:
+    a gamma costs one cos and one sin per edge, then four segment products
+    (np.multiply.reduceat) over all entries. An edge's own ends stay in its
+    segment, reading the 0, so no segment is empty, which reduceat needs.
+    beta only enters through sin(4 beta) and sin(2 beta)^2, so the landscape
+    is an outer product of gamma-dependent and beta-dependent factors. The
+    gamma axis is taken in chunks whose four products read at most
+    MIXER_SCRATCH floats, or one gamma when that alone reads more.
     """
-
-    def __init__(self, g: WeightedGraph):
-        weights = g.weight_matrix
-        nz = g.w != 0.0
-        self._edges = []
-        self._half_total = 0.5 * sum(g.w[nz].tolist())
-        self._reach = 2.0 * float(np.abs(g.w).max(initial=0.0))  # at least every |a + b| and |a - b|
-        for u, v, w in zip(g.u[nz].tolist(), g.v[nz].tolist(), g.w[nz].tolist()):
-            r = np.flatnonzero((weights[u] != 0.0) | (weights[v] != 0.0))
-            r = r[(r != u) & (r != v)]
-            self._edges.append((w, weights[u, r], weights[v, r]))
-
-    def grid(self, gammas: np.ndarray, betas: np.ndarray) -> np.ndarray:
-        """Expectation values over the outer grid, shape (len(gammas), len(betas))."""
-        gammas = np.atleast_1d(np.asarray(gammas, dtype=float))
-        betas = np.atleast_1d(np.asarray(betas, dtype=float))
-        if not math.isfinite(float(np.abs(gammas).max(initial=0.0)) * self._reach):
-            raise ValueError(f"gamma up to {np.abs(gammas).max()} times {self._reach}, twice the largest |w|, overflows")
-        t1 = np.zeros(gammas.size)
-        t2 = np.zeros(gammas.size)
-
-        def cos_product(x: np.ndarray) -> np.ndarray:
-            return np.cos(np.outer(gammas, x)).prod(axis=1)
-
-        for w, a, b in self._edges:
-            t1 += w * np.sin(gammas * w) * (cos_product(a) + cos_product(b))
-            t2 += w * (cos_product(a - b) - cos_product(a + b))
-        return (
-            self._half_total
-            + 0.25 * np.outer(t1, np.sin(4.0 * betas))
-            - 0.25 * np.outer(t2, np.sin(2.0 * betas) ** 2)
-        )
-
-    def value(self, gamma: float, beta: float) -> float:
-        return float(self.grid(np.array([gamma]), np.array([beta]))[0, 0])
+    gammas = np.atleast_1d(np.asarray(gammas, dtype=float))
+    nz = g.w != 0.0
+    u, v, w = g.u[nz], g.v[nz], g.w[nz]
+    reach = 2.0 * float(np.abs(w).max(initial=0.0))  # at least every |a_r -+ b_r|, the angle of c_r +- s_r
+    if not math.isfinite(float(np.abs(gammas).max(initial=0.0)) * reach):
+        raise ValueError(f"gamma up to {np.abs(gammas).max()} times {reach}, twice the largest |w|, overflows")
+    ids = np.full((g.vertex_count,) * 2, w.size, dtype=np.int32)  # the nonzero edge joining each pair, w.size for none
+    ids[u, v] = ids[v, u] = np.arange(w.size)
+    linked = ids < w.size
+    edge, r = np.divmod(np.flatnonzero(linked[u] | linked[v]), g.vertex_count)
+    # an edge's own ends read no edge, as a non-neighbor does: angle 0
+    ia = np.where(r == v[edge], w.size, ids[u[edge], r])
+    ib = np.where(r == u[edge], w.size, ids[v[edge], r])
+    starts = np.searchsorted(edge, np.arange(w.size))
+    del ids, linked, edge, r  # the gamma loop holds only ia, ib and starts
+    t1, t2 = np.empty(gammas.size), np.empty(gammas.size)
+    rows = max(1, MIXER_SCRATCH // (4 * ia.size + 1))
+    for i in range(0, gammas.size, rows):
+        chunk = gammas[i : i + rows]
+        angles = np.multiply.outer(chunk, np.append(w, 0.0))
+        cos, sin = np.cos(angles), np.sin(angles)
+        ca, cb = cos[:, ia], cos[:, ib]
+        c, s = ca * cb, sin[:, ia] * sin[:, ib]
+        pa, pb, pd, ps = np.multiply.reduceat(np.stack((ca, cb, c + s, c - s)), starts, axis=2)
+        t1[i : i + rows] = ((pa + pb) * sin[:, :-1]) @ w
+        t2[i : i + rows] = (pd - ps) @ w
+    landscape = np.outer(t1, np.sin(4.0 * betas)) - np.outer(t2, np.sin(2.0 * betas) ** 2)
+    return 0.5 * sum(w.tolist()) + 0.25 * landscape
 
 
 def expectation_analytic(g: WeightedGraph, params: QaoaParams) -> float:
     """Closed-form expected cut value; matches expectation_statevector exactly."""
-    return AnalyticExpectation(g).value(params.gamma, params.beta)
+    return float(_analytic_grid(g, params.gamma, params.beta)[0, 0])
 
 
 def average_degree(g: WeightedGraph) -> float:
@@ -316,7 +319,7 @@ def grid_search(g: WeightedGraph, step: float, evaluator: str = "analytic") -> L
         raise ValueError(f"grid step {step} gives {np.floor(count) + 1:.0f} points per axis, over {GRID_AXIS_POINTS}")
     points = step * np.arange(math.floor(count) + 1)
     if evaluator == "analytic":
-        values = AnalyticExpectation(g).grid(points, points)
+        values = _analytic_grid(g, points, points)
     elif evaluator == "statevector":
         values = np.empty((points.size, points.size))
         for i, gamma in enumerate(points):

@@ -21,7 +21,7 @@ from shrinkcut import (
 )
 from shrinkcut import graph
 from shrinkcut.graph import index_to_assignment
-from shrinkcut.instances import random_weighted_graph
+from shrinkcut.instances import random_pairs, random_weighted_graph
 
 
 def enumerate_cuts(g):
@@ -153,8 +153,23 @@ def test_cut_value_trivial_cases():
 
 def test_cut_value_length_mismatch():
     g = WeightedGraph.from_edges(2, [(0, 1, 1.0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("assignment has shape (1,), expected (2,)")):
         cut_value(g, [True])
+    # a batch of one row has the right size but not the right shape
+    g = WeightedGraph.from_edges(4, [(0, 1, 1.0)])
+    with pytest.raises(ValueError, match=re.escape("assignment has shape (1, 4), expected (4,)")):
+        cut_value(g, [[True, False, True, False]])
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 22, 50, 300])
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+def test_random_pairs_equal_one_draw_per_pair(n, p):
+    # the scalar loop random_pairs replaced: one rng.random() per pair, in pair order
+    rng = np.random.default_rng(n)
+    expected = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    other = np.random.default_rng(n)
+    assert random_pairs(n, p, other) == expected
+    assert other.bit_generator.state == rng.bit_generator.state
 
 
 def test_cut_complement_symmetry():

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shrinkcut import (
@@ -31,7 +31,7 @@ from shrinkcut.instances import (
     sign_weights,
     unit,
 )
-from shrinkcut.qaoa import GRID_AXIS_POINTS, _phase
+from shrinkcut.qaoa import GRID_AXIS_POINTS, MIXER_SCRATCH, _analytic_grid, _phase
 
 K2 = WeightedGraph.from_edges(2, [(0, 1, 1.0)])
 
@@ -228,6 +228,57 @@ def test_analytic_matches_statevector_on_random_graphs():
         assert expectation_analytic(g, p) == pytest.approx(
             expectation_statevector(g, p), abs=1e-9
         )
+
+
+def loop_analytic_grid(g, gammas, betas):
+    """Reference closed form, one nonzero edge at a time: the edge's neighbour
+    weights a and b read off its ends' weight matrix rows, its own ends left out."""
+    weights = g.weight_matrix
+    t1 = np.zeros(gammas.size)
+    t2 = np.zeros(gammas.size)
+
+    def cos_product(x):
+        return np.cos(np.outer(gammas, x)).prod(axis=1)
+
+    for u, v, w in g.edges:
+        if w == 0.0:
+            continue
+        r = np.flatnonzero((weights[u] != 0.0) | (weights[v] != 0.0))
+        r = r[(r != u) & (r != v)]
+        a, b = weights[u, r], weights[v, r]
+        t1 += w * np.sin(gammas * w) * (cos_product(a) + cos_product(b))
+        t2 += w * (cos_product(a - b) - cos_product(a + b))
+    half = 0.5 * sum(w for *_, w in g.edges if w != 0.0)
+    return half + 0.25 * np.outer(t1, np.sin(4.0 * betas)) - 0.25 * np.outer(t2, np.sin(2.0 * betas) ** 2)
+
+
+@st.composite
+def sparse_graphs(draw):
+    """Any edge subset of up to 9 vertices, so edgeless, disconnected and
+    matching graphs come up, with weights that are often +-0.0."""
+    n = draw(st.integers(0, 9))
+    pairs = draw(st.lists(st.sampled_from(complete_pairs(n)), unique=True) if n > 1 else st.just([]))
+    weights = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-4.0, 4.0))
+    return WeightedGraph.from_edges(n, [(u, v, draw(weights)) for u, v in pairs])
+
+
+# one more gamma than a chunk holds for a lone edge, whose eight floats per gamma
+# are the fewest any graph with a weighted edge has: every such graph takes two chunks or more
+GAMMAS = MIXER_SCRATCH // 8 + 1
+
+
+@settings(deadline=None, max_examples=60)
+@given(sparse_graphs(), st.floats(-3.0, 3.0), st.floats(0.0, 3.0), st.lists(angles, min_size=1, max_size=4))
+@example(WeightedGraph.from_edges(5, []), -1.0, 2.0, [0.3])
+@example(WeightedGraph.from_edges(6, [(0, 1, 1.5), (2, 3, -0.0), (4, 5, -2.0)]), -1.0, 2.0, [0.3, 1.1])
+@example(WeightedGraph.from_edges(7, [(0, 1, 1.0), (1, 2, 0.0), (0, 2, -0.5), (4, 5, 2.0), (5, 6, 1.0)]), 0.0, 1.5, [0.2])
+def test_analytic_grid_matches_per_edge_loop(g, gamma, width, betas):
+    gammas = np.linspace(gamma, gamma + width, GAMMAS)
+    betas = np.array(betas)
+    expected = loop_analytic_grid(g, gammas, betas)
+    values = _analytic_grid(g, gammas, betas)
+    assert values.shape == (GAMMAS, betas.size)
+    assert np.all(np.abs(values - expected) <= 1e-12 * (np.abs(expected) + np.abs(g.w).sum()))
 
 
 def test_analytic_k2_closed_form():
@@ -456,6 +507,17 @@ def test_state_rejects_amplitudes_of_wrong_length(n, shape):
     size = 1 << max(n - 1, 0)
     with pytest.raises(ValueError, match=re.escape(f"a {n}-qubit half state has {size} amplitudes, got shape {shape}")):
         QaoaState(np.zeros(shape, dtype=complex), n)
+
+
+@pytest.mark.parametrize(
+    "n_samples, error, message",
+    [(-1, ValueError, "n_samples must be at least 0, got -1"), (3.0, TypeError, "n_samples must be an integer, got 3.0")],
+)
+def test_sample_rejects_a_bad_count(n_samples, error, message):
+    state = qaoa_state(K2, QaoaParams(0.3, 0.2))
+    with pytest.raises(error, match=re.escape(message)):
+        sample_cuts(state, n_samples, seed=0)
+    assert sample_cuts(state, 0, seed=0).shape == (0, 2)
 
 
 @pytest.mark.parametrize(
