@@ -42,7 +42,6 @@ from .qaoa import (
 )
 from .relaxation import (
     FractionalSolution,
-    LpProblem,
     format_solution,
     lp_solve,
     separate_odd_cycles,
@@ -58,6 +57,6 @@ from .shrink import (
     shrink_to_target,
     zero_correlations,
 )
-from .simplex import InfeasibleError, SimplexError, solve_box_lp
+from .simplex import InfeasibleError, LpProblem, SimplexError, solve_box_lp
 
 __version__ = "0.1.0"

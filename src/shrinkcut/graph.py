@@ -338,6 +338,14 @@ def brute_force(g: WeightedGraph) -> ExactCutSummary:
     return brute_force_matrix(g.weight_matrix)
 
 
+def check_integer(value, name: str) -> int:
+    """operator.index(value), or a TypeError that names the argument."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 def check_enumerable(n: int) -> None:
     if n > BRUTE_FORCE_CAP:
         raise ValueError(f"{n} vertices exceeds the enumeration cap of {BRUTE_FORCE_CAP}")
@@ -398,7 +406,7 @@ def qubo_to_maxcut(n: int, entries: Iterable[tuple[int, int, float]]) -> Weighte
     A cut's x_i is side(i + 1) XOR side(0). A non-integer index raises TypeError and one outside [0, n) ValueError,
     naming the entry; the graph constructor rejects a non-finite weight and a Σ|w| past CUT_WEIGHT_LIMIT.
     """
-    if operator.index(n) < 0:
+    if check_integer(n, "n") < 0:
         raise ValueError(f"need n >= 0 variables, got {n}")
     keys, coefficients = [], []
     for entry in entries:

@@ -10,7 +10,6 @@ small enough to enumerate.
 
 from __future__ import annotations
 
-import operator
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -23,6 +22,7 @@ from .graph import (
     brute_force,
     brute_force_matrix,
     check_enumerable,
+    check_integer,
     cut_value_batch,
 )
 from .qaoa import STATEVECTOR_CAP, QaoaParams, average_degree, estimate_parameters, qaoa_state, sample_cuts
@@ -167,7 +167,7 @@ def _check_inputs(modes, subsolvers=(), n_samples: int = 1) -> None:
     for subsolver in subsolvers:
         if subsolver not in SUBSOLVERS:
             raise ValueError(f"subsolver must be one of {SUBSOLVERS}, got {subsolver!r}")
-    if operator.index(n_samples) < 1:
+    if check_integer(n_samples, "n_samples") < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
 
 
@@ -211,7 +211,7 @@ def run_pipeline(
     which a PipelineError from it carries.
     """
     _check_inputs((correlation_mode,), (subsolver,), n_samples)
-    n, target_size = g.vertex_count, operator.index(target_size)
+    n, target_size = g.vertex_count, check_integer(target_size, "target size")
     if not 1 <= target_size <= n:
         raise ValueError(f"target size {target_size} outside [1, {n}]")
 
@@ -297,7 +297,7 @@ def sweep_shrink_counts(
     """
     _check_inputs(correlation_modes, subsolvers, n_samples)
     n = g.vertex_count
-    deleted_counts = list(range(n)) if deleted_counts is None else [operator.index(d) for d in deleted_counts]
+    deleted_counts = list(range(n)) if deleted_counts is None else [check_integer(d, "deleted count") for d in deleted_counts]
     for deleted in deleted_counts:
         if not 0 <= deleted < n:
             raise ValueError(f"deleted count {deleted} outside [0, {n})")

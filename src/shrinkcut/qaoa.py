@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import WeightedGraph, _double_by_vertex, _spectrum
+from .graph import WeightedGraph, _double_by_vertex, _spectrum, check_integer
 
 STATEVECTOR_CAP = 24
 # qubits one X-mixer matrix product acts on: a 16x16 real block
@@ -181,11 +180,7 @@ def sample_cuts(state: QaoaState, n_samples: int, seed=None) -> np.ndarray:
     TypeError when n_samples is not an integer, and ValueError when it is
     negative or the total probability is not finite and positive.
     """
-    try:
-        n_samples = operator.index(n_samples)
-    except TypeError:
-        raise TypeError(f"n_samples must be an integer, got {n_samples!r}") from None
-    if n_samples < 0:
+    if (n_samples := check_integer(n_samples, "n_samples")) < 0:
         raise ValueError(f"n_samples must be at least 0, got {n_samples}")
     cdf = _probabilities(state.amplitudes)
     total = cdf.sum()

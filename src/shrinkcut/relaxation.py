@@ -4,8 +4,8 @@ The LP has one variable x_e in [0, 1] per edge of the graph and is tightened
 iteratively: solve, find violated odd-cycle inequalities, append them, repeat
 until none is violated beyond tolerance. For a cycle C and an odd subset F of
 its edges the inequality reads x(F) - x(C \\ F) <= |F| - 1. Each re-solve
-starts from the previous round's optimal basis (the LpProblem keeps the
-simplex tableau), since a round only appends rows.
+starts from the previous round's optimal basis, which the LpProblem keeps
+with its rows, since a round only appends rows (LpProblem.add_rows).
 
 Separation is exact. In the doubled graph on vertices (v, 0) and (v, 1), the
 even copy of edge uv joins (u, p) to (v, p) at length x_e and the odd copy
@@ -20,32 +20,18 @@ minor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import WeightedGraph
-from .simplex import FEAS_TOL, SimplexError, Tableau, solve_box_lp
-
-
-@dataclass
-class LpProblem:
-    """max objective.x s.t. rows @ x <= rhs, x in [0,1]^k; rows is a dense (r, k) block.
-
-    tableau keeps the last solve's optimal dictionary, so a problem that only
-    ever gains rows (appended below the earlier ones) is re-solved warm.
-    """
-
-    objective: np.ndarray
-    rows: np.ndarray
-    rhs: np.ndarray
-    tableau: Tableau = field(default_factory=Tableau, repr=False, compare=False)
+from .simplex import FEAS_TOL, LpProblem, SimplexError, solve_box_lp
 
 
 def lp_solve(problem: LpProblem) -> tuple[np.ndarray, float]:
     """Solve the box LP with the bundled simplex, from the problem's last optimal
     basis; deterministic for a fixed sequence of inputs."""
-    return solve_box_lp(problem.objective, problem.rows, problem.rhs, tableau=problem.tableau)
+    return solve_box_lp(problem)
 
 
 @dataclass(eq=False)
@@ -148,14 +134,14 @@ def solve_cycle_relaxation(g: WeightedGraph) -> FractionalSolution:
     finer tolerance a row already in the model could read violated and stall."""
     if not g.edge_count:
         return FractionalSolution(g, np.zeros(0), 0.0, 0, 0, (), ())
-    problem = LpProblem(g.w, np.zeros((0, g.edge_count)), np.zeros(0))
+    problem = LpProblem(g.w)
     seen: set[bytes] = set()
     round_values: list[float] = []
     round_pivots: list[int] = []
     while True:
         x, value = lp_solve(problem)
         round_values.append(value)
-        round_pivots.append(problem.tableau.pivots)
+        round_pivots.append(problem.pivots)
         rows, rhs = separate_odd_cycles(x, g)
         if not len(rows):
             break
@@ -164,8 +150,7 @@ def solve_cycle_relaxation(g: WeightedGraph) -> FractionalSolution:
         if not fresh.any():
             raise SimplexError("separation stalled: violated constraints already in the model")
         seen.update(keys)
-        problem.rows = np.vstack((problem.rows, rows[fresh]))
-        problem.rhs = np.concatenate((problem.rhs, rhs[fresh]))
+        problem.add_rows(rows[fresh], rhs[fresh])
     return FractionalSolution(g, x, value, len(round_values), len(problem.rows), tuple(round_values), tuple(round_pivots))
 
 

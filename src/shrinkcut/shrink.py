@@ -13,13 +13,12 @@ constant offset, the total weight of the edges whose ends' flips differ.
 from __future__ import annotations
 
 import itertools
-import operator
 from collections.abc import Iterator
 from typing import NamedTuple
 
 import numpy as np
 
-from .graph import WeightedGraph
+from .graph import WeightedGraph, check_integer
 from .relaxation import FractionalSolution
 
 # Nonzero correlations ordered_pairs turns into Python tuples at a time.
@@ -44,10 +43,12 @@ def zero_correlations(n: int) -> WeightedGraph:
 
 
 def ordered_pairs(correlations: WeightedGraph) -> Iterator[tuple[tuple[int, int], float]]:
-    """Every pair u < v once with its correlation b, an edge's weight or 0, by
-    decreasing |b|, ties in pair order, lazily: a shrink reads a few hundred of
-    n(n-1)/2 pairs, so the nonzero edges become tuples ORDER_CHUNK at a time,
-    and then the pairs that read 0, one row u at a time."""
+    """The pairs a shrink reads, each once with its correlation b: the nonzero
+    edges by decreasing |b|, ties in pair order, ORDER_CHUNK tuples at a time,
+    then the pairs (0, v) that are not among them at b = 0.0, by v. Once every
+    nonzero pair lies inside one super-vertex, those join every vertex to 0;
+    any other pair that reads 0 would come later and join vertices already
+    together, so a shrink reads the same pairs as over all n(n-1)/2 in order."""
     u, v, b = correlations.u, correlations.v, correlations.w
     magnitude = np.abs(b)
     nonzero = np.flatnonzero(magnitude)
@@ -55,12 +56,8 @@ def ordered_pairs(correlations: WeightedGraph) -> Iterator[tuple[tuple[int, int]
     for start in range(0, order.size, ORDER_CHUNK):
         chunk = order[start : start + ORDER_CHUNK]
         yield from zip(zip(u[chunk].tolist(), v[chunk].tolist()), b[chunk].tolist())
-    n = correlations.vertex_count
-    index = u[nonzero] * n + v[nonzero]  # sorted, as the edges are
-    for row in range(n - 1):
-        lo, hi = np.searchsorted(index, (row * n + row + 1, row * n + n))
-        rest = np.delete(np.arange(row + 1, n), index[lo:hi] - (row * n + row + 1))
-        yield from zip(zip(itertools.repeat(row), rest.tolist()), itertools.repeat(0.0))
+    rest = np.delete(np.arange(1, correlations.vertex_count), v[nonzero][u[nonzero] == 0] - 1)
+    yield from zip(zip(itertools.repeat(0), rest.tolist()), itertools.repeat(0.0))
 
 
 class ShrinkRecord(NamedTuple):
@@ -218,8 +215,8 @@ def _contractions(g: WeightedGraph, correlations: WeightedGraph, target: int) ->
     contraction and after each one, so read it before resuming. Raises
     TypeError for a target that is not an integer, ValueError for one outside
     [1, n], correlations on other than n vertices or one outside [-1, 1];
-    correlations cover every pair, so they always reach target."""
-    n, target = g.vertex_count, operator.index(target)
+    ordered_pairs ends by joining every vertex to 0, so it always reaches target."""
+    n, target = g.vertex_count, check_integer(target, "target size")
     if not 1 <= target <= n:
         raise ValueError(f"target size {target} outside [1, {n}]")
     if correlations.vertex_count != n:

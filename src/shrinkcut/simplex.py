@@ -13,10 +13,10 @@ variable is inside its bounds: that basis is optimal (Koberstein, "The dual
 simplex method", 2005, ch. 4). A box LP cannot be unbounded, and rows with a
 negative right-hand side need no artificial variables.
 
-A solve can start warm: a Tableau keeps the last optimal dictionary, and when
-the same LP comes back with rows appended (a cutting-plane loop), each new row
-enters as a dictionary row a_N - a_B T with its slack basic at b - a.x. The
-earlier basis stays dual feasible, so the same dual simplex goes on from it.
+An LpProblem holds its rows once, with the dictionary of its last solve.
+add_rows appends rows, each as a dictionary row a_N - a_B T with its slack
+basic at b - a.x; the earlier basis stays dual feasible, so the next solve
+goes on from it. A cold solve is the same code from the starting dictionary.
 
 The tableau is never refactorized. Before a solve returns, the point is
 checked against the rows and a weak-duality bound from the final basis's row
@@ -54,39 +54,37 @@ class InfeasibleError(SimplexError):
     """The constraint system has no point inside the variable box."""
 
 
-class Tableau:
-    """The dictionary of one box LP, kept between solves as its rows grow.
+class LpProblem:
+    """max objective.x s.t. rows @ x <= rhs, 0 <= x <= 1, and its dictionary.
 
-    Variable ids: structural 0..n-1, then the slack of row i is n + i. A fresh
-    Tableau() is empty; solve_box_lp fills it on first use and leaves it at
-    each solve's optimal basis. pivots counts the basis changes of the last
-    solve.
+    objective, rows and rhs are read-only copies of what the problem was given;
+    add_rows is the only way the LP changes. Variable ids: structural 0..n-1,
+    then the slack of row i is n + i. The dictionary starts at the
+    cost-favoured corner with no rows and is left at each solve's final basis;
+    pivots counts the basis changes of the last solve.
     """
 
-    def __init__(self) -> None:
-        # the problem the dictionary belongs to; rows is None until the first solve
-        self.c: np.ndarray | None = None
-        self.rows: np.ndarray | None = None
-        self.rhs: np.ndarray | None = None
+    def __init__(self, objective, rows=None, rhs=None) -> None:
+        c = np.array(objective, dtype=float)
+        if c.ndim != 1:
+            raise ValueError(f"inconsistent problem dimensions: objective of shape {c.shape}")
+        if not np.isfinite(c).all():
+            raise ValueError("objective holds a non-finite entry")
+        self._objective, self._rows, self._rhs = c, np.zeros((0, c.size)), np.zeros(0)
+        c.flags.writeable = self._rows.flags.writeable = self._rhs.flags.writeable = False
         # the dictionary: basis[i] takes the value beta[i] and moves by -tab[i, q]
         # per unit step of nonbasic[q]; a nonbasic variable sits at 0, or at 1
         # when at_upper
-        self.tab: np.ndarray | None = None
-        self.beta: np.ndarray | None = None
-        self.basis: np.ndarray | None = None
-        self.nonbasic: np.ndarray | None = None
-        self.at_upper: np.ndarray | None = None
-        self.pivots = 0
-
-    def _start(self, c: np.ndarray) -> None:
-        n = c.size
-        self.c = c.copy()
-        self.rows, self.rhs = np.zeros((0, n)), np.zeros(0)
-        self.tab = np.zeros((0, n))
-        self.beta = np.zeros(0)
-        self.basis = np.zeros(0, dtype=np.int64)
-        self.nonbasic = np.arange(n)
+        self.tab, self.beta = np.zeros((0, c.size)), np.zeros(0)
+        self.basis, self.nonbasic = np.zeros(0, dtype=np.int64), np.arange(c.size)
         self.at_upper = c > COST_TOL * np.abs(c).max(initial=0.0)
+        self.pivots = 0
+        if rows is not None or rhs is not None:
+            self.add_rows(rows, rhs)
+
+    objective = property(lambda self: self._objective)
+    rows = property(lambda self: self._rows)
+    rhs = property(lambda self: self._rhs)
 
     def _point(self) -> np.ndarray:
         """Values of all variables at the current dictionary, unclipped."""
@@ -94,78 +92,61 @@ class Tableau:
         x[self.basis] = self.beta
         return x
 
-    def _append(self, c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray) -> None:
-        """Add the rows of a_ub beyond those already held, their slacks basic."""
-        if self.rows is None:
-            self._start(c)
-        m = self.rows.shape[0]
-        if not (
-            np.array_equal(c, self.c)
-            and a_ub.shape[0] >= m
-            and np.array_equal(a_ub[:m], self.rows)
-            and np.array_equal(b_ub[:m], self.rhs)
-        ):
-            raise ValueError("a warm tableau needs the same c and the earlier rows as a prefix")
-        new = a_ub[m:]
-        n, k = c.size, new.shape[0]
+    def add_rows(self, rows, rhs) -> None:
+        """Append rows @ x <= rhs below the earlier rows, their slacks basic; the
+        earlier basis stays dual feasible, so the next solve goes on from it.
+        Raises ValueError, naming it, for a block of another width, an rhs of
+        another length or a non-finite entry, and leaves the problem as it was."""
+        m, n = self._rows.shape
+        new, b = np.asarray(rows, dtype=float), np.asarray(rhs, dtype=float)
+        if new.ndim != 2 or new.shape[1] != n:
+            raise ValueError(f"inconsistent problem dimensions: rows of shape {new.shape} for {n} variables")
+        if b.shape != (new.shape[0],):
+            raise ValueError(f"inconsistent problem dimensions: rhs of shape {b.shape} for {new.shape[0]} rows")
+        for name, values in (("rows", new), ("rhs", b)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} holds a non-finite entry")
+        k = new.shape[0]
         # row a of the new block: slack = b - a.x = (b - a.x_now) - (a_N - a_B T) dx_N,
         # where only structural ids carry a coefficient
         struct_basic = self.basis < n
         block = -(new[:, self.basis[struct_basic]] @ self.tab[struct_basic])
         struct_nonbasic = self.nonbasic < n
         block[:, struct_nonbasic] += new[:, self.nonbasic[struct_nonbasic]]
-        self.beta = np.concatenate((self.beta, b_ub[m:] - new @ self._point()[:n]))
+        self.beta = np.concatenate((self.beta, b - new @ self._point()[:n]))
         self.tab = np.vstack((self.tab, block))
         self.basis = np.concatenate((self.basis, n + m + np.arange(k)))
         self.at_upper = np.concatenate((self.at_upper, np.zeros(k, dtype=bool)))
-        # copies: the caller may change its arrays in place before the next solve
-        self.rows, self.rhs = a_ub.copy(), b_ub.copy()
+        # copies: the caller may change its arrays in place afterwards
+        self._rows, self._rhs = np.vstack((self._rows, new)), np.concatenate((self._rhs, b))
+        self._rows.flags.writeable = self._rhs.flags.writeable = False
 
 
-def solve_box_lp(
-    c: np.ndarray,
-    a_ub: np.ndarray,
-    b_ub: np.ndarray,
-    max_iterations: int | None = None,
-    tableau: Tableau | None = None,
-) -> tuple[np.ndarray, float]:
-    """Maximize c.x s.t. a_ub x <= b_ub, 0 <= x <= 1. Returns (x, value).
+def iteration_cap(m: int, n: int) -> int:
+    """Pivots a solve of m rows in n variables may take before it raises SimplexError."""
+    return 20000 + 40 * (m + n)
 
-    With a tableau from an earlier solve of the same c whose rows are a prefix
-    of a_ub and b_ub, the solve starts from that solve's basis; the tableau
-    then holds this solve's. A tableau whose problem differs otherwise, or a
-    non-finite entry in c, a_ub or b_ub, raises ValueError. Raises
-    InfeasibleError or SimplexError; never returns a silently wrong answer:
-    before returning, the point is checked against the constraints and the
-    final basis's row prices must bound the optimum by its objective.
-    """
-    c = np.asarray(c, dtype=float)
-    a_ub = np.asarray(a_ub, dtype=float)
-    b_ub = np.asarray(b_ub, dtype=float)
-    n = c.size
-    if a_ub.size == 0:
-        a_ub = a_ub.reshape(0, n)
-    m = a_ub.shape[0]
-    if a_ub.shape != (m, n) or b_ub.shape != (m,):
-        raise ValueError("inconsistent problem dimensions")
-    for name, values in (("c", c), ("a_ub", a_ub), ("b_ub", b_ub)):
-        if not np.isfinite(values).all():
-            raise ValueError(f"{name} holds a non-finite entry")
 
-    s = Tableau() if tableau is None else tableau
-    s._append(c, a_ub, b_ub)
-    s.pivots = 0
+def solve_box_lp(problem: LpProblem) -> tuple[np.ndarray, float]:
+    """Maximize objective.x s.t. rows @ x <= rhs, 0 <= x <= 1 from the problem's
+    last basis, and leave it at this solve's. Returns (x, value). Raises
+    InfeasibleError or SimplexError, never a silently wrong answer: the point
+    is checked against the rows, and the final basis's row prices must bound
+    the optimum by its objective."""
+    c, a_ub, b_ub = problem.objective, problem.rows, problem.rhs
+    m, n = a_ub.shape
+    problem.pivots = 0
     c_full = np.concatenate((c, np.zeros(m)))
-    _dual_loop(s, c_full, 20000 + 40 * (m + n) if max_iterations is None else max_iterations)
+    _dual_loop(problem, c_full, iteration_cap(m, n))
 
-    x = np.clip(s._point()[:n], 0.0, 1.0)
+    x = np.clip(problem._point()[:n], 0.0, 1.0)
     value = float(c @ x)
     _verify(x, a_ub, b_ub)
-    _verify_optimal(s, c_full, a_ub, b_ub, value)
+    _verify_optimal(problem, c_full, a_ub, b_ub, value)
     return x, value
 
 
-def _pivot(s: Tableau, d: np.ndarray, row: int, q: int, leave_to_upper: bool) -> None:
+def _pivot(s: LpProblem, d: np.ndarray, row: int, q: int, leave_to_upper: bool) -> None:
     """Swap nonbasic column q with the basic variable of row.
 
     The caller has already moved beta to the new point. A rank-1 update of the
@@ -196,7 +177,7 @@ def _pivot(s: Tableau, d: np.ndarray, row: int, q: int, leave_to_upper: bool) ->
     s.pivots += 1
 
 
-def _dual_loop(s: Tableau, c: np.ndarray, max_iterations: int) -> None:
+def _dual_loop(s: LpProblem, c: np.ndarray, max_iterations: int) -> None:
     """Pivot until every basic variable is inside its bounds (dual simplex).
 
     Raises SimplexError when that takes more than max_iterations pivots, and
@@ -206,7 +187,7 @@ def _dual_loop(s: Tableau, c: np.ndarray, max_iterations: int) -> None:
     COST_TOL of zero at the start and rounding after a warm start, and
     _verify_optimal bounds what they can lose.
     """
-    n = s.c.size
+    n = s.objective.size
     bland_after = max(1000, 10 * c.size)
     d = c[s.nonbasic] - c[s.basis] @ s.tab
     d = np.where(s.at_upper[s.nonbasic], np.maximum(d, 0.0), np.minimum(d, 0.0))
@@ -254,7 +235,7 @@ def _verify(x: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray) -> None:
         raise SimplexError(f"solution drifted infeasible by {worst:.3g}")
 
 
-def _verify_optimal(s: Tableau, c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray, value: float) -> None:
+def _verify_optimal(s: LpProblem, c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray, value: float) -> None:
     """Raise if the row prices of the final basis prove a better objective possible.
 
     _verify catches a drifted tableau that leaves the point infeasible; this

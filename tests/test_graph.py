@@ -474,6 +474,8 @@ def test_qubo_rejects_bad_entries():
         assert str(err.value) == message
     with pytest.raises(ValueError, match="need n >= 0"):
         qubo_to_maxcut(-1, [])
+    with pytest.raises(TypeError, match="^n must be an integer, got 2.0$"):
+        qubo_to_maxcut(2.0, [])
     # numpy integer indices are indices, a mapped total at the limit is kept,
     # and so are coefficients whose merged weights cancel
     limit = graph.CUT_WEIGHT_LIMIT

@@ -351,16 +351,15 @@ def test_non_integer_sizes_are_rejected_before_any_work():
     # was reported beside a reduced size of 1, a 1.5 deleted count gave no
     # cells, and 2.5 samples failed only inside the solve stage
     g = grid_instance(2, 3, 7)
-    not_an_integer = "'float' object cannot be interpreted as an integer"
-    with pytest.raises(TypeError, match=not_an_integer):
+    with pytest.raises(TypeError, match="^target size must be an integer, got 1.5$"):
         shrink_to_target(g, zero_correlations(6), 1.5)
-    with pytest.raises(TypeError, match=not_an_integer):
+    with pytest.raises(TypeError, match="^target size must be an integer, got 2.5$"):
         run_pipeline(g, 2.5, "coin", "zero")
-    with pytest.raises(TypeError, match=not_an_integer):
+    with pytest.raises(TypeError, match="^deleted count must be an integer, got 1.5$"):
         sweep_shrink_counts(g, [1.5], correlation_modes=("zero",))
-    with pytest.raises(TypeError, match=not_an_integer):
+    with pytest.raises(TypeError, match="^n_samples must be an integer, got 2.5$"):
         run_pipeline(g, 3, "coin", "zero", n_samples=2.5)
-    with pytest.raises(TypeError, match=not_an_integer):
+    with pytest.raises(TypeError, match="^n_samples must be an integer, got 2.5$"):
         sweep_shrink_counts(g, [1], correlation_modes=("zero",), n_samples=2.5)
     # integer types other than int still work
     assert shrink_to_target(g, zero_correlations(6), np.int64(2)).reduced_size == 2

@@ -58,9 +58,9 @@ def test_correlation_sign():
 def test_correlations_from_relaxation_endpoints():
     g = dense_closure(WeightedGraph.from_edges(2, [(0, 1, 1.0)]))
     sol = solve_cycle_relaxation(g)
-    corr = dict(ordered_pairs(correlations_from_relaxation(sol)))
+    corr = correlations_from_relaxation(sol).weight_matrix
     # x_01 = 1 at the optimum, so the correlation is -1 (opposite sides)
-    assert corr[(0, 1)] == pytest.approx(-1.0)
+    assert corr[0, 1] == pytest.approx(-1.0)
 
 
 def test_correlations_from_relaxation_cover_every_pair():
@@ -69,8 +69,7 @@ def test_correlations_from_relaxation_cover_every_pair():
     g = WeightedGraph.from_edges(4, [(0, 1, 1.0), (1, 2, -1.0)])
     sol = solve_cycle_relaxation(g)
     corr = correlations_from_relaxation(sol)
-    read = dict(ordered_pairs(corr))
-    assert sorted(read) == list(itertools.combinations(range(4), 2))
+    read = {pair: corr.weight_matrix[pair] for pair in itertools.combinations(range(4), 2)}
     expected = {(0, 1): 1.0 - 2.0 * sol.x[0], (1, 2): 1.0 - 2.0 * sol.x[1]}
     assert read == {pair: expected.get(pair, 0.0) for pair in read}
     assert expected == {(0, 1): -1.0, (1, 2): 1.0}
@@ -354,12 +353,14 @@ def sorted_correlations(draw, values):
 @settings(deadline=None)
 @given(sorted_correlations([-1.0, -0.5, 0.25, 0.5, 1.0]))
 def test_ordered_pairs_match_stable_sort(case):
-    # every pair once, by decreasing |b| and then the pair, and a walk that
-    # follows them reaches a single vertex
+    # the nonzero pairs by decreasing |b| and then the pair, then the pairs
+    # (0, v) not among them at 0.0, and a walk that follows them reaches a
+    # single vertex
     n, stored = case
     corr = correlation_set(n, stored)
-    everything = [(p, stored.get(p, 0.0)) for p in itertools.combinations(range(n), 2)]
-    assert list(ordered_pairs(corr)) == sorted(everything, key=lambda kv: (-abs(kv[1]), kv[0]))
+    nonzero = sorted(((p, b) for p, b in stored.items() if b), key=lambda kv: (-abs(kv[1]), kv[0]))
+    tail = [((0, v), 0.0) for v in range(1, n) if not stored.get((0, v))]
+    assert list(ordered_pairs(corr)) == nonzero + tail
     *_, state = _contractions(WeightedGraph.from_edges(n, []), corr, 1)
     assert state.reduced_size == 1
 
@@ -394,9 +395,10 @@ def test_shrink_rejects_a_correlation_outside_the_unit_interval(monkeypatch):
 
 
 def test_zero_correlations_cover_every_pair_in_order():
+    # the pairs (0, v) in order join the ends of every pair
     n = 9
     corr = zero_correlations(n)
-    assert list(ordered_pairs(corr)) == [((u, v), 0.0) for u, v in itertools.combinations(range(n), 2)]
+    assert list(ordered_pairs(corr)) == [((0, v), 0.0) for v in range(1, n)]
     assert list(ordered_pairs(zero_correlations(1))) == []
 
 
@@ -406,7 +408,8 @@ def test_implicit_zero_tail_reads_as_every_pair(case):
     n, stored = case
     corr = correlation_set(n, stored)
     # every pair reads its given value or 0, a given -0.0 too; the graph keeps every given pair
-    assert dict(ordered_pairs(corr)) == {p: stored.get(p, 0.0) + 0.0 for p in itertools.combinations(range(n), 2)}
+    read = {p: corr.weight_matrix[p] + 0.0 for p in itertools.combinations(range(n), 2)}
+    assert read == {p: stored.get(p, 0.0) + 0.0 for p in itertools.combinations(range(n), 2)}
     assert list(zip(corr.u.tolist(), corr.v.tolist())) == list(stored)
     assert corr.w.tobytes() == np.array([stored[p] for p in stored], dtype=float).tobytes()
     assert not (corr.u.flags.writeable or corr.v.flags.writeable or corr.w.flags.writeable)
@@ -415,15 +418,49 @@ def test_implicit_zero_tail_reads_as_every_pair(case):
 @pytest.mark.parametrize("zeros", [False, True])
 def test_ordered_pairs_span_chunks(zeros):
     # more stored pairs than one chunk of the lazy order, with ties in |b|
-    # across chunk boundaries; with zeros, a third of the pairs read 0 from
-    # the tail that follows the stored ones
+    # across chunk boundaries; with zeros, a third of the pairs read 0, and
+    # those at vertex 0 make the tail that follows the nonzero ones
     rng = np.random.default_rng(5)
     pairs = list(itertools.combinations(range(50), 2))
     pool = [-1.0, -0.5, -0.0, 0.0, 0.5, 1.0] if zeros else [-1.0, -0.5, 0.5, 1.0]
     values = rng.choice(pool, size=len(pairs)).tolist()
     corr = every_pair(50, values)
     assert np.count_nonzero(corr.w) > shrink.ORDER_CHUNK
-    assert list(ordered_pairs(corr)) == sorted(zip(pairs, values), key=lambda kv: (-abs(kv[1]), kv[0]))
+    nonzero = sorted(((p, b) for p, b in zip(pairs, values) if b), key=lambda kv: (-abs(kv[1]), kv[0]))
+    tail = [((0, v), 0.0) for (u, v), b in zip(pairs, values) if u == 0 and not b]
+    assert bool(tail) == zeros
+    assert list(ordered_pairs(corr)) == nonzero + tail
+
+
+def every_pair_walk(g, stored, target):
+    """A shrink of g to target that reads every pair u < v once, by decreasing
+    |b| and then the pair, b the stored value or 0.0."""
+    pairs = itertools.combinations(range(g.vertex_count), 2)
+    state = ShrinkState(g)
+    for (u, v), b in sorted(((p, stored.get(p, 0.0) + 0.0) for p in pairs), key=lambda kv: (-abs(kv[1]), kv[0])):
+        if state.reduced_size == target:
+            break
+        (root_u, sign_u), (root_v, sign_v) = state.find(u), state.find(v)
+        if root_u != root_v:
+            state.contract(root_u, root_v, correlation_sign(b) * sign_u * sign_v, b)
+    return state
+
+
+@settings(deadline=None)
+@given(sorted_correlations([-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0]))
+def test_zero_tail_of_row_zero_shrinks_as_every_pair(case):
+    # the pairs (0, v) stand in for every pair that reads 0: the records,
+    # trace, offset and reduced graph match a walk over every pair at every
+    # target, on a graph weighted by its own correlations, +-0.0 among them
+    n, stored = case
+    corr = correlation_set(n, stored)
+    for target in range(1, n + 1):
+        state, reference = shrink_to_target(corr, corr, target), every_pair_walk(corr, stored, target)
+        assert state.records == reference.records
+        assert format_trace(state) == format_trace(reference)
+        assert repr(state.offset) == repr(reference.offset)
+        assert state.reduced.edges == reference.reduced.edges
+        assert state.reduced.w.tobytes() == reference.reduced.w.tobytes()
 
 
 @st.composite

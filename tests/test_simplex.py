@@ -8,39 +8,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shrinkcut.simplex import InfeasibleError, SimplexError, Tableau, solve_box_lp
+from shrinkcut import simplex
+from shrinkcut.simplex import InfeasibleError, LpProblem, SimplexError, solve_box_lp
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def test_bounds_only():
-    x, value = solve_box_lp(np.array([1.0]), np.zeros((0, 1)), np.zeros(0))
+    x, value = solve_box_lp(LpProblem(np.array([1.0]), np.zeros((0, 1)), np.zeros(0)))
     assert x[0] == pytest.approx(1.0)
     assert value == pytest.approx(1.0)
 
 
 def test_single_constraint():
-    x, value = solve_box_lp(
-        np.array([1.0, 0.0]), np.array([[1.0, 1.0]]), np.array([0.5])
-    )
+    x, value = solve_box_lp(LpProblem(np.array([1.0, 0.0]), np.array([[1.0, 1.0]]), np.array([0.5])))
     assert value == pytest.approx(0.5)
     assert x[0] == pytest.approx(0.5)
 
 
 def test_mixed_signs_objective():
     # max x1 - x2 with x1 + x2 <= 1.5: push x1 to 1, drop x2 to 0
-    x, value = solve_box_lp(
-        np.array([1.0, -1.0]), np.array([[1.0, 1.0]]), np.array([1.5])
-    )
+    x, value = solve_box_lp(LpProblem(np.array([1.0, -1.0]), np.array([[1.0, 1.0]]), np.array([1.5])))
     assert value == pytest.approx(1.0)
     assert x.tolist() == pytest.approx([1.0, 0.0])
 
 
 def test_negative_rhs_needs_phase_one():
     # x1 >= 0.25 written as -x1 <= -0.25; maximize -x1
-    x, value = solve_box_lp(
-        np.array([-1.0]), np.array([[-1.0]]), np.array([-0.25])
-    )
+    x, value = solve_box_lp(LpProblem(np.array([-1.0]), np.array([[-1.0]]), np.array([-0.25])))
     assert x[0] == pytest.approx(0.25)
     assert value == pytest.approx(-0.25)
 
@@ -48,32 +43,32 @@ def test_negative_rhs_needs_phase_one():
 def test_infeasible_detected():
     # x1 <= 0.2 and x1 >= 0.8 cannot both hold
     with pytest.raises(InfeasibleError):
-        solve_box_lp(
-            np.array([1.0]),
-            np.array([[1.0], [-1.0]]),
-            np.array([0.2, -0.8]),
-        )
+        solve_box_lp(LpProblem(np.array([1.0]), np.array([[1.0], [-1.0]]), np.array([0.2, -0.8])))
 
 
-def test_iteration_cap_raises():
+def test_iteration_cap_raises(monkeypatch):
     # x = 1, where every cost is favoured, breaks every row: the solve needs
     # more than one dual pivot
     rng = np.random.default_rng(0)
     a = rng.uniform(size=(10, 6))
-    with pytest.raises(SimplexError, match="iteration cap"):
-        solve_box_lp(np.ones(6), a, a.sum(axis=1) / 3, max_iterations=1)
-    tableau = Tableau()
-    solve_box_lp(np.ones(6), a, a.sum(axis=1) / 3, tableau=tableau)
-    assert tableau.pivots >= 2
+    problem = LpProblem(np.ones(6), a, a.sum(axis=1) / 3)
+    solve_box_lp(problem)
+    assert problem.pivots >= 2
+    assert simplex.iteration_cap(10, 6) == 20000 + 40 * 16
+    monkeypatch.setattr(simplex, "iteration_cap", lambda m, n: 1)
+    with pytest.raises(SimplexError, match="iteration cap 1 exceeded"):
+        solve_box_lp(LpProblem(np.ones(6), a, a.sum(axis=1) / 3))
 
 
+# the data in c, a_ub, b_ub terms; each is an LpProblem argument of another name
 @pytest.mark.parametrize("name", ["c", "a_ub", "b_ub"])
 def test_non_finite_data_rejected(name):
     problem = {"c": np.ones(2), "a_ub": np.array([[1.0, 1.0]]), "b_ub": np.array([1.0])}
     problem[name] = problem[name].copy()
     problem[name].flat[0] = np.nan
-    with pytest.raises(ValueError, match=f"^{name} holds a non-finite entry"):
-        solve_box_lp(**problem)
+    argument = {"c": "objective", "a_ub": "rows", "b_ub": "rhs"}[name]
+    with pytest.raises(ValueError, match=f"^{argument} holds a non-finite entry"):
+        LpProblem(problem["c"], problem["a_ub"], problem["b_ub"])
 
 
 def test_matches_vertex_solutions_on_random_problems():
@@ -86,7 +81,7 @@ def test_matches_vertex_solutions_on_random_problems():
         a = rng.uniform(0.0, 1.0, size=(m, n))
         b = a.sum(axis=1) + rng.uniform(0.1, 1.0, size=m)  # every corner feasible
         c = rng.normal(size=n)
-        x, value = solve_box_lp(c, a, b)
+        x, value = solve_box_lp(LpProblem(c, a, b))
         best = max(
             float(c @ np.array(bits))
             for bits in np.ndindex(*([2] * n))
@@ -99,8 +94,8 @@ def test_deterministic():
     a = rng.uniform(size=(8, 5))
     b = rng.uniform(0.5, 2.0, size=8)
     c = rng.normal(size=5)
-    x1, v1 = solve_box_lp(c, a, b)
-    x2, v2 = solve_box_lp(c, a, b)
+    x1, v1 = solve_box_lp(LpProblem(c, a, b))
+    x2, v2 = solve_box_lp(LpProblem(c, a, b))
     assert np.array_equal(x1, x2)
     assert v1 == v2
 
@@ -112,7 +107,7 @@ def test_feasibility_of_returned_point():
         a = rng.normal(size=(m, n))
         b = rng.uniform(0.0, 2.0, size=m)
         c = rng.normal(size=n)
-        x, _ = solve_box_lp(c, a, b)
+        x, _ = solve_box_lp(LpProblem(c, a, b))
         assert np.all(a @ x <= b + 1e-6)
         assert np.all(x >= -1e-9) and np.all(x <= 1 + 1e-9)
 
@@ -139,10 +134,11 @@ def highs_verdict(c, a, b):
     return ("optimal", -ref.fun) if ref.status == 0 else ("infeasible", None)
 
 
-def bundled_verdict(c, a, b, tableau=None):
-    """The same verdict from solve_box_lp; an optimal point is checked feasible."""
+def bundled_verdict(c, a, b, problem=None):
+    """The same verdict from solve_box_lp, cold on (c, a, b) or warm on a problem
+    whose rows are a and b; an optimal point is checked feasible."""
     try:
-        x, value = solve_box_lp(c, a, b, tableau=tableau)
+        x, value = solve_box_lp(LpProblem(c, a, b) if problem is None else problem)
     except InfeasibleError:
         return "infeasible", None
     assert np.all(a @ x <= b + 1e-6)
@@ -166,39 +162,69 @@ def test_objective_matches_highs(lp):
 @given(box_lps(max_rows=12), st.lists(st.integers(0, 12), max_size=4))
 def test_warm_resolve_matches_cold_and_highs(lp, cuts):
     # a cutting-plane loop: the rows arrive in batches and each re-solve starts
-    # from the tableau the previous one left
+    # from the dictionary the previous one left
     c, a, b = lp
-    tableau = Tableau()
+    problem, start = LpProblem(c), 0
     for end in sorted({min(k, len(b)) for k in cuts} | {len(b)}):
-        warm = bundled_verdict(c, a[:end], b[:end], tableau)
+        problem.add_rows(a[start:end], b[start:end])
+        start = end
+        assert np.array_equal(problem.rows, a[:end]) and np.array_equal(problem.rhs, b[:end])
+        warm = bundled_verdict(c, a[:end], b[:end], problem)
         same_verdict(warm, bundled_verdict(c, a[:end], b[:end]), rel=1e-7, abs=1e-9)
         same_verdict(warm, highs_verdict(c, a[:end], b[:end]), rel=1e-7, abs=1e-9)
 
 
-def test_warm_tableau_rejects_another_problem():
+def test_problem_data_cannot_be_reassigned_or_written():
+    # the dictionary is built from objective, rows and rhs, so none of them
+    # may change behind its back
+    problem = LpProblem(np.ones(2), np.array([[1.0, 1.0]]), np.array([1.0]))
+    for name in ("objective", "rows", "rhs"):
+        with pytest.raises(AttributeError):
+            setattr(problem, name, getattr(problem, name).copy())
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(problem, name).flat[0] = 0.5
+    empty = LpProblem(np.ones(2))
+    assert empty.rows.shape == (0, 2) and empty.rhs.shape == (0,)
+    with pytest.raises(ValueError, match="read-only"):
+        empty.objective[0] = 0.5
+
+
+def test_caller_edits_after_add_rows_change_nothing():
     c, a, b = np.ones(2), np.array([[1.0, 1.0], [1.0, -1.0]]), np.array([1.0, 0.5])
-    tableau = Tableau()
-    solve_box_lp(c, a, b, tableau=tableau)
-    for args in ((c, a[::-1], b), (c, a, b[::-1]), (c, a[:1], b[:1]), (-c, a, b)):
-        with pytest.raises(ValueError, match="prefix"):
-            solve_box_lp(*args, tableau=tableau)
-    _, value = solve_box_lp(c, np.vstack((a, [[0.0, 1.0]])), np.append(b, 0.1), tableau=tableau)
+    problem = LpProblem(c, a[:1], b[:1])
+    _, value = solve_box_lp(problem)
+    problem.add_rows(a[1:], b[1:])
+    c[0], a[:], b[:] = -1.0, 0.0, -1.0
+    assert problem.objective.tolist() == [1.0, 1.0]
+    assert problem.rows.tolist() == [[1.0, 1.0], [1.0, -1.0]] and problem.rhs.tolist() == [1.0, 0.5]
+    _, warm = solve_box_lp(problem)
+    assert warm == value == pytest.approx(1.0)
+    problem.add_rows(np.array([[0.0, 1.0]]), np.array([0.1]))
+    _, value = solve_box_lp(problem)
     assert value == pytest.approx(0.7)
-    assert tableau.pivots >= 1
+    assert problem.pivots >= 1
 
 
-def test_warm_tableau_rejects_rows_changed_in_place():
-    # the tableau keeps its own copy of the rows, so a caller's in-place edit
-    # shows up as a different problem rather than a stale warm start
-    c, a, b = np.ones(2), np.array([[1.0, 1.0], [1.0, -1.0]]), np.array([1.0, 0.5])
-    tableau = Tableau()
-    solve_box_lp(c, a, b, tableau=tableau)
-    b[0] = 3.0
-    with pytest.raises(ValueError, match="prefix"):
-        solve_box_lp(c, a, b, tableau=tableau)
-    a[1, 1] = 0.0
-    with pytest.raises(ValueError, match="prefix"):
-        solve_box_lp(c, a, np.array([1.0, 0.5]), tableau=tableau)
+@pytest.mark.parametrize(
+    ("rows", "rhs", "message"),
+    [
+        (np.ones((1, 3)), np.ones(1), r"rows of shape \(1, 3\) for 2 variables"),
+        (np.ones((2, 2)), np.ones(1), r"rhs of shape \(1,\) for 2 rows"),
+        (np.array([[1.0, np.nan]]), np.ones(1), "^rows holds a non-finite entry"),
+        (np.ones((1, 2)), np.array([np.inf]), "^rhs holds a non-finite entry"),
+    ],
+    ids=["wrong-width", "short-rhs", "nan-row", "inf-rhs"],
+)
+def test_add_rows_rejects_a_bad_block_and_keeps_the_problem(rows, rhs, message):
+    problem = LpProblem(np.ones(2), np.array([[1.0, 1.0]]), np.array([1.0]))
+    solve_box_lp(problem)
+    before = [problem.tab.copy(), problem.beta.copy(), problem.basis.copy()]
+    with pytest.raises(ValueError, match=message):
+        problem.add_rows(rows, rhs)
+    assert problem.rows.shape == (1, 2) and problem.rhs.shape == (1,)
+    for held, kept in zip([problem.tab, problem.beta, problem.basis], before):
+        assert np.array_equal(held, kept)
+    assert solve_box_lp(problem)[1] == pytest.approx(1.0)
 
 
 def test_drifted_reduced_costs_fail_loudly():
@@ -207,15 +233,14 @@ def test_drifted_reduced_costs_fail_loudly():
     # its reduced cost reads -3: the next warm solve then sees a feasible
     # point of value 0 that its reduced costs call optimal. The row price of
     # that basis (1) bounds the optimum by 2, which exposes it.
-    c, a, b = np.array([1.0, 2.0]), np.array([[1.0, 1.0]]), np.array([1.0])
-    tableau = Tableau()
-    _, value = solve_box_lp(c, a, b, tableau=tableau)
+    problem = LpProblem(np.array([1.0, 2.0]), np.array([[1.0, 1.0]]), np.array([1.0]))
+    _, value = solve_box_lp(problem)
     assert value == pytest.approx(2.0)
-    assert tableau.basis.tolist() == [0] and tableau.nonbasic.tolist() == [2, 1]
-    tableau.at_upper[1] = False
-    tableau.tab[0, 1] = 5.0
+    assert problem.basis.tolist() == [0] and problem.nonbasic.tolist() == [2, 1]
+    problem.at_upper[1] = False
+    problem.tab[0, 1] = 5.0
     with pytest.raises(SimplexError, match="not optimal"):
-        solve_box_lp(c, a, b, tableau=tableau)
+        solve_box_lp(problem)
 
 
 def test_package_import_leaves_scipy_unloaded():
