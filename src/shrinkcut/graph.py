@@ -50,10 +50,7 @@ class WeightedGraph:
     w: np.ndarray
 
     def __post_init__(self):
-        try:
-            n = operator.index(self.vertex_count)
-        except TypeError:
-            raise ValueError(f"vertex_count must be an integer, got {self.vertex_count!r}") from None
+        n = check_integer(self.vertex_count, "vertex_count")
         ends = np.array((self.u, self.v))
         w = np.array(self.w, dtype=float)
         if n < 0 or ends.ndim != 2 or w.shape != ends.shape[1:]:

@@ -21,8 +21,9 @@ from .graph import WeightedGraph, _double_by_vertex, _spectrum, check_integer
 STATEVECTOR_CAP = 24
 # qubits one X-mixer matrix product acts on: a 16x16 real block
 MIXER_BLOCK_QUBITS = 4
-# floats of the scratch each mixer product writes through, and of one closed-form gamma chunk (256 KB, cache-sized)
-MIXER_SCRATCH = 1 << 15
+# floats of the scratch the mixer's products pass through, of one chunk of squared amplitudes,
+# and of one closed-form gamma chunk (512 KB, cache-sized)
+MIXER_SCRATCH = 1 << 16
 # Most grid points per axis grid_search evaluates: a landscape holds the square, 2^24
 # values or 128 MB, and its CSV a line each; a finer step asked numpy for terabytes.
 GRID_AXIS_POINTS = 1 << 12
@@ -59,12 +60,14 @@ class QaoaState:
 
 
 def _probabilities(amp: np.ndarray) -> np.ndarray:
-    """re^2 + im^2 per amplitude, the imaginary squares chunked through a small scratch."""
-    probs = np.square(amp.real)
-    square = np.empty(min(amp.size, MIXER_SCRATCH))
-    for a in range(0, amp.size, square.size):
-        part = square[: amp.size - a]
-        probs[a : a + part.size] += np.square(amp.imag[a : a + part.size], out=part)
+    """fl(re^2) + fl(im^2) per amplitude: the interleaved float view squared
+    MIXER_SCRATCH floats at a time, each pair of squares added into the result."""
+    f = np.ascontiguousarray(amp, dtype=complex).view(float)
+    probs = np.empty(f.size // 2)
+    squares = np.empty(min(f.size, MIXER_SCRATCH))
+    for a in range(0, f.size, squares.size):
+        part = np.square(f[a : a + squares.size], out=squares[: f.size - a])
+        np.add(part[0::2], part[1::2], out=probs[a // 2 : (a + part.size) // 2])
     return probs
 
 
@@ -107,12 +110,18 @@ def _evolve(y: np.ndarray, n: int, beta: float) -> np.ndarray:
     with the top qubit 0 is the whole state. With D = diag(1, i),
     D [[c, s], [-s, c]] D^-1 = exp(-i beta X), so in the frame
     y[x] = (-i)^popcount(x) amp[x] every qubit rotates by that real matrix, and
-    its Kronecker powers act on the float view of y. Qubits low..n-2 rotate
-    MIXER_BLOCK_QUBITS at a time: for the k qubits from qubit q up, the k-fold
-    power multiplies the middle axis of the view reshaped to
-    (rest, 2^k, 2^(q+1)), each product written to a MIXER_SCRATCH-float
-    (256 KB) scratch and copied back. One last pass over mirrored chunk pairs
-    of that scratch's size rotates the low = MIXER_BLOCK_QUBITS - 1 lowest
+    its Kronecker powers act on the float view of y. Qubits low..n-2 rotate in
+    groups of MIXER_BLOCK_QUBITS, taken two at a time: for groups of k1 qubits
+    from qubit q up and k2 from q + k1 up, the view is reshaped to
+    (rest, 2^k2, 2^k1, 2^(q+1)) and walked in slabs of at most MIXER_SCRATCH
+    floats (512 KB), whole rows while a row fits and otherwise
+    MIXER_SCRATCH / 2^(k1+k2) columns of one row. The k1-fold power writes
+    its product of a slab into the scratch, and the k2-fold power writes its
+    product of the scratch back into the slab (as whole rows, or through the
+    slab's transposed view), so nothing is copied back. A lone last group
+    multiplies the view reshaped to (rest, 2^k, 2^(q+1)) through the scratch
+    and copies each product back. One last pass over mirrored chunk pairs
+    of MIXER_SCRATCH / 8 amplitudes rotates the low = MIXER_BLOCK_QUBITS - 1 lowest
     qubits, whose power, times the identity on (re, im), is as wide as a
     block; multiplies by i^popcount(x) back to the true frame; and rotates the
     top qubit. X_{n-1} acts on h as X_0...X_{n-2}, which reverses h, so that
@@ -122,12 +131,33 @@ def _evolve(y: np.ndarray, n: int, beta: float) -> np.ndarray:
     rotation = np.array([[c, s], [-s, c]])
     scratch = np.empty(MIXER_SCRATCH)
     low = min(MIXER_BLOCK_QUBITS - 1, max(n - 1, 0))
-    for q in range(low, n - 1, MIXER_BLOCK_QUBITS):
-        k = min(MIXER_BLOCK_QUBITS, n - 1 - q)
+    groups = [(q, min(MIXER_BLOCK_QUBITS, n - 1 - q)) for q in range(low, n - 1, MIXER_BLOCK_QUBITS)]
+    f = y.view(float)
+    for (q, k1), (_, k2) in zip(groups[::2], groups[1::2]):
+        first, second = (functools.reduce(np.kron, [rotation] * k) for k in (k1, k2))
+        view = f.reshape(-1, 1 << k2, 1 << k1, 2 << q)
+        rows = MIXER_SCRATCH // view[0].size
+        if rows:
+            for r in range(0, view.shape[0], rows):
+                slab = view[r : r + rows]
+                out = scratch[: slab.size].reshape(slab.shape)
+                np.matmul(first, slab, out=out)
+                shape = (len(slab), 1 << k2, -1)
+                np.matmul(second, out.reshape(shape), out=slab.reshape(shape))
+        else:
+            cols = MIXER_SCRATCH >> k1 + k2
+            for r in range(view.shape[0]):
+                for j in range(0, 2 << q, cols):
+                    slab = view[r, :, :, j : j + cols]
+                    out = scratch.reshape(slab.shape)
+                    np.matmul(first, slab, out=out)
+                    np.matmul(second, out.transpose(1, 0, 2), out=slab.transpose(1, 0, 2))
+    if len(groups) % 2:
+        q, k = groups[-1]
         block = functools.reduce(np.kron, [rotation] * k)
         width = min(2 << q, MIXER_SCRATCH >> k)
         rows = max(1, MIXER_SCRATCH // (2 << q + k))
-        view = y.view(float).reshape(-1, 1 << k, (2 << q) // width, width)
+        view = f.reshape(-1, 1 << k, (2 << q) // width, width)
         for r in range(0, view.shape[0], rows):
             for j in range(view.shape[2]):
                 x = view[r : r + rows, :, j]
@@ -174,8 +204,10 @@ def sample_cuts(state: QaoaState, n_samples: int, seed=None) -> np.ndarray:
 
     Returns a (n_samples, n) boolean matrix; deterministic for a fixed seed.
     The bipartitions drawn are Generator.choice(2^(n-1), n_samples, p=probs/probs.sum())'s:
-    the same cumulative sum, searched (side "right") in sorted order for the
-    same rng.random stream. The generator's next n_samples uniforms then flip
+    the same cumulative sum and the same rng.random stream, searched in
+    sorted order by _search_normalised, which gives the indices choice's
+    search of the sum divided by its last entry gives, without that
+    division. The generator's next n_samples uniforms then flip
     all n bits of a draw with probability 1/2, as amp[x] = amp[~x]. Raises
     TypeError when n_samples is not an integer, and ValueError when it is
     negative or the total probability is not finite and positive.
@@ -188,14 +220,29 @@ def sample_cuts(state: QaoaState, n_samples: int, seed=None) -> np.ndarray:
         raise ValueError(f"total probability {total} is not finite and positive")
     cdf /= total
     np.cumsum(cdf, out=cdf)
-    cdf /= cdf[-1]
     rng = np.random.default_rng(seed)
     uniform = rng.random(n_samples)
     order = np.argsort(uniform)
     draws = np.empty(n_samples, dtype="<i8")  # little-endian: its bytes unpack in bit order
-    draws[order] = cdf.searchsorted(uniform[order], side="right")
+    draws[order] = _search_normalised(cdf, uniform[order])
     draws[rng.random(n_samples) < 0.5] ^= (1 << state.n) - 1
     return np.unpackbits(draws.view(np.uint8).reshape(-1, 8), axis=1, count=state.n, bitorder="little").view(bool)
+
+
+def _search_normalised(cdf: np.ndarray, uniform: np.ndarray) -> np.ndarray:
+    """(cdf / cdf[-1]).searchsorted(uniform, side="right"), without that division's
+    pass over cdf. Each u searches cdf at the largest float t with
+    fl(t / L) <= u, L = cdf[-1]: as x -> fl(x / L) is monotone, cdf[i] <= t
+    exactly when fl(cdf[i] / L) <= u, also along flat runs. t starts at
+    fl(u L), a few ulps from there, and moves by nextafter steps: down while
+    t / L > u, then up while the next float up still divides to at most u."""
+    last = cdf[-1]
+    t = uniform * last
+    while (high := t / last > uniform).any():
+        t[high] = np.nextafter(t[high], -np.inf)
+    while (low := np.nextafter(t, np.inf) / last <= uniform).any():
+        t[low] = np.nextafter(t[low], np.inf)
+    return cdf.searchsorted(t, side="right")
 
 
 def _analytic_grid(g: WeightedGraph, gammas, betas) -> np.ndarray:

@@ -31,7 +31,7 @@ from shrinkcut.instances import (
     sign_weights,
     unit,
 )
-from shrinkcut.qaoa import GRID_AXIS_POINTS, MIXER_SCRATCH, _analytic_grid, _phase
+from shrinkcut.qaoa import GRID_AXIS_POINTS, MIXER_SCRATCH, _analytic_grid, _phase, _search_normalised
 
 K2 = WeightedGraph.from_edges(2, [(0, 1, 1.0)])
 
@@ -121,9 +121,10 @@ def test_phase_and_state_at_20_qubits():
 
 @pytest.mark.parametrize("n", range(13, 21))
 def test_blocked_mixer_matches_butterfly_from_13_qubits(n):
-    # the property above stops at n = 12; from here on the mixer's products are
-    # split into rows and then columns of its scratch, its last pass runs over
-    # several chunk pairs, and n = 13..15 and 17..19 end on a partial block
+    # the property above stops at n = 12; n = 13..16 rotate one pair of groups
+    # and a lone last group, n = 17..20 two pairs, the second walked in column
+    # slabs of its rows; the last pass runs over several chunk pairs, and
+    # n = 13..15 and 17..19 end on a partial group
     rng = np.random.default_rng(n)
     g = WeightedGraph.from_edges(n, random_edges(n, 3.0, rng))
     p = QaoaParams(*rng.uniform(0.0, math.pi / 2, 2))
@@ -469,13 +470,19 @@ def test_sample_from_deterministic_state():
 
 
 @settings(deadline=None)
-@given(st.integers(0, 12), st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1), st.integers(1, 200))
-def test_sample_draws_equal_generator_choice(n, state_seed, seed, k):
+@given(
+    st.integers(0, 12),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 200),
+    st.sampled_from([0.3, 0.9]),
+)
+def test_sample_draws_equal_generator_choice(n, state_seed, seed, k, zeros):
     size = 1 << max(n - 1, 0)
     rng = np.random.default_rng(state_seed)
     amplitudes = rng.normal(size=size) + 1j * rng.normal(size=size)
-    # some exact zeros give the cumulative sum flat steps
-    amplitudes[rng.random(size) < 0.3] = 0.0
+    # exact zeros give the cumulative sum flat steps, long runs of them at 0.9
+    amplitudes[rng.random(size) < zeros] = 0.0
     amplitudes[0] = 1.0
     state = QaoaState(amplitudes, n)
     probs = state.probabilities()
@@ -486,6 +493,34 @@ def test_sample_draws_equal_generator_choice(n, state_seed, seed, k):
     if n:
         draws ^= draws[:, n - 1 :]
     assert np.array_equal(draws @ (1 << np.arange(n)), expected)
+
+
+def test_search_normalised_where_a_plain_search_is_off_by_one():
+    # Generator.choice searches c / c[-1] at u, where c[2] / c[-1] rounds to
+    # one ulp above u: index 2. u * c[-1] rounds to c[2] itself, so a search
+    # of c at it reads 3.
+    c = np.array([0.4396419350266977, 1.0929608789406864, 1.1477088080867905, 1.2287530382476837])
+    u = np.array([0.9340435159562496])
+    assert np.searchsorted(c / c[-1], u, "right") == 2
+    assert np.searchsorted(c, u * c[-1], "right") == 3
+    assert _search_normalised(c, u) == 2
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.sampled_from([0.0, 1e-300, 1e-17, 0.1, 0.3, 1.0]) | st.floats(0.0, 10.0), min_size=1, max_size=40),
+    st.lists(st.integers(0, 200), max_size=20),
+    st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=5),
+)
+def test_search_normalised_equals_search_of_normalised_sum(steps, picks, extra):
+    steps[-1] += 1.0  # a positive last entry
+    c = np.cumsum(steps)  # zero steps repeat values
+    ratios = c / c[-1]
+    # each fl(c_i / L) and the floats either side of it, where the division rounds
+    at = ratios[np.array(picks, dtype=int) % c.size]
+    uniform = np.concatenate([at, np.nextafter(at, -np.inf), np.nextafter(at, np.inf), extra])
+    uniform = np.clip(uniform, 0.0, np.nextafter(1.0, 0.0))
+    assert np.array_equal(_search_normalised(c, uniform), np.searchsorted(ratios, uniform, "right"))
 
 
 def test_sample_frequencies_match_bipartition_probabilities():
