@@ -113,6 +113,8 @@ def _solve_reduced(
     if subsolver == "qaoa-sim":
         if state.reduced_size > STATEVECTOR_CAP:
             raise ValueError(f"reduced size {state.reduced_size} exceeds the {STATEVECTOR_CAP}-qubit simulator cap")
+        if average_degree(state.reduced) <= 1.0:
+            raise ValueError(_low_degree_message(state))
         params = estimate_parameters(state.reduced)
         return sample_cuts(qaoa_state(state.reduced, params), n_samples, seed), params
     if subsolver == "coin":
@@ -121,32 +123,26 @@ def _solve_reduced(
     raise ValueError(f"unknown subsolver {subsolver!r}")
 
 
-def _low_degree_message(g: WeightedGraph, correlations: WeightedGraph, reduced: WeightedGraph) -> str:
-    """Why qaoa-sim cannot run on reduced, with the smallest larger target,
-    shrunk with the same correlations, whose reduction it can run on."""
-    size = reduced.vertex_count
+def _low_degree_message(state: ShrinkState) -> str:
+    """Why qaoa-sim cannot run on the state's reduction, with the smallest larger
+    target whose reduction it can run on: shrunk with the same correlations,
+    that reduction is the state after a prefix of the state's own records."""
+    size = state.reduced_size
     message = (
-        f"reduced size {size} has average degree {average_degree(reduced):.3g} <= 1, "
+        f"reduced size {size} has average degree {average_degree(state.reduced):.3g} <= 1, "
         "so the QAOA parameter estimate is undefined"
     )
-    limit = min(g.vertex_count, STATEVECTOR_CAP)
-    # the walk toward size + 1 passes every larger target's reduction on its
-    # way, largest first, so the last one that works is the smallest
-    works = None
-    if size < limit:
-        for state in _contractions(g, correlations, size + 1):
-            degree = average_degree(state.reduced) if state.reduced_size <= limit else 0.0
-            if degree > 1.0:
-                works = (state.reduced_size, degree)
+    limit = min(state.original.vertex_count, STATEVECTOR_CAP)
+    # the replay passes every larger target's reduction, largest first, so the
+    # last one that works is the smallest
+    works, replay = None, ShrinkState(state.original)
+    for kept, removed, sign, b in state.records:
+        if replay.reduced_size <= limit and (degree := average_degree(replay.reduced)) > 1.0:
+            works = (replay.reduced_size, degree)
+        replay.contract(removed, kept, sign, b)
     if works:
         return f"{message}; target {works[0]} reduces to average degree {works[1]:.3g}"
     return f"{message}; no target up to {limit} reduces to average degree > 1"
-
-
-def _score(state: ShrinkState, samples: np.ndarray) -> np.ndarray:
-    """Every reduced sample's cut value on the original graph, scored through
-    the lift map from the sample's own columns: nothing is lifted."""
-    return cut_value_batch(state.original, samples, state.lift_map)
 
 
 def _mean(values: np.ndarray) -> float:
@@ -157,18 +153,19 @@ def _mean(values: np.ndarray) -> float:
     return float(mean if np.isfinite(mean) else (values / scale).mean() * scale)
 
 
-def _check_inputs(modes, subsolvers=(), n_samples: int = 1) -> None:
-    """Raise ValueError for the first correlation mode or subsolver the
-    pipeline does not know, or for a sample count below 1; TypeError for a
-    sample count that is not an integer."""
+def _check_inputs(modes, subsolvers=(), n_samples: int = 1) -> int:
+    """The sample count as an int. Raises ValueError for the first correlation
+    mode or subsolver the pipeline does not know, or for a sample count below
+    1; TypeError for a sample count that is not an integer."""
     for mode in modes:
         if mode not in CORRELATION_MODES:
             raise ValueError(f"correlation mode must be one of {CORRELATION_MODES}, got {mode!r}")
     for subsolver in subsolvers:
         if subsolver not in SUBSOLVERS:
             raise ValueError(f"subsolver must be one of {SUBSOLVERS}, got {subsolver!r}")
-    if check_integer(n_samples, "n_samples") < 1:
+    if (n_samples := check_integer(n_samples, "n_samples")) < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+    return n_samples
 
 
 @contextmanager
@@ -210,7 +207,7 @@ def run_pipeline(
     vertices that fails the bounds stage. Each stage is timed under its name,
     which a PipelineError from it carries.
     """
-    _check_inputs((correlation_mode,), (subsolver,), n_samples)
+    n_samples = _check_inputs((correlation_mode,), (subsolver,), n_samples)
     n, target_size = g.vertex_count, check_integer(target_size, "target size")
     if not 1 <= target_size <= n:
         raise ValueError(f"target size {target_size} outside [1, {n}]")
@@ -224,15 +221,10 @@ def run_pipeline(
         reduced = state.reduced
 
     with _stage("solve", timings):
-        try:
-            samples, params = _solve_reduced(state, subsolver, n_samples, seed)
-        except Exception as exc:
-            if subsolver == "qaoa-sim" and reduced.vertex_count <= STATEVECTOR_CAP and average_degree(reduced) <= 1.0:
-                raise ValueError(_low_degree_message(g, correlations, reduced)) from exc
-            raise
+        samples, params = _solve_reduced(state, subsolver, n_samples, seed)
 
     with _stage("reconstruct", timings):
-        values = _score(state, samples)
+        values = cut_value_batch(g, samples, state.lift_map)
         mean = _mean(values)
         best_idx = int(np.argmax(values))
         best_assignment = state.reconstruct(samples[best_idx])
@@ -292,10 +284,11 @@ def sweep_shrink_counts(
     once per mode, and one pass over each mode's contractions scores every count.
     Raises TypeError for a count that is not an integer, ValueError for one
     outside [0, n) or past brute_force's cap.
-    The qaoa-sim subsolver needs reduced average degree > 1, so keep deleted
-    counts away from n - 1 and n - 2 when using it.
+    The qaoa-sim subsolver needs reduced average degree > 1: at a count whose
+    reduction has less, the sweep raises ValueError naming that reduced size
+    and the smallest larger target that works, as run_pipeline does.
     """
-    _check_inputs(correlation_modes, subsolvers, n_samples)
+    n_samples = _check_inputs(correlation_modes, subsolvers, n_samples)
     n = g.vertex_count
     deleted_counts = list(range(n)) if deleted_counts is None else [check_integer(d, "deleted count") for d in deleted_counts]
     for deleted in deleted_counts:
@@ -324,7 +317,8 @@ def sweep_shrink_counts(
                 solved = [summary.argmax[None, :] if subsolver == "exact" and not state.records
                           else _solve_reduced(state, subsolver, n_samples, cell_seed)[0]
                           for subsolver, cell_seed in zip(subsolvers, seeds[i])]
-                scored = np.split(_score(state, np.concatenate(solved)), np.cumsum([len(s) for s in solved])[:-1])
+                batch = cut_value_batch(g, np.concatenate(solved), state.lift_map)
+                scored = np.split(batch, np.cumsum([len(s) for s in solved])[:-1])
                 for subsolver, values in zip(subsolvers, scored):
                     mean = _mean(values)
                     ratio = approximation_ratio(mean, summary.min_value, summary.max_value)

@@ -273,7 +273,9 @@ def _analytic_grid(g: WeightedGraph, gammas, betas) -> np.ndarray:
     beta only enters through sin(4 beta) and sin(2 beta)^2, so the landscape
     is an outer product of gamma-dependent and beta-dependent factors. The
     gamma axis is taken in chunks whose four products read at most
-    MIXER_SCRATCH floats, or one gamma when that alone reads more.
+    MIXER_SCRATCH floats, or one gamma when that alone reads more. Each
+    gamma's sums over the edges are einsum row sums, whose bits do not depend
+    on the chunk, so a grid value equals expectation_analytic's at its point.
     """
     gammas = np.atleast_1d(np.asarray(gammas, dtype=float))
     nz = g.w != 0.0
@@ -299,8 +301,8 @@ def _analytic_grid(g: WeightedGraph, gammas, betas) -> np.ndarray:
         ca, cb = cos[:, ia], cos[:, ib]
         c, s = ca * cb, sin[:, ia] * sin[:, ib]
         pa, pb, pd, ps = np.multiply.reduceat(np.stack((ca, cb, c + s, c - s)), starts, axis=2)
-        t1[i : i + rows] = ((pa + pb) * sin[:, :-1]) @ w
-        t2[i : i + rows] = (pd - ps) @ w
+        t1[i : i + rows] = np.einsum("ge,e->g", (pa + pb) * sin[:, :-1], w)
+        t2[i : i + rows] = np.einsum("ge,e->g", pd - ps, w)
     landscape = np.outer(t1, np.sin(4.0 * betas)) - np.outer(t2, np.sin(2.0 * betas) ** 2)
     return 0.5 * sum(w.tolist()) + 0.25 * landscape
 

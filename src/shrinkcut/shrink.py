@@ -152,19 +152,20 @@ class ShrinkState:
             parent[node], parity[node] = vertex, opposite
         return vertex, -1 if opposite else 1
 
-    def contract(self, removed: int, kept: int, sign: int, b: float) -> None:
-        """Merge super-vertex `removed` into `kept`, on equal sides for sign +1
-        and opposite for -1, for a pair of correlation b: removed's root goes
-        under kept's."""
+    def contract(self, u: int, v: int, sign: int, b: float) -> bool:
+        """Contract the pair (u, v) of original vertices, on equal sides for sign
+        +1 and opposite for -1, for a correlation b: u's root goes under v's,
+        with sign composed with u's and v's parities. Returns False, and records
+        nothing, when u and v already share a root."""
         if sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {sign}")
-        if removed == kept:
-            raise ValueError("cannot contract a super-vertex with itself")
-        for v in (removed, kept):
-            if not (0 <= v < len(self._parent) and self._parent[v] == v):
-                raise ValueError(f"vertex {v} is not a current super-vertex")
-        self._parent[removed], self._parity[removed] = kept, sign == -1
-        self.records.append(ShrinkRecord(kept, removed, int(sign), float(b)))
+        (root_u, sign_u), (root_v, sign_v) = self.find(u), self.find(v)
+        if root_u == root_v:
+            return False
+        sign = int(sign) * sign_u * sign_v
+        self._parent[root_u], self._parity[root_u] = root_v, sign == -1
+        self.records.append(ShrinkRecord(root_v, root_u, sign, float(b)))
+        return True
 
     @property
     def lift_map(self) -> tuple[np.ndarray, np.ndarray]:
@@ -229,12 +230,8 @@ def _contractions(g: WeightedGraph, correlations: WeightedGraph, target: int) ->
     for (u, v), b in ordered_pairs(correlations):
         if state.reduced_size == target:
             return
-        root_u, sign_u = state.find(u)
-        root_v, sign_v = state.find(v)
-        if root_u == root_v:
-            continue
-        state.contract(root_u, root_v, correlation_sign(b) * sign_u * sign_v, b)
-        yield state
+        if state.contract(u, v, correlation_sign(b), b):
+            yield state
 
 
 def format_trace(state: ShrinkState) -> str:

@@ -151,7 +151,7 @@ STAGES = ["relax", "shrink", "solve", "reconstruct", "bounds"]
     ("relax", "solve_cycle_relaxation"),
     ("shrink", "shrink_to_target"),
     ("solve", "_solve_reduced"),
-    ("reconstruct", "_score"),
+    ("reconstruct", "cut_value_batch"),
     ("bounds", "brute_force"),
 ])
 def test_a_fault_in_each_stage_carries_its_label(monkeypatch, stage, name):
@@ -190,6 +190,17 @@ def test_low_degree_error_says_when_no_target_works():
     with pytest.raises(PipelineError, match="no target up to 4 reduces to average degree > 1") as err:
         run_pipeline(g, 2, subsolver="qaoa-sim", correlation_mode="zero", n_samples=10, seed=0)
     assert err.value.stage == "solve"
+
+
+def test_low_degree_error_names_the_failing_sweep_size():
+    # K4 deleting 2 leaves one edge between two vertices in either mode
+    g = build(4, list(itertools.combinations(range(4), 2)), [1.0] * 6)
+    message = ("reduced size 2 has average degree 1 <= 1, so the QAOA parameter estimate is undefined; "
+               "target 3 reduces to average degree 2")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sweep_shrink_counts(g, [2], ("qaoa-sim",), ("zero",))
+    with pytest.raises(PipelineError, match=f"^stage 'solve': {re.escape(message)}$"):
+        run_pipeline(g, 2, "qaoa-sim", "zero")
 
 
 @pytest.mark.parametrize("n_samples", [0, -3])
@@ -364,6 +375,17 @@ def test_non_integer_sizes_are_rejected_before_any_work():
     # integer types other than int still work
     assert shrink_to_target(g, zero_correlations(6), np.int64(2)).reduced_size == 2
     assert run_pipeline(g, np.int64(3), "coin", "zero", n_samples=np.int64(5)).target_size == 3
+
+
+def test_a_bool_sample_count_is_the_int_it_equals():
+    g = grid_instance(2, 3, 7)
+    # the coin solve used to fail on it, and an exact report to print "n_samples True"
+    coin, exact = (run_pipeline(g, 2, subsolver, "zero", n_samples=True) for subsolver in ("coin", "exact"))
+    assert coin.n_samples == exact.n_samples == 1 and type(coin.n_samples) is type(exact.n_samples) is int
+    assert np.array_equal(coin.best_assignment, run_pipeline(g, 2, "coin", "zero", n_samples=1).best_assignment)
+    assert exact.as_record()["n_samples"] == "1"
+    cells = sweep_shrink_counts(g, [0, 4], ("coin",), ("zero",), n_samples=True, seed=3)
+    assert cells == sweep_shrink_counts(g, [0, 4], ("coin",), ("zero",), n_samples=1, seed=3)
 
 
 def test_sweep_matches_per_count_shrinks_in_the_callers_order():

@@ -389,6 +389,22 @@ def test_grid_search_statevector_agrees_with_analytic():
     assert np.allclose(a.values, s.values, atol=1e-9)
 
 
+def test_grid_search_values_are_the_single_point_expectations_bit_for_bit():
+    # the gamma axis spans several chunks; a value's bits must not depend on
+    # how many gammas share its chunk (a matrix-vector product's did)
+    g = random_weighted_graph(40, 0.2, np.random.default_rng(2))
+    landscape = grid_search(g, 0.01)
+    linked = g.weight_matrix != 0.0
+    entries = int((linked[g.u] | linked[g.v]).sum())
+    assert MIXER_SCRATCH // (4 * entries + 1) * 3 < landscape.gammas.size
+    rng = np.random.default_rng(0)
+    points = [(int(i), int(j)) for i, j in rng.integers(0, landscape.gammas.size, size=(60, 2))]
+    for i, j in points:
+        expected = expectation_analytic(g, QaoaParams(landscape.gammas[i], landscape.betas[j]))
+        assert landscape.values[i, j].hex() == expected.hex(), (i, j)
+    assert landscape.max_value.hex() == expectation_analytic(g, landscape.argmax).hex()
+
+
 def test_grid_search_flat_landscape():
     # explicit zero-weight edges and no edges at all behave identically
     for g in (WeightedGraph.from_edges(3, []), dense_closure(WeightedGraph.from_edges(3, []))):

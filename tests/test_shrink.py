@@ -131,15 +131,21 @@ def test_contract_k2_opposite_sides():
 def test_contract_rejects_bad_arguments():
     g = WeightedGraph.from_edges(3, [(0, 1, 1.0)])
     state = ShrinkState(g)
-    state.contract(0, 1, 1, 1.0)
-    with pytest.raises(ValueError, match="^vertex 0 is not a current super-vertex$"):
-        state.contract(0, 2, 1, 1.0)  # 0 already removed
-    with pytest.raises(ValueError, match="^vertex 3 is not a current super-vertex$"):
+    with pytest.raises(ValueError, match=r"^vertex 3 outside \[0, 3\)$"):
         state.contract(3, 2, 1, 1.0)
-    with pytest.raises(ValueError, match="^cannot contract a super-vertex with itself$"):
-        state.contract(2, 2, 1, 1.0)
     with pytest.raises(ValueError, match="^sign must be"):
         state.contract(1, 2, 0, 0.0)
+    assert state.records == []
+    assert state.contract(0, 1, -1, -1.0)
+    # an already joined pair, either way round or with itself, records nothing
+    assert not state.contract(0, 1, 1, 1.0)
+    assert not state.contract(1, 0, -1, -1.0)
+    assert not state.contract(2, 2, 1, 1.0)
+    assert state.records == [(1, 0, -1, -1.0)]
+    # 0 is no root: its root 1 goes under 2, with the sign composed with 0's parity
+    assert state.contract(0, 2, 1, 0.5)
+    assert state.records == [(1, 0, -1, -1.0), (2, 1, -1, 0.5)]
+    assert [state.find(v) for v in range(3)] == [(2, 1), (2, -1), (2, 1)]
 
 
 def test_reconstruct_signs():
